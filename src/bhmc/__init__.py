@@ -72,6 +72,7 @@ from .recursions import (
     advance,
     init_state,
     sojourn_matrix,
+    sojourn_rows,
     u_star_K_direct,
 )
 from .solver import (

@@ -19,10 +19,11 @@ import numpy as np
 from .errors import (
     EmptyCandidateSet,
     IndexOutOfRange,
+    SingularBlock,
     UnsupportedInfiniteBand,
 )
 from .generator import BlockGenerator
-from .recursions import RecursionState
+from .recursions import RecursionState, sojourn_matrix
 
 __all__ = [
     "PivotSelection",
@@ -119,8 +120,12 @@ def select_pivot(
     Raises
     ------
     EmptyCandidateSet
-        If ``I & O`` is empty or all candidate ratios vanish; either
-        signals suspected non-ergodicity or a too-early checkpoint.
+        If ``I & O`` is empty or no candidate ratio is positive; either
+        signals suspected non-ergodicity or a too-early checkpoint.  A
+        positive ratio, however small, is a usable pivot: with
+        ``K_set = {0}`` the ratio decays like the mass of level 0.
+    SingularBlock
+        If a candidate ratio is not finite.
     """
     if state.u_star_K is None:
         raise IndexOutOfRange(
@@ -130,8 +135,13 @@ def select_pivot(
     if not candidates:
         raise EmptyCandidateSet(f"no candidate phase at level {state.n}")
     ratios = state.u_star_K[candidates] / state.u_star[candidates]
+    if not np.all(np.isfinite(ratios)):
+        raise SingularBlock(
+            f"non-finite occupancy ratio at level {state.n}; u_star or "
+            "u_star_K has left double range"
+        )
     best = float(ratios.max())
-    if best <= TAU_REL:
+    if not best > 0.0:
         raise EmptyCandidateSet(
             f"all candidate ratios vanish at level {state.n}"
         )
@@ -177,7 +187,7 @@ def select_pivot_drift(
             blk = gen.block_array(k, l)
             if blk.any():
                 inner += blk @ cert.v(l)
-        y += state.U_star_family[k] @ inner
+        y += sojourn_matrix(state, k) @ inner
     objective = y / state.u_star
     best = float(objective.min())
     ties = np.nonzero(objective <= best * (1.0 + TAU_REL))[0]

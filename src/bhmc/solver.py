@@ -40,7 +40,7 @@ from .lfp import (
     select_pivot,
     select_pivot_drift,
 )
-from .recursions import RecursionState, advance, init_state
+from .recursions import RecursionState, advance, init_state, sojourn_rows
 
 __all__ = [
     "CheckpointSchedule",
@@ -276,8 +276,9 @@ def _select_at(state: RecursionState, gen: BlockGenerator) -> PivotSelection:
 
 
 def _pivot_blocks(state: RecursionState, pivot: int) -> tuple[np.ndarray, ...]:
-    scale = state.u_star[pivot]
-    return tuple(f[pivot, :] / scale for f in state.U_star_family)
+    seed = np.zeros(state.u_star.shape[0])
+    seed[pivot] = 1.0 / state.u_star[pivot]
+    return sojourn_rows(state, seed)
 
 
 def _start_level(opts: SolverOptions) -> int:
@@ -379,12 +380,13 @@ def solve_fixed_direction(
 ) -> Approximation:
     """Fixed-direction driver for chains with eventually constant phases.
 
-    Maintains, alongside the starred recursion, the plain descending
-    products ``U_{n,k}`` and their row-sum vector; the approximation at a
-    checkpoint is the fixed direction applied to those products.  The
-    residual-style stopping quantity replaces the pivot's unit mass with
-    the direction: ``(varpi @ q_n) / (varpi @ u_star)``, which coincides
-    with the primary rule on scalar-phase chains.
+    The approximation is the fixed direction applied to the plain
+    descending products ``U_{n,k}``.  Since ``U_{n,k}`` is the inverse of
+    the level-``n`` exit matrix times the sojourn matrix of level ``k``,
+    the blocks are the sojourn rows seeded by ``varpi`` mapped through that
+    exit matrix.  The residual-style stopping quantity replaces the pivot's
+    unit mass with the direction: ``(varpi @ q_n) / (varpi @ u_star)``,
+    which coincides with the primary rule on scalar-phase chains.
     """
     opts = opts if opts is not None else SolverOptions()
     if opts.variant not in (None, "fixed_direction"):
@@ -393,8 +395,6 @@ def solve_fixed_direction(
         )
     varpi = direction.varpi
     state = init_state(gen, opts.K_set)
-    plain_family: list[np.ndarray] = [np.eye(gen.phase_count(0))]
-    plain_sum = np.ones(gen.phase_count(0))
     schedule = opts.checkpoint_schedule.iterate(_start_level(opts))
     next_cp = next(schedule, None)
     trace: deque[CheckpointRecord] = deque(maxlen=TRACE_LIMIT)
@@ -406,24 +406,19 @@ def solve_fixed_direction(
                     f"direction has {varpi.shape[0]} phases but level "
                     f"{state.n} has {state.u_star.shape[0]}"
                 )
-            denom = float(varpi @ plain_sum)
             res = float((varpi @ (1.0 / np.abs(state.q_diag_n))) / (varpi @ state.u_star))
             trace.append(CheckpointRecord(state.n, None, None, res))
             if res < opts.epsilon or at_cap:
-                blocks = tuple((varpi @ f) / denom for f in plain_family)
+                seed = np.linalg.solve(state.U_star.T, varpi)
                 return Approximation(
                     n=state.n,
-                    blocks=blocks,
+                    blocks=sojourn_rows(state, seed / (seed @ state.u_star)),
                     pivot_trace=tuple(trace),
                     residual=res,
                     converged=res < opts.epsilon,
                     variant="fixed_direction",
                 )
             next_cp = next(schedule, None)
-        step = gen.block_array(state.n + 1, state.n) @ state.U_star
-        plain_family = [step @ f for f in plain_family]
-        plain_family.append(np.eye(gen.phase_count(state.n + 1)))
-        plain_sum = np.ones(gen.phase_count(state.n + 1)) + step @ plain_sum
         state = advance(state, gen)
 
 

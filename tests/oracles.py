@@ -112,3 +112,31 @@ def mm1_sojourn_at_zero_mc(
     mean = at_zero_time.mean()
     sem = at_zero_time.std(ddof=1) / math.sqrt(paths)
     return float(mean), float(sem)
+
+
+def family_blocks(gen, n: int, K_set=(0,)):
+    """Whole sojourn family at level ``n`` by the full-family recursion.
+
+    Keeps every member ``F[0..n]`` and multiplies each by
+    ``U_j @ block(j, j-1)`` at every level ``j``, with plain numpy inverses
+    and blocks read straight from the callback.  Returns the family, the
+    row sums ``u_star`` carried by their own recursion, and the partial row
+    sums over the levels of ``K_set`` up to ``n``, summed directly from the
+    family.
+    """
+
+    def blk(k, l):
+        return np.asarray(gen.block(k, l), dtype=float)
+
+    family = [np.linalg.inv(-blk(0, 0))]
+    u_star = family[0].sum(axis=1)
+    for j in range(1, n + 1):
+        q_down = blk(j, j - 1)
+        lo = 0 if gen.bandwidth is None else max(0, j - gen.bandwidth)
+        correction = sum(family[l] @ blk(l, j) for l in range(lo, j))
+        u_j = np.linalg.inv(-blk(j, j) - q_down @ correction)
+        step = u_j @ q_down
+        family = [step @ f for f in family] + [u_j]
+        u_star = u_j @ (1.0 + q_down @ u_star)
+    u_star_K = sum(family[l].sum(axis=1) for l in K_set if l <= n)
+    return family, u_star, u_star_K

@@ -32,6 +32,7 @@ from bhmc import (
     residual_q_norm,
     residual_q_norm_direct,
     select_pivot,
+    sojourn_matrix,
     solve_fixed_direction,
     solve_mip,
     solve_mip_drift,
@@ -140,7 +141,10 @@ def test_criterion_3_oracle_triangle():
             state, incoming_support(gen, n), outgoing_support(state, gen)
         )
         recursion = np.concatenate(
-            [f[sel.pivot, :] / state.u_star[sel.pivot] for f in state.U_star_family]
+            [
+                sojourn_matrix(state, k)[sel.pivot, :] / state.u_star[sel.pivot]
+                for k in range(n + 1)
+            ]
         )
         direct = lbcl_direct(gen, n, sel.alpha_star)
         dense = brute_force_stationary(
@@ -263,7 +267,7 @@ def test_criterion_8_sojourn_semantics():
     )
     elapsed = time.perf_counter() - started
     state = drive_to(make_mm1(1.0, 2.0), 2)
-    recursion_value = state.U_star_family[0].item()
+    recursion_value = sojourn_matrix(state, 0).item()
     deviation = abs(mean - recursion_value) / sem
     ok = recursion_value == pytest.approx(4.0) and deviation <= 3.0 and elapsed < 30.0
     _report(

@@ -14,6 +14,7 @@ from bhmc import (
     lbcl_direct,
     make_heavy_tail_mg1,
     principal_submatrix,
+    sojourn_matrix,
     solve_mip,
     tv_distance,
 )
@@ -112,7 +113,10 @@ def test_oracle_triangle_matched_alpha(catalog):
             state, incoming_support(gen, n), outgoing_support(state, gen)
         )
         recursion = np.concatenate(
-            [f[sel.pivot, :] / state.u_star[sel.pivot] for f in state.U_star_family]
+            [
+                sojourn_matrix(state, k)[sel.pivot, :] / state.u_star[sel.pivot]
+                for k in range(n + 1)
+            ]
         )
         direct = lbcl_direct(gen, n, sel.alpha_star)
         dense = brute_force_stationary(
@@ -135,7 +139,10 @@ def test_deep_truncation_reference_error_decreases(mm1):
             state, incoming_support(mm1, n), outgoing_support(state, mm1)
         )
         approx = np.concatenate(
-            [f[sel.pivot, :] / state.u_star[sel.pivot] for f in state.U_star_family]
+            [
+                sojourn_matrix(state, k)[sel.pivot, :] / state.u_star[sel.pivot]
+                for k in range(n + 1)
+            ]
         )
         errors.append(tv_distance(approx, deep))
     assert all(a > b for a, b in zip(errors, errors[1:]))

@@ -81,6 +81,13 @@ def test_run_epsilon_out_of_range_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_run_overflow_exits_1(tmp_path, capsys):
+    cfg, _, _ = write_config(tmp_path, epsilon="1.0e-310")
+    assert main(["run", str(cfg), "--schedule", "arithmetic:100"]) == 1
+    assert "error: u_star overflowed at level 1023" in capsys.readouterr().err
+
+
 def test_heavy_tail_with_compare(tmp_path):
     cfg = tmp_path / "heavy.yaml"
     dist = tmp_path / "dist.csv"

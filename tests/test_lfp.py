@@ -1,5 +1,7 @@
 """Support sets, ratio-maximizing pivots, and the legacy drift rule."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from bhmc import (
     DriftCertificate,
     EmptyCandidateSet,
     IndexOutOfRange,
+    SingularBlock,
     UnsupportedInfiniteBand,
     incoming_support,
     init_state,
@@ -105,6 +108,14 @@ def test_select_pivot_empty_candidates(mm1):
 def test_select_pivot_needs_u_star_K(mm1):
     state = drive_to(mm1, 2, k_set=frozenset({5}))
     with pytest.raises(IndexOutOfRange):
+        select_pivot(state, frozenset({0}), frozenset({0}))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_select_pivot_non_finite_ratio_is_singular_block(mm1):
+    inf = np.array([np.inf])
+    state = replace(drive_to(mm1, 2), u_star=inf, u_K=inf)
+    with pytest.raises(SingularBlock, match="level 2"):
         select_pivot(state, frozenset({0}), frozenset({0}))
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from bhmc import (
     BlockGenerator,
     IndexOutOfRange,
@@ -11,9 +12,11 @@ from bhmc import (
     init_state,
     lbcl_direct,
     sojourn_matrix,
+    sojourn_rows,
     u_star_K_direct,
 )
-from conftest import drive_to, two_phase_ldqbd
+from bhmc.solver import _pivot_blocks
+from conftest import drive_to, two_phase_ldqbd, two_phase_product_qbd
 
 
 def test_init_state_mm1(mm1):
@@ -63,12 +66,12 @@ def test_init_state_singular_block():
 def test_advance_mm1_hand_values(mm1):
     state = advance(init_state(mm1, {0}), mm1)
     np.testing.assert_allclose(state.U_star, [[1.0]])
-    np.testing.assert_allclose(state.U_star_family[0], [[2.0]])
+    np.testing.assert_allclose(sojourn_matrix(state, 0), [[2.0]])
     np.testing.assert_allclose(state.u_star, [3.0])
     state = advance(state, mm1)
     np.testing.assert_allclose(state.U_star, [[1.0]])
-    np.testing.assert_allclose(state.U_star_family[0], [[4.0]])
-    np.testing.assert_allclose(state.U_star_family[1], [[2.0]])
+    np.testing.assert_allclose(sojourn_matrix(state, 0), [[4.0]])
+    np.testing.assert_allclose(sojourn_matrix(state, 1), [[2.0]])
     np.testing.assert_allclose(state.u_star, [7.0])
     # pattern u_n* = 2^(n+1) - 1
     for n in range(3, 10):
@@ -130,9 +133,10 @@ def test_family_nonnegative_and_u_star_consistency():
     for _ in range(12):
         state = advance(state, gen)
         assert np.all(np.diag(state.U_star) > 0.0)
-        for f in state.U_star_family:
+        family = [sojourn_matrix(state, k) for k in range(state.n + 1)]
+        for f in family:
             assert f.min() >= -1e-14
-        total = sum(f.sum(axis=1) for f in state.U_star_family)
+        total = sum(f.sum(axis=1) for f in family)
         np.testing.assert_allclose(total, state.u_star, rtol=1e-10)
         if state.u_star_K is not None:
             assert np.all(state.u_star_K <= state.u_star + 1e-12)
@@ -155,7 +159,7 @@ def test_alternative_product_formula():
                 prod = prod @ (gen.block_array(m + 1, m) @ u_stars[m])
             expected = state.U_star @ prod
             np.testing.assert_allclose(
-                state.U_star_family[k],
+                sojourn_matrix(state, k),
                 expected,
                 rtol=1e-10,
                 atol=1e-12 * max(1.0, expected.max()),
@@ -183,5 +187,74 @@ def test_stationary_identity_against_deep_reference():
 def test_heavy_tail_uses_full_history(heavy):
     # with an infinite band the exit correction reaches every retained level
     state = drive_to(heavy, 25)
-    assert len(state.U_star_family) == 26
+    assert len(state.window) == 26
     assert state.u_star.item() > 0
+
+
+def random_banded(bandwidth: int, phases: int, seed: int) -> BlockGenerator:
+    """Level-dependent chain with random rates up to ``bandwidth`` levels up.
+
+    Downward rates outweigh the upward ones, so the chain is ergodic.
+    """
+
+    def rates(k, l):
+        return np.random.default_rng([seed, k, l]).uniform(0.2, 1.0, (phases, phases))
+
+    def off_level(k, l):
+        if l == k - 1:
+            return 2.0 * bandwidth * rates(k, l)
+        if k < l <= k + bandwidth:
+            return rates(k, l) / (l - k)
+        return np.zeros((phases, phases))
+
+    def block(k, l):
+        if l != k:
+            return off_level(k, l)
+        local = rates(k, k)
+        np.fill_diagonal(local, 0.0)
+        out = local.sum(axis=1) + sum(
+            off_level(k, j).sum(axis=1)
+            for j in range(max(0, k - 1), k + bandwidth + 1)
+            if j != k
+        )
+        return local - np.diag(out)
+
+    return BlockGenerator(lambda k: phases, block, bandwidth=bandwidth)
+
+
+def test_product_form_matches_family_oracle(catalog):
+    """Stored window, lazy products and sweeps equal the whole-family recursion."""
+    gens = dict(
+        catalog,
+        two_phase_ldqbd=two_phase_ldqbd(),
+        two_phase_product_qbd=two_phase_product_qbd(),
+        band2=random_banded(2, 2, seed=7),
+        band3=random_banded(3, 3, seed=11),
+    )
+    k_set = frozenset({0, 2})
+    rng = np.random.default_rng(3)
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
+
+    for name, gen in gens.items():
+        state = init_state(gen, k_set)
+        for n in range(13):
+            if n:
+                state = advance(state, gen)
+            assert len(state.window) == min(n + 1, gen.bandwidth or n + 1), name
+            family, u_star, u_star_K = oracles.family_blocks(gen, n, k_set)
+            for k in range(n + 1):
+                assert close(sojourn_matrix(state, k), family[k]), (name, n, k)
+            assert close(state.u_star, u_star), (name, n)
+            if n >= max(k_set):
+                assert close(state.u_star_K, u_star_K), (name, n)
+            for p in range(u_star.shape[0]):
+                blocks = _pivot_blocks(state, p)
+                for k in range(n + 1):
+                    assert close(blocks[k], family[k][p] / u_star[p]), (name, n, p, k)
+            seed = rng.uniform(0.1, 1.0, u_star.shape[0])
+            seed /= seed @ u_star
+            rows = sojourn_rows(state, seed)
+            for k in range(n + 1):
+                assert close(rows[k], seed @ family[k]), (name, n, k)

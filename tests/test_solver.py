@@ -14,11 +14,13 @@ from bhmc import (
     IndexOutOfRange,
     NonpositiveWeight,
     PhaseMismatch,
+    SingularBlock,
     SolverOptions,
     UnsupportedInfiniteBand,
     conditional_distribution,
     flatten_blocks,
     make_heavy_tail_mg1,
+    make_ld_qbd_birth_death,
     make_mm1,
     residual_q_norm,
     residual_q_norm_direct,
@@ -26,6 +28,7 @@ from bhmc import (
     solve_fixed_direction,
     solve_mip,
     solve_mip_drift,
+    sojourn_matrix,
     tv_distance,
 )
 from conftest import (
@@ -97,7 +100,9 @@ def test_residual_closed_form_pattern(mm1):
 def test_residual_direct_matches_closed_form(mm1):
     for n in (1, 2):
         state = drive_to(mm1, n)
-        blocks = tuple(f[0, :] / state.u_star[0] for f in state.U_star_family)
+        blocks = tuple(
+            sojourn_matrix(state, k)[0, :] / state.u_star[0] for k in range(n + 1)
+        )
         approx = Approximation(n, blocks, (), 0.0, True, "mip_new")
         direct = residual_q_norm_direct(mm1, approx)
         closed = residual_q_norm(state, 0)
@@ -177,6 +182,26 @@ def test_solve_mip_blocks_are_conditional_on_scalar_birth_death(catalog):
             assert approx.n == n
             cond = oracles.conditional(pi, n)
             assert tv_distance(approx.flatten(), cond) < 1e-12, (name, n)
+
+
+@pytest.mark.parametrize("lam", [28.0, 40.0])
+def test_solve_mip_high_load_infinite_server(lam):
+    """Level 0 carries mass e^-lam: the best K_set = {0} ratio is tiny but positive."""
+    gen = make_ld_qbd_birth_death(lam, 1.0)
+    approx = solve_mip(gen, SolverOptions(epsilon=1e-14))
+    assert approx.converged
+    cond = oracles.conditional(oracles.poisson_pi(lam, 1.0, approx.n), approx.n)
+    assert tv_distance(approx.flatten(), cond) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_solve_mip_overflow_is_singular_block():
+    # u_star = 2^(n+1) - 1 leaves double range at level 1023, before the
+    # residual can reach epsilon
+    sched = CheckpointSchedule(kind="arithmetic", stride=100)
+    opts = SolverOptions(epsilon=1e-310, checkpoint_schedule=sched)
+    with pytest.raises(SingularBlock, match="level 1023"):
+        solve_mip(make_mm1(1.0, 2.0), opts)
 
 
 def test_solve_mip_not_converged_returns_cap_approximation(mm1):
@@ -273,13 +298,16 @@ def test_solve_mip_drift_refuses_infinite_band():
 # ------------------------------------------------------- fixed direction
 
 
-def test_fixed_direction_scalar_matches_primary(mm1):
-    opts = SolverOptions(epsilon=1e-8)
-    fixed = solve_fixed_direction(mm1, FixedDirection(np.array([1.0])), opts)
-    primary = solve_mip(mm1, opts)
-    assert fixed.n == primary.n
-    assert tv_distance(fixed.flatten(), primary.flatten()) < 1e-14
-    assert fixed.residual == pytest.approx(primary.residual)
+def test_fixed_direction_scalar_matches_primary(catalog):
+    # the infinite band keeps no step factors: its sweep runs inside the window
+    for name, eps in (("mm1", 1e-8), ("heavy_tail_mg1", 1e-5)):
+        gen = catalog[name]
+        opts = SolverOptions(epsilon=eps)
+        fixed = solve_fixed_direction(gen, FixedDirection(np.array([1.0])), opts)
+        primary = solve_mip(gen, opts)
+        assert fixed.n == primary.n, name
+        assert tv_distance(fixed.flatten(), primary.flatten()) < 1e-14, name
+        assert fixed.residual == pytest.approx(primary.residual), name
 
 
 def test_fixed_direction_two_phase_product_form():

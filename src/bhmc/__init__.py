@@ -73,7 +73,6 @@ from .recursions import (
     init_state,
     sojourn_matrix,
     sojourn_rows,
-    u_star_K_direct,
 )
 from .solver import (
     Approximation,
@@ -84,7 +83,6 @@ from .solver import (
     conditional_distribution,
     flatten_blocks,
     residual_q_norm,
-    residual_q_norm_direct,
     solve,
     solve_fixed_direction,
     solve_mip,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -26,14 +26,16 @@ import yaml
 from . import baseline
 from .errors import BhmcError, ConfigError
 from .generator import BlockGenerator, lbcl_augment, principal_submatrix, validate_proper_q
-from .lfp import DriftCertificate, incoming_support, outgoing_support, select_pivot
+from .lfp import DriftCertificate
 from .models import MODEL_IDS, ModelSpec, build_model
-from .recursions import advance, init_state, u_star_K_direct
+from .recursions import advance, init_state
 from .solver import (
+    VARIANTS,
     Approximation,
     CheckpointSchedule,
     FixedDirection,
     SolverOptions,
+    _select_at,
     residual_q_norm,
     solve,
     tv_distance,
@@ -48,6 +50,7 @@ class RunConfig:
 
     generator: BlockGenerator
     options: SolverOptions
+    variant: str
     cert: DriftCertificate | None
     direction: FixedDirection | None
     compare: tuple[str, ...]
@@ -70,11 +73,30 @@ def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(extra)} in {where}")
 
 
-def _matrix(node: Any, where: str) -> np.ndarray:
+def _number(value: Any, where: str, kind: type = float):
+    """``kind(value)``, or a ConfigError naming the config key ``where``."""
     try:
-        m = np.asarray(node, dtype=float)
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {what}, got {value!r}") from exc
+
+
+def _int_list(value: Any, where: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of integers, got {value!r}")
+    return [_number(x, f"{where}[{i}]", int) for i, x in enumerate(value)]
+
+
+def _array(node: Any, where: str) -> np.ndarray:
+    try:
+        return np.asarray(node, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} is not a numeric matrix: {exc}") from exc
+        raise ConfigError(f"{where} is not numeric: {exc}") from exc
+
+
+def _matrix(node: Any, where: str) -> np.ndarray:
+    m = _array(node, where)
     if m.ndim != 2:
         raise ConfigError(f"{where} must be a nested (row-major) array of rows")
     return m
@@ -91,7 +113,7 @@ def _inline_generator(node: dict) -> BlockGenerator:
     _reject_unknown(node, {"bandwidth", "levels", "tail"}, "model.inline")
     if "bandwidth" not in node or "levels" not in node:
         raise ConfigError("model.inline needs 'bandwidth' and 'levels'")
-    bandwidth = int(node["bandwidth"])
+    bandwidth = _number(node["bandwidth"], "model.inline.bandwidth", int)
     if bandwidth < 1:
         raise ConfigError(f"inline bandwidth must be >= 1, got {bandwidth}")
     raw_levels = node["levels"]
@@ -157,25 +179,24 @@ def _build_generator(node: dict) -> BlockGenerator:
     return build_model(ModelSpec(name, params))
 
 
-def _build_schedule(node: Any) -> CheckpointSchedule:
+def _build_schedule(node: Any, where: str = "solver.schedule") -> CheckpointSchedule:
     if node is None:
         return CheckpointSchedule()
-    node = _expect_mapping(node, "solver.schedule")
-    _reject_unknown(node, {"kind", "stride", "factor", "levels"}, "solver.schedule")
-    kind = node.get("kind", "every")
-    kwargs: dict[str, Any] = {"kind": kind}
+    node = _expect_mapping(node, where)
+    _reject_unknown(node, {"kind", "stride", "factor", "levels"}, where)
+    kwargs: dict[str, Any] = {"kind": node.get("kind", "every")}
     if "stride" in node:
-        kwargs["stride"] = int(node["stride"])
+        kwargs["stride"] = _number(node["stride"], f"{where}.stride", int)
     if "factor" in node:
-        kwargs["factor"] = float(node["factor"])
+        kwargs["factor"] = _number(node["factor"], f"{where}.factor")
     if "levels" in node:
-        kwargs["levels"] = tuple(int(x) for x in node["levels"])
+        kwargs["levels"] = tuple(_int_list(node["levels"], f"{where}.levels"))
     return CheckpointSchedule(**kwargs)
 
 
 def _build_cert(node: Any, gen: BlockGenerator) -> DriftCertificate:
     node = _expect_mapping(node, "solver.drift")
-    _reject_unknown(node, {"v", "b", "finite_set"}, "solver.drift")
+    _reject_unknown(node, {"v", "b"}, "solver.drift")
     v_node = _expect_mapping(node.get("v"), "solver.drift.v")
     _reject_unknown(v_node, {"affine", "vectors"}, "solver.drift.v")
     if ("affine" in v_node) == ("vectors" in v_node):
@@ -183,16 +204,17 @@ def _build_cert(node: Any, gen: BlockGenerator) -> DriftCertificate:
     if "affine" in v_node:
         aff = _expect_mapping(v_node["affine"], "solver.drift.v.affine")
         _reject_unknown(aff, {"intercept", "slope"}, "solver.drift.v.affine")
-        intercept = float(aff.get("intercept", 1.0))
-        slope = float(aff.get("slope", 1.0))
+        intercept = _number(aff.get("intercept", 1.0), "solver.drift.v.affine.intercept")
+        slope = _number(aff.get("slope", 1.0), "solver.drift.v.affine.slope")
 
         def v_blocks(l: int) -> np.ndarray:
             return np.full(gen.phase_count(l), intercept + slope * l)
 
     else:
-        vectors = [np.asarray(v, dtype=float).ravel() for v in v_node["vectors"]]
-        if not vectors:
-            raise ConfigError("solver.drift.v.vectors must be nonempty")
+        raw = v_node["vectors"]
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError("solver.drift.v.vectors must be a nonempty list")
+        vectors = [_array(v, f"solver.drift.v.vectors[{l}]").ravel() for l, v in enumerate(raw)]
         for l, vec in enumerate(vectors):
             if vec.shape != (gen.phase_count(l),):
                 raise ConfigError(
@@ -208,10 +230,9 @@ def _build_cert(node: Any, gen: BlockGenerator) -> DriftCertificate:
                 )
             return vectors[l]
 
-    finite = frozenset(
-        (int(lv), int(ph)) for lv, ph in node.get("finite_set", [[0, 0]])
+    return DriftCertificate(
+        v_blocks=v_blocks, b=_number(node.get("b", 1.0), "solver.drift.b")
     )
-    return DriftCertificate(v_blocks=v_blocks, b=float(node.get("b", 1.0)), C=finite)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -237,16 +258,15 @@ def load_config(path: str | Path) -> RunConfig:
         "solver",
     )
     variant = sol.get("variant", "mip_new")
-    kwargs: dict[str, Any] = {"variant": variant}
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    kwargs: dict[str, Any] = {}
     if "epsilon" in sol:
-        kwargs["epsilon"] = float(sol["epsilon"])
+        kwargs["epsilon"] = _number(sol["epsilon"], "solver.epsilon")
     if "k_set" in sol:
-        ks = sol["k_set"]
-        if not isinstance(ks, list):
-            raise ConfigError("solver.k_set must be a list of levels")
-        kwargs["K_set"] = frozenset(int(x) for x in ks)
+        kwargs["K_set"] = frozenset(_int_list(sol["k_set"], "solver.k_set"))
     if "max_level" in sol:
-        kwargs["max_level"] = int(sol["max_level"])
+        kwargs["max_level"] = _number(sol["max_level"], "solver.max_level", int)
     kwargs["checkpoint_schedule"] = _build_schedule(sol.get("schedule"))
     options = SolverOptions(**kwargs)
 
@@ -255,7 +275,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("variant mip_drift needs a solver.drift section")
     direction = None
     if "varpi" in sol:
-        direction = FixedDirection(np.asarray(sol["varpi"], dtype=float))
+        direction = FixedDirection(_array(sol["varpi"], "solver.varpi"))
     if variant == "fixed_direction" and direction is None:
         raise ConfigError("variant fixed_direction needs solver.varpi")
 
@@ -276,13 +296,14 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig(
         generator=gen,
         options=options,
+        variant=variant,
         cert=cert,
         direction=direction,
         compare=tuple(compare),
         distribution_path=out.get("distribution"),
         report_path=out.get("report"),
-        validate_levels=int(val.get("levels", 20)),
-        validate_tol=float(val.get("tol", 1e-12)),
+        validate_levels=_number(val.get("levels", 20), "validate.levels", int),
+        validate_tol=_number(val.get("tol", 1e-12), "validate.tol"),
         raw=raw,
     )
 
@@ -292,43 +313,25 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.epsilon is not None:
         kwargs["epsilon"] = args.epsilon
     if args.k_set is not None:
-        try:
-            kwargs["K_set"] = frozenset(int(x) for x in args.k_set.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --k-set {args.k_set!r}: {exc}") from exc
+        kwargs["K_set"] = frozenset(
+            _number(x, "--k-set", int) for x in args.k_set.split(",")
+        )
     if args.max_level is not None:
         kwargs["max_level"] = args.max_level
     if args.schedule is not None:
         kwargs["checkpoint_schedule"] = _parse_schedule_flag(args.schedule)
-    if not kwargs:
-        return cfg
-    base = cfg.options
-    cfg.options = SolverOptions(
-        epsilon=kwargs.get("epsilon", base.epsilon),
-        K_set=kwargs.get("K_set", base.K_set),
-        checkpoint_schedule=kwargs.get("checkpoint_schedule", base.checkpoint_schedule),
-        max_level=kwargs.get("max_level", base.max_level),
-        variant=base.variant,
-    )
+    cfg.options = replace(cfg.options, **kwargs)
     return cfg
 
 
 def _parse_schedule_flag(text: str) -> CheckpointSchedule:
-    kind, _, rest = text.partition(":")
-    try:
-        if kind == "every":
-            return CheckpointSchedule()
-        if kind == "arithmetic":
-            return CheckpointSchedule(kind="arithmetic", stride=int(rest))
-        if kind == "geometric":
-            return CheckpointSchedule(kind="geometric", factor=float(rest))
-        if kind == "explicit":
-            return CheckpointSchedule(
-                kind="explicit", levels=tuple(int(x) for x in rest.split(","))
-            )
-    except ValueError as exc:
-        raise ConfigError(f"bad --schedule {text!r}: {exc}") from exc
-    raise ConfigError(f"bad --schedule {text!r}")
+    """``KIND:ARG``, where ARG is the stride, the factor or comma-separated levels."""
+    kind, _, arg = text.partition(":")
+    node: dict[str, Any] = {"kind": kind}
+    key = {"arithmetic": "stride", "geometric": "factor", "explicit": "levels"}.get(kind)
+    if key is not None:
+        node[key] = arg.split(",") if kind == "explicit" else arg
+    return _build_schedule(node, "--schedule")
 
 
 def _write_distribution(path: str, approx: Approximation) -> None:
@@ -358,34 +361,22 @@ def _comparisons(cfg: RunConfig, approx: Approximation) -> dict[str, dict]:
     """Pairwise distances between the primary answer and requested baselines."""
     results: dict[str, dict] = {}
     flat = approx.flatten()
-    alpha = None
-    last = approx.pivot_trace[-1] if approx.pivot_trace else None
-    if last is not None and last.pivot is not None:
-        alpha = np.zeros(len(approx.blocks[approx.n]))
-        alpha[last.pivot] = 1.0
-    elif cfg.direction is not None:
+    pivot = approx.pivot_trace[-1].pivot
+    if pivot is None:
         alpha = cfg.direction.varpi
+    else:
+        alpha = np.eye(len(approx.blocks[approx.n]))[pivot]
     for name in cfg.compare:
+        depth = approx.n
         if name == "lbcl_direct":
-            other = baseline.lbcl_direct(cfg.generator, approx.n, alpha)
-            results[name] = {
-                "depth": approx.n,
-                "tv_distance": float(tv_distance(flat, other)),
-            }
+            other = baseline.lbcl_direct(cfg.generator, depth, alpha)
         elif name == "brute_force":
-            sub = principal_submatrix(cfg.generator, approx.n)
+            sub = principal_submatrix(cfg.generator, depth)
             other = baseline.brute_force_stationary(lbcl_augment(sub, alpha))
-            results[name] = {
-                "depth": approx.n,
-                "tv_distance": float(tv_distance(flat, other)),
-            }
         else:  # bright_taylor
-            k_star = 3 * approx.n
-            other = baseline.bright_taylor(cfg.generator, k_star).flatten()
-            results[name] = {
-                "depth": k_star,
-                "tv_distance": float(tv_distance(flat, other)),
-            }
+            depth = 3 * approx.n
+            other = baseline.bright_taylor(cfg.generator, depth).flatten()
+        results[name] = {"depth": depth, "tv_distance": float(tv_distance(flat, other))}
     return results
 
 
@@ -395,7 +386,7 @@ def run(config_path: str, args: argparse.Namespace | None = None) -> int:
     if args is not None:
         cfg = _apply_overrides(cfg, args)
     started = time.perf_counter()
-    approx = solve(cfg.generator, cfg.options, cert=cfg.cert, direction=cfg.direction)
+    approx = solve(cfg.generator, cfg.options, cfg.variant, cfg.cert, cfg.direction)
     elapsed = time.perf_counter() - started
     comparisons = _comparisons(cfg, approx)
     if cfg.distribution_path:
@@ -447,15 +438,10 @@ def inspect(config_path: str, level: int, args: argparse.Namespace | None = None
     if state.u_star_K is None:
         print("u_star_K: (not yet defined: level below max(K_set))")
         return 0
-    print(f"u_star_K: {_format_array(u_star_K_direct(state))}")
-    inc = incoming_support(cfg.generator, state.n)
-    if state.n >= 1:
-        out = outgoing_support(state, cfg.generator)
-    else:
-        out = frozenset(range(state.u_star.shape[0]))
-    sel = select_pivot(state, inc, out)
-    print(f"I_plus: {sorted(i + 1 for i in inc)}")
-    print(f"O_plus: {sorted(i + 1 for i in out)}")
+    print(f"u_star_K: {_format_array(state.u_star_K)}")
+    sel = _select_at(state, cfg.generator)
+    print(f"I_plus: {sorted(i + 1 for i in sel.I_plus)}")
+    print(f"O_plus: {sorted(i + 1 for i in sel.O_plus)}")
     print(f"J_star: {[j + 1 for j in sel.J_star]}")
     print(f"pivot: {sel.pivot + 1}")
     print(f"ratio: {sel.ratio:.17g}")

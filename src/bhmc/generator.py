@@ -65,12 +65,6 @@ class BlockGenerator:
             )
         return b
 
-    def upper_limit(self, k: int, n: int) -> int:
-        """Largest column level <= n that block(k, .) may reach."""
-        if self.bandwidth is None:
-            return n
-        return min(n, k + self.bandwidth)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -189,7 +183,8 @@ def principal_submatrix(gen: BlockGenerator, n: int) -> PrincipalSubmatrix:
     data = np.zeros((dim, dim))
     for k in range(n + 1):
         rows = slice(offsets[k], offsets[k + 1])
-        for l in range(max(0, k - 1), gen.upper_limit(k, n) + 1):
+        hi = n if gen.bandwidth is None else min(n, k + gen.bandwidth)
+        for l in range(max(0, k - 1), hi + 1):
             data[rows, offsets[l] : offsets[l + 1]] = gen.block_array(k, l)
     return PrincipalSubmatrix(n, offsets, data)
 

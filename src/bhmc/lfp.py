@@ -43,18 +43,16 @@ TAU_REL = 1e-12
 class PivotSelection:
     """Chosen augmentation phase and the sets that produced it."""
 
-    level: int
     I_plus: frozenset[int]
     O_plus: frozenset[int]
     J_star: tuple[int, ...]
     pivot: int
-    alpha_star: np.ndarray
     ratio: float
 
 
 @dataclass(frozen=True)
 class DriftCertificate:
-    """User-supplied drift witness ``(v, b, C)`` for the legacy rule.
+    """User-supplied drift witness ``(v, b)`` for the legacy rule.
 
     ``v_blocks(l)`` must return a strictly positive vector of length
     ``M_l``.  The inequality it certifies is taken on trust; this library
@@ -63,7 +61,6 @@ class DriftCertificate:
 
     v_blocks: Callable[[int], np.ndarray]
     b: float
-    C: frozenset[tuple[int, int]] = frozenset()
 
     def v(self, l: int) -> np.ndarray:
         vec = np.asarray(self.v_blocks(l), dtype=float).ravel()
@@ -76,9 +73,7 @@ class DriftCertificate:
 class DriftSelection:
     """Minimizing phase of the drift-weighted objective."""
 
-    level: int
     pivot: int
-    alpha_dagger: np.ndarray
     objective: float
 
 
@@ -149,15 +144,11 @@ def select_pivot(
         j for j, r in zip(candidates, ratios) if r >= best * (1.0 - TAU_REL)
     )
     pivot = j_star[0]
-    alpha = np.zeros(state.u_star.shape[0])
-    alpha[pivot] = 1.0
     return PivotSelection(
-        level=state.n,
         I_plus=frozenset(I),
         O_plus=frozenset(O),
         J_star=j_star,
         pivot=pivot,
-        alpha_star=alpha,
         ratio=float(state.u_star_K[pivot] / state.u_star[pivot]),
     )
 
@@ -192,8 +183,4 @@ def select_pivot_drift(
     best = float(objective.min())
     ties = np.nonzero(objective <= best * (1.0 + TAU_REL))[0]
     pivot = int(ties.min())
-    alpha = np.zeros(state.u_star.shape[0])
-    alpha[pivot] = 1.0
-    return DriftSelection(
-        level=n, pivot=pivot, alpha_dagger=alpha, objective=float(objective[pivot])
-    )
+    return DriftSelection(pivot=pivot, objective=float(objective[pivot]))

@@ -36,7 +36,6 @@ __all__ = [
     "RecursionState",
     "init_state",
     "advance",
-    "u_star_K_direct",
     "sojourn_matrix",
     "sojourn_rows",
 ]
@@ -157,14 +156,15 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
         factors = (q_down @ state.U_star, state.factors)
     window = [step @ f for f in kept]
     window.append(u1)
-    u_vec = u1 @ (np.ones(m1) + q_down @ state.u_star)
-    u_k = step @ state.u_K
-    if n1 in state.K_set:
-        u_k += u1.sum(axis=1)
-
     # Positivity and finiteness are guaranteed in exact arithmetic; losing
     # them means overflow or accumulated rounding has exhausted double
-    # precision at this depth.
+    # precision at this depth.  The checks below report it, so numpy's
+    # own overflow warnings are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_vec = u1 @ (np.ones(m1) + q_down @ state.u_star)
+        u_k = step @ state.u_K
+        if n1 in state.K_set:
+            u_k += u1.sum(axis=1)
     if not (np.all(np.isfinite(u_vec)) and np.all(np.isfinite(u_k))):
         raise SingularBlock(
             f"u_star overflowed at level {n1}; the expected sojourn times "
@@ -235,14 +235,3 @@ def sojourn_rows(state: RecursionState, seed: np.ndarray) -> tuple[np.ndarray, .
     below.reverse()
     return tuple(below + top)
 
-
-def u_star_K_direct(state: RecursionState) -> np.ndarray:
-    """Partial row sums over ``K_set`` straight from the sojourn family.
-
-    Cross-check for the recursive ``u_star_K``; both must agree.
-    """
-    if state.n < max(state.K_set):
-        raise IndexOutOfRange(
-            f"level {state.n} below max(K_set) = {max(state.K_set)}"
-        )
-    return sum(sojourn_matrix(state, l).sum(axis=1) for l in state.K_set)

@@ -1,15 +1,18 @@
 """Sequential update drivers and stopping machinery.
 
-Three drivers share one skeleton: advance the first-exit recursion level
-by level, and at scheduled checkpoints pick an augmentation direction,
-assemble the blocked approximation, and test a stopping rule.
+One loop, ``_drive``, advances the first-exit recursion level by level
+and evaluates a per-variant checkpoint function at the scheduled levels.
+The checkpoint picks the augmentation direction, computes the stopping
+quantity, and hands back a thunk that assembles the blocked approximation
+once the run stops.
 
 * ``solve_mip`` (primary): unit-mass pivot maximizing the occupancy
   ratio; stops when the q-weighted residual drops below ``epsilon``.
   The residual has the closed form ``1 / (|q(n, j; n, j)| * u_star(j))``
   at the chosen pivot ``j``, so testing it costs nothing.
 * ``solve_mip_drift`` (legacy): drift-minimizing pivot, successive-
-  iterate total-variation stopping; finite upper bandwidth only.
+  iterate total-variation stopping, so it assembles the blocks at every
+  checkpoint; finite upper bandwidth only.
 * ``solve_fixed_direction``: a fixed positive direction over a constant
   phase set replaces pivot selection entirely.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .errors import (
     SingularBlock,
     UnsupportedInfiniteBand,
 )
-from .generator import BlockGenerator, principal_submatrix
+from .generator import BlockGenerator
 from .lfp import (
     DriftCertificate,
     PivotSelection,
@@ -43,6 +46,7 @@ from .lfp import (
 from .recursions import RecursionState, advance, init_state, sojourn_rows
 
 __all__ = [
+    "VARIANTS",
     "CheckpointSchedule",
     "SolverOptions",
     "CheckpointRecord",
@@ -53,13 +57,13 @@ __all__ = [
     "solve_mip_drift",
     "solve_fixed_direction",
     "residual_q_norm",
-    "residual_q_norm_direct",
     "conditional_distribution",
     "tv_distance",
     "flatten_blocks",
 ]
 
 TRACE_LIMIT = 1024  # checkpoints retained per run
+VARIANTS = ("mip_new", "mip_drift", "fixed_direction")
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,8 @@ class CheckpointSchedule:
 
     ``every`` checks each level from the start level on; ``arithmetic``
     steps by ``stride``; ``geometric`` multiplies by ``factor`` (always
-    advancing by at least one); ``explicit`` uses ``levels`` as given.
+    advancing by at least one); ``explicit`` uses ``levels`` as given, and
+    its last level caps the run like ``max_level``.
     """
 
     kind: str = "every"
@@ -116,7 +121,6 @@ class SolverOptions:
     K_set: frozenset[int] = frozenset({0})
     checkpoint_schedule: CheckpointSchedule = field(default_factory=CheckpointSchedule)
     max_level: int = 10_000
-    variant: str | None = None
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -127,8 +131,6 @@ class SolverOptions:
         object.__setattr__(self, "K_set", ks)
         if self.max_level < 1:
             raise ConfigError(f"max_level must be >= 1, got {self.max_level}")
-        if self.variant not in (None, "mip_new", "mip_drift", "fixed_direction"):
-            raise ConfigError(f"unknown variant {self.variant!r}")
         sched = self.checkpoint_schedule
         if sched.kind == "explicit" and sched.levels[0] < max(ks):
             raise ConfigError(
@@ -170,9 +172,6 @@ class Approximation:
     def flatten(self) -> np.ndarray:
         return np.concatenate(self.blocks)
 
-    def level_masses(self) -> np.ndarray:
-        return np.array([b.sum() for b in self.blocks])
-
 
 @dataclass(frozen=True)
 class FixedDirection:
@@ -210,24 +209,6 @@ def residual_q_norm(state: RecursionState, pivot: int) -> float:
             "representable in double precision"
         )
     return value
-
-
-def residual_q_norm_direct(gen: BlockGenerator, approx: Approximation) -> float:
-    """Q-weighted residual by explicit assembly; oracle for the closed form.
-
-    Computes ``|| x @ Q_n ||`` weighted per state by the reciprocal of its
-    diagonal rate, where ``x`` is the flattened approximation and ``Q_n``
-    the assembled principal submatrix.
-    """
-    sub = principal_submatrix(gen, approx.n)
-    x = approx.flatten()
-    if x.shape[0] != sub.dim:
-        raise IndexOutOfRange(
-            f"approximation has {x.shape[0]} states, submatrix {sub.dim}"
-        )
-    resid = x @ sub.data
-    weights = 1.0 / np.abs(np.diag(sub.data))
-    return float(np.abs(resid) @ weights)
 
 
 def conditional_distribution(blocks, N: int) -> tuple[np.ndarray, ...]:
@@ -281,10 +262,41 @@ def _pivot_blocks(state: RecursionState, pivot: int) -> tuple[np.ndarray, ...]:
     return sojourn_rows(state, seed)
 
 
-def _start_level(opts: SolverOptions) -> int:
-    if opts.checkpoint_schedule.kind == "explicit":
-        return opts.checkpoint_schedule.levels[0]
-    return max(max(opts.K_set), 1)
+Blocks = Callable[[], tuple[np.ndarray, ...]]
+Checkpoint = Callable[[RecursionState], tuple[CheckpointRecord, bool, Blocks]]
+
+
+def _drive(
+    gen: BlockGenerator, opts: SolverOptions, variant: str, checkpoint: Checkpoint
+) -> Approximation:
+    """Advance level by level and evaluate ``checkpoint`` at scheduled levels.
+
+    ``checkpoint(state)`` returns the trace record, whether the stopping
+    rule holds, and a thunk assembling the blocks, which is called only at
+    the stop.  The run stops when the rule holds, at ``max_level``, or at
+    the last level of an explicit schedule; ``converged`` says whether the
+    rule held there.
+    """
+    state = init_state(gen, opts.K_set)
+    schedule = opts.checkpoint_schedule.iterate(max(max(opts.K_set), 1))
+    next_cp = next(schedule, None)
+    trace: deque[CheckpointRecord] = deque(maxlen=TRACE_LIMIT)
+    while True:
+        at_cap = state.n >= opts.max_level
+        if state.n == next_cp or at_cap:
+            record, done, blocks = checkpoint(state)
+            trace.append(record)
+            next_cp = next(schedule, None)
+            if done or at_cap or next_cp is None:
+                return Approximation(
+                    n=state.n,
+                    blocks=blocks(),
+                    pivot_trace=tuple(trace),
+                    residual=record.residual,
+                    converged=done,
+                    variant=variant,
+                )
+        state = advance(state, gen)
 
 
 def solve_mip(gen: BlockGenerator, opts: SolverOptions | None = None) -> Approximation:
@@ -294,34 +306,19 @@ def solve_mip(gen: BlockGenerator, opts: SolverOptions | None = None) -> Approxi
     checkpoint it selects the pivot phase, reads off the closed-form
     residual, and stops once the residual drops below ``epsilon``,
     returning the blocked approximation assembled from the pivot row of
-    the sojourn family.  Hitting ``max_level`` without convergence is not
-    an error: the approximation evaluated there is returned with
-    ``converged=False``.
+    the sojourn family.  Hitting ``max_level``, or the last level of an
+    explicit schedule, without convergence is not an error: the
+    approximation evaluated there is returned with ``converged=False``.
     """
     opts = opts if opts is not None else SolverOptions()
-    if opts.variant not in (None, "mip_new"):
-        raise ConfigError(f"solve_mip cannot run variant {opts.variant!r}")
-    state = init_state(gen, opts.K_set)
-    schedule = opts.checkpoint_schedule.iterate(_start_level(opts))
-    next_cp = next(schedule, None)
-    trace: deque[CheckpointRecord] = deque(maxlen=TRACE_LIMIT)
-    while True:
-        at_cap = state.n >= opts.max_level
-        if (next_cp is not None and state.n == next_cp) or at_cap:
-            sel = _select_at(state, gen)
-            res = residual_q_norm(state, sel.pivot)
-            trace.append(CheckpointRecord(state.n, sel.pivot, sel.ratio, res))
-            if res < opts.epsilon or at_cap:
-                return Approximation(
-                    n=state.n,
-                    blocks=_pivot_blocks(state, sel.pivot),
-                    pivot_trace=tuple(trace),
-                    residual=res,
-                    converged=res < opts.epsilon,
-                    variant="mip_new",
-                )
-            next_cp = next(schedule, None)
-        state = advance(state, gen)
+
+    def checkpoint(state: RecursionState):
+        sel = _select_at(state, gen)
+        res = residual_q_norm(state, sel.pivot)
+        record = CheckpointRecord(state.n, sel.pivot, sel.ratio, res)
+        return record, res < opts.epsilon, lambda: _pivot_blocks(state, sel.pivot)
+
+    return _drive(gen, opts, "mip_new", checkpoint)
 
 
 def solve_mip_drift(
@@ -336,41 +333,24 @@ def solve_mip_drift(
     bandwidth.
     """
     opts = opts if opts is not None else SolverOptions()
-    if opts.variant not in (None, "mip_drift"):
-        raise ConfigError(f"solve_mip_drift cannot run variant {opts.variant!r}")
     if gen.bandwidth is None:
         raise UnsupportedInfiniteBand(
             "drift-based selection needs a finite upper bandwidth"
         )
-    state = init_state(gen, opts.K_set)
-    schedule = opts.checkpoint_schedule.iterate(_start_level(opts))
-    next_cp = next(schedule, None)
-    trace: deque[CheckpointRecord] = deque(maxlen=TRACE_LIMIT)
     prev_flat: np.ndarray | None = None
-    while True:
-        at_cap = state.n >= opts.max_level
-        if (next_cp is not None and state.n == next_cp) or at_cap:
-            sel = select_pivot_drift(state, gen, cert)
-            blocks = _pivot_blocks(state, sel.pivot)
-            flat = flatten_blocks(blocks)
-            res = residual_q_norm(state, sel.pivot)
-            step = tv_distance(flat, prev_flat) if prev_flat is not None else None
-            trace.append(
-                CheckpointRecord(state.n, sel.pivot, sel.objective, res, step)
-            )
-            done = step is not None and step < opts.epsilon
-            if done or at_cap:
-                return Approximation(
-                    n=state.n,
-                    blocks=blocks,
-                    pivot_trace=tuple(trace),
-                    residual=res,
-                    converged=done,
-                    variant="mip_drift",
-                )
-            prev_flat = flat
-            next_cp = next(schedule, None)
-        state = advance(state, gen)
+
+    def checkpoint(state: RecursionState):
+        nonlocal prev_flat
+        sel = select_pivot_drift(state, gen, cert)
+        blocks = _pivot_blocks(state, sel.pivot)
+        flat = flatten_blocks(blocks)
+        res = residual_q_norm(state, sel.pivot)
+        step = tv_distance(flat, prev_flat) if prev_flat is not None else None
+        prev_flat = flat
+        record = CheckpointRecord(state.n, sel.pivot, sel.objective, res, step)
+        return record, step is not None and step < opts.epsilon, lambda: blocks
+
+    return _drive(gen, opts, "mip_drift", checkpoint)
 
 
 def solve_fixed_direction(
@@ -389,53 +369,41 @@ def solve_fixed_direction(
     which coincides with the primary rule on scalar-phase chains.
     """
     opts = opts if opts is not None else SolverOptions()
-    if opts.variant not in (None, "fixed_direction"):
-        raise ConfigError(
-            f"solve_fixed_direction cannot run variant {opts.variant!r}"
-        )
     varpi = direction.varpi
-    state = init_state(gen, opts.K_set)
-    schedule = opts.checkpoint_schedule.iterate(_start_level(opts))
-    next_cp = next(schedule, None)
-    trace: deque[CheckpointRecord] = deque(maxlen=TRACE_LIMIT)
-    while True:
-        at_cap = state.n >= opts.max_level
-        if (next_cp is not None and state.n == next_cp) or at_cap:
-            if state.u_star.shape[0] != varpi.shape[0]:
-                raise PhaseMismatch(
-                    f"direction has {varpi.shape[0]} phases but level "
-                    f"{state.n} has {state.u_star.shape[0]}"
-                )
-            res = float((varpi @ (1.0 / np.abs(state.q_diag_n))) / (varpi @ state.u_star))
-            trace.append(CheckpointRecord(state.n, None, None, res))
-            if res < opts.epsilon or at_cap:
-                seed = np.linalg.solve(state.U_star.T, varpi)
-                return Approximation(
-                    n=state.n,
-                    blocks=sojourn_rows(state, seed / (seed @ state.u_star)),
-                    pivot_trace=tuple(trace),
-                    residual=res,
-                    converged=res < opts.epsilon,
-                    variant="fixed_direction",
-                )
-            next_cp = next(schedule, None)
-        state = advance(state, gen)
+
+    def checkpoint(state: RecursionState):
+        if state.u_star.shape[0] != varpi.shape[0]:
+            raise PhaseMismatch(
+                f"direction has {varpi.shape[0]} phases but level "
+                f"{state.n} has {state.u_star.shape[0]}"
+            )
+        res = float((varpi @ (1.0 / np.abs(state.q_diag_n))) / (varpi @ state.u_star))
+
+        def blocks():
+            seed = np.linalg.solve(state.U_star.T, varpi)
+            return sojourn_rows(state, seed / (seed @ state.u_star))
+
+        return CheckpointRecord(state.n, None, None, res), res < opts.epsilon, blocks
+
+    return _drive(gen, opts, "fixed_direction", checkpoint)
 
 
 def solve(
     gen: BlockGenerator,
     opts: SolverOptions,
+    variant: str = "mip_new",
     cert: DriftCertificate | None = None,
     direction: FixedDirection | None = None,
 ) -> Approximation:
-    """Dispatch on ``opts.variant`` (defaults to the primary driver)."""
-    variant = opts.variant or "mip_new"
+    """Run the driver named by ``variant``, one of ``VARIANTS``."""
     if variant == "mip_new":
         return solve_mip(gen, opts)
     if variant == "mip_drift":
         if cert is None:
             raise ConfigError("variant mip_drift needs a drift certificate")
         return solve_mip_drift(gen, cert, opts)
-    if direction is None:
-        raise ConfigError("variant fixed_direction needs a direction vector")
-    return solve_fixed_direction(gen, direction, opts)
+    if variant == "fixed_direction":
+        if direction is None:
+            raise ConfigError("variant fixed_direction needs a direction vector")
+        return solve_fixed_direction(gen, direction, opts)
+    raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")

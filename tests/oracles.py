@@ -1,8 +1,10 @@
 """Independent oracles used to freeze expected values.
 
-Everything here is computed by a route that shares nothing with the
+Most of what is here is computed by a route that shares nothing with the
 package's recursion machinery: closed-form balance equations, product
-forms, dense grid solves, and trajectory simulation.
+forms, dense grid solves, and trajectory simulation.  The two direct
+cross-checks at the end assemble from the package's sojourn family or
+principal submatrix what the solver keeps in closed or recursive form.
 """
 
 from __future__ import annotations
@@ -11,7 +13,12 @@ import math
 
 import numpy as np
 
-from bhmc import brute_force_stationary
+from bhmc import (
+    IndexOutOfRange,
+    brute_force_stationary,
+    principal_submatrix,
+    sojourn_matrix,
+)
 
 
 def geometric_pi(lam: float, mu: float, levels: int) -> np.ndarray:
@@ -140,3 +147,33 @@ def family_blocks(gen, n: int, K_set=(0,)):
         u_star = u_j @ (1.0 + q_down @ u_star)
     u_star_K = sum(family[l].sum(axis=1) for l in K_set if l <= n)
     return family, u_star, u_star_K
+
+
+def u_star_K_direct(state) -> np.ndarray:
+    """Partial row sums over ``K_set`` straight from the sojourn family.
+
+    Cross-check for the recursive ``u_star_K``; both must agree.
+    """
+    if state.n < max(state.K_set):
+        raise IndexOutOfRange(
+            f"level {state.n} below max(K_set) = {max(state.K_set)}"
+        )
+    return sum(sojourn_matrix(state, l).sum(axis=1) for l in state.K_set)
+
+
+def residual_q_norm_direct(gen, approx) -> float:
+    """Q-weighted residual by explicit assembly; oracle for the closed form.
+
+    Computes ``|| x @ Q_n ||`` weighted per state by the reciprocal of its
+    diagonal rate, where ``x`` is the flattened approximation and ``Q_n``
+    the assembled principal submatrix.
+    """
+    sub = principal_submatrix(gen, approx.n)
+    x = approx.flatten()
+    if x.shape[0] != sub.dim:
+        raise IndexOutOfRange(
+            f"approximation has {x.shape[0]} states, submatrix {sub.dim}"
+        )
+    resid = x @ sub.data
+    weights = 1.0 / np.abs(np.diag(sub.data))
+    return float(np.abs(resid) @ weights)

@@ -118,9 +118,10 @@ def test_oracle_triangle_matched_alpha(catalog):
                 for k in range(n + 1)
             ]
         )
-        direct = lbcl_direct(gen, n, sel.alpha_star)
+        alpha = np.eye(gen.phase_count(n))[sel.pivot]
+        direct = lbcl_direct(gen, n, alpha)
         dense = brute_force_stationary(
-            lbcl_augment(principal_submatrix(gen, n), sel.alpha_star)
+            lbcl_augment(principal_submatrix(gen, n), alpha)
         )
         assert tv_distance(recursion, direct) < 1e-10, name
         assert tv_distance(recursion, dense) < 1e-10, name

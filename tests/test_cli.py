@@ -81,7 +81,6 @@ def test_run_epsilon_out_of_range_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_overflow_exits_1(tmp_path, capsys):
     cfg, _, _ = write_config(tmp_path, epsilon="1.0e-310")
     assert main(["run", str(cfg), "--schedule", "arithmetic:100"]) == 1
@@ -199,6 +198,26 @@ def test_config_error_messages(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("solver: {epsilon: abc}", "solver.epsilon"),
+        ("solver: {schedule: {kind: arithmetic, stride: abc}}", "solver.schedule.stride"),
+        ("solver: {max_level: [1]}", "solver.max_level"),
+        ("validate: {levels: x}", "validate.levels"),
+        ("solver: {variant: fixed_direction, varpi: abc}", "solver.varpi"),
+        ("solver: {variant: mip_drift, drift: {v: {vectors: [abc]}}}", "solver.drift.v.vectors"),
+    ],
+)
+def test_malformed_number_is_config_error(tmp_path, capsys, section, key):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"model: {{name: mm1, params: {{lam: 1.0, mu: 2.0}}}}\n{section}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(bad)
+    assert main(["run", str(bad)]) == 1
+    assert f"error: {key}" in capsys.readouterr().err
+
+
 def test_drift_variant_via_config(tmp_path):
     report = tmp_path / "report.yaml"
     cfg = tmp_path / "drift.yaml"
@@ -213,7 +232,6 @@ solver:
   schedule: {{kind: arithmetic, stride: 5}}
   drift:
     b: 1.0
-    finite_set: [[0, 0]]
     v:
       affine: {{intercept: 1.0, slope: 1.0}}
 output:

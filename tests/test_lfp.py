@@ -95,7 +95,6 @@ def test_select_pivot_mm1_hand_values(mm1):
     assert sel.pivot == 0
     assert sel.J_star == (0,)
     assert sel.ratio == pytest.approx(4.0 / 7.0, abs=1e-15)
-    np.testing.assert_array_equal(sel.alpha_star, [1.0])
     assert 0.0 < sel.ratio <= 1.0
 
 
@@ -172,20 +171,19 @@ def test_select_pivot_optimality_random_feasible(seed, n):
 
 def test_select_pivot_drift_mm1_hand_value(mm1):
     cert = DriftCertificate(
-        v_blocks=lambda l: np.array([float(l + 1)]), b=1.0, C=frozenset({(0, 0)})
+        v_blocks=lambda l: np.array([float(l + 1)]), b=1.0
     )
     state = drive_to(mm1, 1)
     sel = select_pivot_drift(state, mm1, cert)
     assert sel.pivot == 0
     # y_1 = v_1 + U_1* Q_{1,2} v_2 = 2 + 1*1*3 = 5, over u_1* = 3
     assert sel.objective == pytest.approx(5.0 / 3.0)
-    np.testing.assert_array_equal(sel.alpha_dagger, [1.0])
 
 
 def test_select_pivot_drift_two_phase_runs():
     gen = two_phase_ldqbd()
     cert = DriftCertificate(
-        v_blocks=lambda l: np.full(2, float(l + 1)), b=1.0, C=frozenset({(0, 0)})
+        v_blocks=lambda l: np.full(2, float(l + 1)), b=1.0
     )
     state = drive_to(gen, 4)
     sel = select_pivot_drift(state, gen, cert)
@@ -196,7 +194,7 @@ def test_select_pivot_drift_two_phase_runs():
 def test_select_pivot_drift_refuses_infinite_band():
     gen = make_heavy_tail_mg1(3.0, 1.0)
     cert = DriftCertificate(
-        v_blocks=lambda l: np.array([float(l + 1)]), b=1.0, C=frozenset({(0, 0)})
+        v_blocks=lambda l: np.array([float(l + 1)]), b=1.0
     )
     state = drive_to(gen, 3)
     with pytest.raises(UnsupportedInfiniteBand):

@@ -13,9 +13,9 @@ from bhmc import (
     lbcl_direct,
     sojourn_matrix,
     sojourn_rows,
-    u_star_K_direct,
 )
 from bhmc.solver import _pivot_blocks
+from oracles import u_star_K_direct
 from conftest import drive_to, two_phase_ldqbd, two_phase_product_qbd
 
 

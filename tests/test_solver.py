@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import residual_q_norm_direct
 from bhmc import (
     Approximation,
     CheckpointSchedule,
@@ -23,7 +24,6 @@ from bhmc import (
     make_ld_qbd_birth_death,
     make_mm1,
     residual_q_norm,
-    residual_q_norm_direct,
     solve,
     solve_fixed_direction,
     solve_mip,
@@ -39,7 +39,7 @@ from conftest import (
 )
 
 MM1_CERT = DriftCertificate(
-    v_blocks=lambda l: np.array([float(l + 1)]), b=1.0, C=frozenset({(0, 0)})
+    v_blocks=lambda l: np.array([float(l + 1)]), b=1.0
 )
 
 
@@ -194,7 +194,6 @@ def test_solve_mip_high_load_infinite_server(lam):
     assert tv_distance(approx.flatten(), cond) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_solve_mip_overflow_is_singular_block():
     # u_star = 2^(n+1) - 1 leaves double range at level 1023, before the
     # residual can reach epsilon
@@ -220,18 +219,29 @@ def test_solve_mip_respects_explicit_schedule(mm1):
     assert approx.n == 8 and approx.converged
 
 
-def test_solve_mip_variant_guard(mm1):
-    with pytest.raises(ConfigError):
-        solve_mip(mm1, SolverOptions(variant="mip_drift"))
+def test_explicit_schedule_stops_at_its_last_level(mm1):
+    # the residual at level 3 is 1/45, far above epsilon; the run must not
+    # go on towards max_level, where u_star overflows at level 1023
+    sched = CheckpointSchedule(kind="explicit", levels=(3,))
+    opts = SolverOptions(epsilon=1e-12, checkpoint_schedule=sched, max_level=3000)
+    for approx in (
+        solve_mip(mm1, opts),
+        solve_fixed_direction(mm1, FixedDirection(np.array([1.0])), opts),
+    ):
+        assert approx.n == 3 and not approx.converged
+        assert [r.level for r in approx.pivot_trace] == [3]
+        assert approx.flatten().sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_dispatch(mm1):
-    a = solve(mm1, SolverOptions(epsilon=1e-6, variant="mip_new"))
+    a = solve(mm1, SolverOptions(epsilon=1e-6), "mip_new")
     assert a.converged
     with pytest.raises(ConfigError):
-        solve(mm1, SolverOptions(variant="mip_drift"))
+        solve(mm1, SolverOptions(), "mip_drift")
     with pytest.raises(ConfigError):
-        solve(mm1, SolverOptions(variant="fixed_direction"))
+        solve(mm1, SolverOptions(), "fixed_direction")
+    with pytest.raises(ConfigError, match="unknown variant"):
+        solve(mm1, SolverOptions(), "mip")
 
 
 def test_residual_decreases_below_any_tried_epsilon(catalog):

@@ -18,7 +18,6 @@ Examples
 
 from .baseline import (
     BrightTaylorResult,
-    RMatrixChain,
     bright_taylor,
     brute_force_stationary,
     lbcl_direct,
@@ -59,7 +58,6 @@ from .lfp import (
 )
 from .models import (
     MODEL_IDS,
-    ModelSpec,
     build_model,
     make_heavy_tail_mg1,
     make_lattice_rw_2d,
@@ -80,8 +78,6 @@ from .solver import (
     CheckpointSchedule,
     FixedDirection,
     SolverOptions,
-    conditional_distribution,
-    flatten_blocks,
     residual_q_norm,
     solve,
     solve_fixed_direction,

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NotQbd
+from .errors import IndexOutOfRange, InvalidBlock, NotQbd
 from .generator import BlockGenerator, check_distribution, principal_submatrix
 from .recursions import guarded_lu_factor, lu_inverse
 
 __all__ = [
-    "RMatrixChain",
     "BrightTaylorResult",
     "lbcl_direct",
     "bright_taylor",
@@ -27,19 +26,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RMatrixChain:
-    """Backward-recursed rate matrices ``R[k-1] = R_k`` for ``k = 1..K_star``."""
-
-    K_star: int
-    R: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class BrightTaylorResult:
-    """Blocked stationary approximation plus the R-matrix chain behind it."""
+    """Blocked stationary approximation plus the rate matrices behind it.
+
+    ``R[k-1]`` is the backward-recursed rate matrix ``R_k`` that carries
+    ``blocks[k-1]`` to ``blocks[k]``, for ``k = 1..K_star``.
+    """
 
     blocks: tuple[np.ndarray, ...]
-    chain: RMatrixChain
+    R: tuple[np.ndarray, ...]
 
     def flatten(self) -> np.ndarray:
         return np.concatenate(self.blocks)
@@ -84,7 +79,7 @@ def bright_taylor(
     if gen.bandwidth != 1:
         raise NotQbd(f"bandwidth must be 1, got {gen.bandwidth}")
     if K_star < 0 or tail_levels < 0:
-        raise ValueError("K_star and tail_levels must be nonnegative")
+        raise IndexOutOfRange("K_star and tail_levels must be nonnegative")
     top = K_star + tail_levels
     kept: dict[int, np.ndarray] = {}
     r_above = np.zeros((gen.phase_count(top), gen.phase_count(top + 1)))
@@ -105,7 +100,7 @@ def bright_taylor(
     total = sum(b.sum() for b in blocks)
     return BrightTaylorResult(
         blocks=tuple(b / total for b in blocks),
-        chain=RMatrixChain(K_star, tuple(kept[k] for k in range(1, K_star + 1))),
+        R=tuple(kept[k] for k in range(1, K_star + 1)),
     )
 
 
@@ -127,5 +122,5 @@ def brute_force_stationary(q_hat: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q_hat, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {q.shape}")
+        raise InvalidBlock(f"expected a square matrix, got shape {q.shape}")
     return _null_left_vector(q)

@@ -27,7 +27,7 @@ from . import baseline
 from .errors import BhmcError, ConfigError
 from .generator import BlockGenerator, lbcl_augment, principal_submatrix, validate_proper_q
 from .lfp import DriftCertificate
-from .models import MODEL_IDS, ModelSpec, build_model
+from .models import build_model
 from .recursions import advance, init_state
 from .solver import (
     VARIANTS,
@@ -61,16 +61,13 @@ class RunConfig:
     raw: dict
 
 
-def _expect_mapping(node: Any, where: str) -> dict:
+def _mapping(node: Any, where: str, allowed: set[str] | None = None) -> dict:
+    """``node`` as a mapping, with every key in ``allowed`` when that is given."""
     if not isinstance(node, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(node).__name__}")
+    if allowed is not None and not set(node) <= allowed:
+        raise ConfigError(f"unknown keys {sorted(set(node) - allowed)} in {where}")
     return node
-
-
-def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
-    extra = set(node) - allowed
-    if extra:
-        raise ConfigError(f"unknown keys {sorted(extra)} in {where}")
 
 
 def _number(value: Any, where: str, kind: type = float):
@@ -102,7 +99,7 @@ def _matrix(node: Any, where: str) -> np.ndarray:
     return m
 
 
-def _inline_generator(node: dict) -> BlockGenerator:
+def _inline_generator(node: Any) -> BlockGenerator:
     """Generator from explicit per-level block tables plus a repeating tail.
 
     ``levels[k]`` maps column offsets (as strings or ints, e.g. ``"-1"``,
@@ -110,7 +107,7 @@ def _inline_generator(node: dict) -> BlockGenerator:
     ``tail`` table (default: the last explicit level's table), which forces
     a constant phase count in the tail.
     """
-    _reject_unknown(node, {"bandwidth", "levels", "tail"}, "model.inline")
+    node = _mapping(node, "model.inline", {"bandwidth", "levels", "tail"})
     if "bandwidth" not in node or "levels" not in node:
         raise ConfigError("model.inline needs 'bandwidth' and 'levels'")
     bandwidth = _number(node["bandwidth"], "model.inline.bandwidth", int)
@@ -121,7 +118,7 @@ def _inline_generator(node: dict) -> BlockGenerator:
         raise ConfigError("model.inline.levels must be a nonempty list")
 
     def parse_table(table: Any, where: str) -> dict[int, np.ndarray]:
-        table = _expect_mapping(table, where)
+        table = _mapping(table, where)
         out = {}
         for key, value in table.items():
             try:
@@ -164,26 +161,21 @@ def _inline_generator(node: dict) -> BlockGenerator:
     return gen
 
 
-def _build_generator(node: dict) -> BlockGenerator:
-    node = _expect_mapping(node, "model")
+def _build_generator(node: Any) -> BlockGenerator:
+    node = _mapping(node, "model")
     if ("name" in node) == ("inline" in node):
         raise ConfigError("model needs exactly one of 'name' or 'inline'")
     if "inline" in node:
-        _reject_unknown(node, {"inline"}, "model")
-        return _inline_generator(_expect_mapping(node["inline"], "model.inline"))
-    _reject_unknown(node, {"name", "params"}, "model")
-    name = node["name"]
-    if name not in MODEL_IDS:
-        raise ConfigError(f"unknown model {name!r}; expected one of {MODEL_IDS}")
-    params = _expect_mapping(node.get("params", {}), "model.params")
-    return build_model(ModelSpec(name, params))
+        _mapping(node, "model", {"inline"})
+        return _inline_generator(node["inline"])
+    _mapping(node, "model", {"name", "params"})
+    return build_model(node["name"], _mapping(node.get("params", {}), "model.params"))
 
 
 def _build_schedule(node: Any, where: str = "solver.schedule") -> CheckpointSchedule:
     if node is None:
         return CheckpointSchedule()
-    node = _expect_mapping(node, where)
-    _reject_unknown(node, {"kind", "stride", "factor", "levels"}, where)
+    node = _mapping(node, where, {"kind", "stride", "factor", "levels"})
     kwargs: dict[str, Any] = {"kind": node.get("kind", "every")}
     if "stride" in node:
         kwargs["stride"] = _number(node["stride"], f"{where}.stride", int)
@@ -195,15 +187,12 @@ def _build_schedule(node: Any, where: str = "solver.schedule") -> CheckpointSche
 
 
 def _build_cert(node: Any, gen: BlockGenerator) -> DriftCertificate:
-    node = _expect_mapping(node, "solver.drift")
-    _reject_unknown(node, {"v", "b"}, "solver.drift")
-    v_node = _expect_mapping(node.get("v"), "solver.drift.v")
-    _reject_unknown(v_node, {"affine", "vectors"}, "solver.drift.v")
+    node = _mapping(node, "solver.drift", {"v", "b"})
+    v_node = _mapping(node.get("v"), "solver.drift.v", {"affine", "vectors"})
     if ("affine" in v_node) == ("vectors" in v_node):
         raise ConfigError("solver.drift.v needs exactly one of 'affine' or 'vectors'")
     if "affine" in v_node:
-        aff = _expect_mapping(v_node["affine"], "solver.drift.v.affine")
-        _reject_unknown(aff, {"intercept", "slope"}, "solver.drift.v.affine")
+        aff = _mapping(v_node["affine"], "solver.drift.v.affine", {"intercept", "slope"})
         intercept = _number(aff.get("intercept", 1.0), "solver.drift.v.affine.intercept")
         slope = _number(aff.get("slope", 1.0), "solver.drift.v.affine.slope")
 
@@ -245,17 +234,15 @@ def load_config(path: str | Path) -> RunConfig:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    raw = _expect_mapping(raw, "config")
-    _reject_unknown(raw, {"model", "solver", "compare", "output", "validate"}, "config")
+    raw = _mapping(raw, "config", {"model", "solver", "compare", "output", "validate"})
     if "model" not in raw:
         raise ConfigError("config needs a 'model' section")
     gen = _build_generator(raw["model"])
 
-    sol = _expect_mapping(raw.get("solver", {}), "solver")
-    _reject_unknown(
-        sol,
-        {"variant", "epsilon", "k_set", "max_level", "schedule", "drift", "varpi"},
+    sol = _mapping(
+        raw.get("solver", {}),
         "solver",
+        {"variant", "epsilon", "k_set", "max_level", "schedule", "drift", "varpi"},
     )
     variant = sol.get("variant", "mip_new")
     if variant not in VARIANTS:
@@ -288,10 +275,8 @@ def load_config(path: str | Path) -> RunConfig:
                 f"unknown baseline {name!r}; expected one of {BASELINE_NAMES}"
             )
 
-    out = _expect_mapping(raw.get("output", {}), "output")
-    _reject_unknown(out, {"distribution", "report"}, "output")
-    val = _expect_mapping(raw.get("validate", {}), "validate")
-    _reject_unknown(val, {"levels", "tol"}, "validate")
+    out = _mapping(raw.get("output", {}), "output", {"distribution", "report"})
+    val = _mapping(raw.get("validate", {}), "validate", {"levels", "tol"})
 
     return RunConfig(
         generator=gen,
@@ -311,13 +296,13 @@ def load_config(path: str | Path) -> RunConfig:
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     kwargs: dict[str, Any] = {}
     if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
+        kwargs["epsilon"] = _number(args.epsilon, "--epsilon")
     if args.k_set is not None:
         kwargs["K_set"] = frozenset(
             _number(x, "--k-set", int) for x in args.k_set.split(",")
         )
     if args.max_level is not None:
-        kwargs["max_level"] = args.max_level
+        kwargs["max_level"] = _number(args.max_level, "--max-level", int)
     if args.schedule is not None:
         kwargs["checkpoint_schedule"] = _parse_schedule_flag(args.schedule)
     cfg.options = replace(cfg.options, **kwargs)
@@ -334,12 +319,19 @@ def _parse_schedule_flag(text: str) -> CheckpointSchedule:
     return _build_schedule(node, "--schedule")
 
 
+def _write(path: str, text: str, where: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {where} {path}: {exc}") from exc
+
+
 def _write_distribution(path: str, approx: Approximation) -> None:
     lines = ["level,phase,probability"]
     for k, blk in enumerate(approx.blocks):
         for i, p in enumerate(blk):
             lines.append(f"{k},{i + 1},{p:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n", "output.distribution")
 
 
 def _trace_payload(approx: Approximation) -> list[dict]:
@@ -407,7 +399,7 @@ def run(config_path: str, args: argparse.Namespace | None = None) -> int:
     if comparisons:
         report["result"]["comparisons"] = comparisons
     if cfg.report_path:
-        Path(cfg.report_path).write_text(yaml.safe_dump(report, sort_keys=False))
+        _write(cfg.report_path, yaml.safe_dump(report, sort_keys=False), "output.report")
     status = "converged" if approx.converged else "NOT converged"
     print(
         f"{status} at level {approx.n}: residual {approx.residual:.6g} "
@@ -473,9 +465,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("config", help="path to YAML run configuration")
-        p.add_argument("--epsilon", type=float, default=None, help="override stopping tolerance")
+        p.add_argument("--epsilon", default=None, help="override stopping tolerance")
         p.add_argument("--k-set", default=None, help="override index set, e.g. '0' or '0,1,2'")
-        p.add_argument("--max-level", type=int, default=None, help="override level cap")
+        p.add_argument("--max-level", default=None, help="override level cap")
         p.add_argument(
             "--schedule",
             default=None,

@@ -49,8 +49,8 @@ class NotQbd(BhmcError):
     """Operation requires a block-tridiagonal (bandwidth 1) generator."""
 
 
-class NonpositiveWeight(BhmcError):
-    """A modulating weight vector contains a nonpositive entry."""
+class NonpositiveWeight(BhmcError, ValueError):
+    """A drift weight vector has a nonpositive or non-finite entry."""
 
 
 class ConfigError(BhmcError):

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadDistribution, InvalidBlock, MissingTailInfo
+from .errors import BadDistribution, IndexOutOfRange, InvalidBlock, MissingTailInfo
 
 __all__ = [
     "BlockGenerator",
@@ -176,7 +176,7 @@ def validate_proper_q(
 def principal_submatrix(gen: BlockGenerator, n: int) -> PrincipalSubmatrix:
     """Assemble the dense generator restriction to levels ``0..n``."""
     if n < 0:
-        raise IndexError(f"level must be nonnegative, got {n}")
+        raise IndexOutOfRange(f"level must be nonnegative, got {n}")
     counts = [gen.phase_count(k) for k in range(n + 1)]
     offsets = np.concatenate(([0], np.cumsum(counts)))
     dim = int(offsets[-1])

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     EmptyCandidateSet,
     IndexOutOfRange,
+    NonpositiveWeight,
     SingularBlock,
     UnsupportedInfiniteBand,
 )
@@ -65,7 +66,7 @@ class DriftCertificate:
     def v(self, l: int) -> np.ndarray:
         vec = np.asarray(self.v_blocks(l), dtype=float).ravel()
         if np.any(vec <= 0.0) or not np.all(np.isfinite(vec)):
-            raise ValueError(f"drift vector at level {l} must be strictly positive")
+            raise NonpositiveWeight(f"drift vector at level {l} must be strictly positive")
         return vec
 
 

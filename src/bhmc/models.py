@@ -1,15 +1,17 @@
 """Catalog of concrete upper block-Hessenberg generators.
 
 Scalar-phase queueing models keep their oracles hand-verifiable; the
-two-dimensional lattice walk exercises level-varying phase counts; the
-heavy-tailed M/G/1-type generator exercises a genuinely infinite upper
-band with an exact analytic tail.  Phases are 0-indexed throughout.
+single-, multi- and infinite-server queues are one birth-death chain,
+built by ``_birth_death`` from a birth rate and a level-dependent death
+rate.  The two-dimensional lattice walk exercises level-varying phase
+counts; the heavy-tailed M/G/1-type generator exercises a genuinely
+infinite upper band with an exact analytic tail.  Phases are 0-indexed
+throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -17,7 +19,6 @@ from .errors import BadRates, ConfigError, UnstableModel
 from .generator import BlockGenerator
 
 __all__ = [
-    "ModelSpec",
     "MODEL_IDS",
     "build_model",
     "make_mm1",
@@ -27,40 +28,15 @@ __all__ = [
     "make_lattice_rw_2d",
 ]
 
-MODEL_IDS = (
-    "mm1",
-    "mmc",
-    "ld_qbd_birth_death",
-    "heavy_tail_mg1",
-    "lattice_rw_2d",
-)
 
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Named catalog model plus its rate parameters."""
-
-    model_id: str
-    params: Mapping[str, float] = field(default_factory=dict)
-
-
-def build_model(spec: ModelSpec) -> BlockGenerator:
-    """Instantiate a catalog model from its spec."""
-    if spec.model_id not in MODEL_IDS:
-        raise ConfigError(
-            f"unknown model {spec.model_id!r}; expected one of {MODEL_IDS}"
-        )
-    maker = {
-        "mm1": make_mm1,
-        "mmc": make_mmc,
-        "ld_qbd_birth_death": make_ld_qbd_birth_death,
-        "heavy_tail_mg1": make_heavy_tail_mg1,
-        "lattice_rw_2d": make_lattice_rw_2d,
-    }[spec.model_id]
+def build_model(model_id: str, params: Mapping[str, float]) -> BlockGenerator:
+    """Instantiate the catalog model ``model_id`` with its rate parameters."""
+    if model_id not in MODEL_IDS:
+        raise ConfigError(f"unknown model {model_id!r}; expected one of {MODEL_IDS}")
     try:
-        return maker(**dict(spec.params))
+        return _MAKERS[model_id](**dict(params))
     except TypeError as exc:
-        raise ConfigError(f"bad parameters for {spec.model_id}: {exc}") from exc
+        raise ConfigError(f"bad parameters for {model_id}: {exc}") from exc
 
 
 def _require_positive(**rates: float) -> None:
@@ -77,6 +53,21 @@ def _one_phase(_k: int) -> int:
     return 1
 
 
+def _birth_death(lam: float, death: Callable[[int], float]) -> BlockGenerator:
+    """Scalar chain with birth rate ``lam`` and death rate ``death(k)`` at ``k >= 1``."""
+
+    def block(k: int, l: int) -> np.ndarray:
+        if l == k:
+            return _scalar(-(lam + death(k)) if k >= 1 else -lam)
+        if l == k + 1:
+            return _scalar(lam)
+        if l == k - 1 and k >= 1:
+            return _scalar(death(k))
+        return _scalar(0.0)
+
+    return BlockGenerator(_one_phase, block, bandwidth=1)
+
+
 def make_mm1(lam: float, mu: float) -> BlockGenerator:
     """Single-server queue: birth rate ``lam``, death rate ``mu``.
 
@@ -86,17 +77,7 @@ def make_mm1(lam: float, mu: float) -> BlockGenerator:
     _require_positive(lam=lam, mu=mu)
     if lam >= mu:
         raise UnstableModel(f"mm1 requires lam < mu, got lam={lam}, mu={mu}")
-
-    def block(k: int, l: int) -> np.ndarray:
-        if l == k:
-            return _scalar(-(lam + mu) if k >= 1 else -lam)
-        if l == k + 1:
-            return _scalar(lam)
-        if l == k - 1 and k >= 1:
-            return _scalar(mu)
-        return _scalar(0.0)
-
-    return BlockGenerator(_one_phase, block, bandwidth=1)
+    return _birth_death(lam, lambda k: mu)
 
 
 def make_mmc(lam: float, mu: float, c: int) -> BlockGenerator:
@@ -112,18 +93,7 @@ def make_mmc(lam: float, mu: float, c: int) -> BlockGenerator:
         raise UnstableModel(
             f"mmc requires lam < c * mu, got lam={lam}, c*mu={c * mu}"
         )
-
-    def block(k: int, l: int) -> np.ndarray:
-        down = min(k, c) * mu
-        if l == k:
-            return _scalar(-(lam + down) if k >= 1 else -lam)
-        if l == k + 1:
-            return _scalar(lam)
-        if l == k - 1 and k >= 1:
-            return _scalar(down)
-        return _scalar(0.0)
-
-    return BlockGenerator(_one_phase, block, bandwidth=1)
+    return _birth_death(lam, lambda k: min(k, c) * mu)
 
 
 def make_ld_qbd_birth_death(lam: float, mu: float) -> BlockGenerator:
@@ -134,18 +104,7 @@ def make_ld_qbd_birth_death(lam: float, mu: float) -> BlockGenerator:
     level-dependent behavior.
     """
     _require_positive(lam=lam, mu=mu)
-
-    def block(k: int, l: int) -> np.ndarray:
-        down = k * mu
-        if l == k:
-            return _scalar(-(lam + down))
-        if l == k + 1:
-            return _scalar(lam)
-        if l == k - 1 and k >= 1:
-            return _scalar(down)
-        return _scalar(0.0)
-
-    return BlockGenerator(_one_phase, block, bandwidth=1)
+    return _birth_death(lam, lambda k: k * mu)
 
 
 def make_heavy_tail_mg1(mu: float, tail_c: float = 1.0) -> BlockGenerator:
@@ -255,3 +214,13 @@ def make_lattice_rw_2d(
         return out
 
     return BlockGenerator(phase_count, block, bandwidth=1)
+
+
+_MAKERS = {
+    "mm1": make_mm1,
+    "mmc": make_mmc,
+    "ld_qbd_birth_death": make_ld_qbd_birth_death,
+    "heavy_tail_mg1": make_heavy_tail_mg1,
+    "lattice_rw_2d": make_lattice_rw_2d,
+}
+MODEL_IDS = tuple(_MAKERS)

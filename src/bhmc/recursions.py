@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 import scipy.linalg
 
-from .errors import IndexOutOfRange, SingularBlock
+from .errors import ConfigError, IndexOutOfRange, SingularBlock
 from .generator import BlockGenerator
 
 __all__ = [
@@ -101,11 +101,13 @@ class RecursionState:
 
 
 def _normalize_k_set(K_set) -> frozenset[int]:
-    ks = frozenset(int(k) for k in K_set)
-    if not ks:
-        raise ValueError("K_set must be a nonempty finite set of levels")
-    if min(ks) < 0:
-        raise ValueError(f"K_set must contain nonnegative levels, got {sorted(ks)}")
+    """``K_set`` as a frozenset of levels; it must be nonempty and nonnegative."""
+    try:
+        ks = frozenset(int(k) for k in K_set)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"K_set must be a set of integer levels, got {K_set!r}") from exc
+    if not ks or min(ks) < 0:
+        raise ConfigError(f"K_set must be nonempty and nonnegative, got {sorted(ks)}")
     return ks
 
 

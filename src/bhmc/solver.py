@@ -26,14 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    IndexOutOfRange,
-    NonpositiveWeight,
-    PhaseMismatch,
-    SingularBlock,
-    UnsupportedInfiniteBand,
-)
+from .errors import ConfigError, IndexOutOfRange, PhaseMismatch, SingularBlock
 from .generator import BlockGenerator
 from .lfp import (
     DriftCertificate,
@@ -43,7 +36,13 @@ from .lfp import (
     select_pivot,
     select_pivot_drift,
 )
-from .recursions import RecursionState, advance, init_state, sojourn_rows
+from .recursions import (
+    RecursionState,
+    _normalize_k_set,
+    advance,
+    init_state,
+    sojourn_rows,
+)
 
 __all__ = [
     "VARIANTS",
@@ -57,9 +56,7 @@ __all__ = [
     "solve_mip_drift",
     "solve_fixed_direction",
     "residual_q_norm",
-    "conditional_distribution",
     "tv_distance",
-    "flatten_blocks",
 ]
 
 TRACE_LIMIT = 1024  # checkpoints retained per run
@@ -125,9 +122,7 @@ class SolverOptions:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        ks = frozenset(int(k) for k in self.K_set)
-        if not ks or min(ks) < 0:
-            raise ConfigError(f"K_set must be nonempty and nonnegative, got {self.K_set}")
+        ks = _normalize_k_set(self.K_set)
         object.__setattr__(self, "K_set", ks)
         if self.max_level < 1:
             raise ConfigError(f"max_level must be >= 1, got {self.max_level}")
@@ -188,11 +183,6 @@ class FixedDirection:
         object.__setattr__(self, "varpi", w)
 
 
-def flatten_blocks(blocks) -> np.ndarray:
-    """Concatenate level blocks into one flat vector."""
-    return np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks])
-
-
 def residual_q_norm(state: RecursionState, pivot: int) -> float:
     """Closed-form q-weighted residual of the pivot approximation.
 
@@ -211,35 +201,18 @@ def residual_q_norm(state: RecursionState, pivot: int) -> float:
     return value
 
 
-def conditional_distribution(blocks, N: int) -> tuple[np.ndarray, ...]:
-    """Renormalize the first ``N + 1`` level blocks to total mass one."""
-    seq = [np.asarray(b, dtype=float).ravel() for b in blocks]
-    if not 0 <= N < len(seq):
-        raise IndexOutOfRange(f"level {N} outside 0..{len(seq) - 1}")
-    head = seq[: N + 1]
-    mass = sum(b.sum() for b in head)
-    return tuple(b / mass for b in head)
-
-
-def tv_distance(h1, h2, f=None) -> float:
-    """Weighted total-variation distance between prefix-indexed vectors.
+def tv_distance(h1, h2) -> float:
+    """Total-variation distance between prefix-indexed vectors.
 
     The vectors may cover index prefixes of different lengths: shared
-    indices contribute ``|h1 - h2| * f`` and each vector's overhang
-    contributes its own weighted mass.  With ``f`` omitted (all ones)
-    this is the plain total variation norm.
+    indices contribute ``|h1 - h2|`` and each vector's overhang contributes
+    its own mass.
     """
     a = np.asarray(h1, dtype=float).ravel()
     b = np.asarray(h2, dtype=float).ravel()
-    hi = max(a.size, b.size)
-    if f is None:
-        w = np.ones(hi)
-    else:
-        w = np.asarray(f, dtype=float).ravel()
-        if w.size < hi:
-            raise ValueError(f"weight vector covers {w.size} indices, need {hi}")
-        if np.any(w[:hi] <= 0.0):
-            raise NonpositiveWeight("weights must be strictly positive")
+    # dot products with ones, not .sum(): the summation order fixes the
+    # last digits of the distances the CLI reports
+    w = np.ones(max(a.size, b.size))
     lo = min(a.size, b.size)
     total = float(np.abs(a[:lo] - b[:lo]) @ w[:lo])
     total += float(np.abs(a[lo:]) @ w[lo : a.size])
@@ -330,20 +303,17 @@ def solve_mip_drift(
     approximations falls below ``epsilon`` (which can in principle trigger
     early, unlike the residual rule); the q-weighted residual is still
     recorded at every checkpoint for diagnosis.  Requires a finite upper
-    bandwidth.
+    bandwidth: otherwise the first checkpoint raises
+    ``UnsupportedInfiniteBand``.
     """
     opts = opts if opts is not None else SolverOptions()
-    if gen.bandwidth is None:
-        raise UnsupportedInfiniteBand(
-            "drift-based selection needs a finite upper bandwidth"
-        )
     prev_flat: np.ndarray | None = None
 
     def checkpoint(state: RecursionState):
         nonlocal prev_flat
         sel = select_pivot_drift(state, gen, cert)
         blocks = _pivot_blocks(state, sel.pivot)
-        flat = flatten_blocks(blocks)
+        flat = np.concatenate(blocks)
         res = residual_q_norm(state, sel.pivot)
         step = tv_distance(flat, prev_flat) if prev_flat is not None else None
         prev_flat = flat

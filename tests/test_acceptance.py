@@ -170,7 +170,7 @@ def test_criterion_4_bright_taylor_cross_method():
         worst = max(worst, d)
         assert d <= 1e-8, (name, d)
     mm1_result = bright_taylor(make_mm1(1.0, 2.0), K_star=60)
-    r1 = mm1_result.chain.R[0].item()
+    r1 = mm1_result.R[0].item()
     ok = abs(r1 - 0.5) <= 1e-10 and worst <= 1e-8
     _report(
         4,

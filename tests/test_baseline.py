@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from bhmc import (
+    InvalidBlock,
     NotQbd,
     SingularBlock,
     SolverOptions,
@@ -46,7 +47,7 @@ def test_brute_force_single_state():
 
 
 def test_brute_force_rejects_non_square():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidBlock):
         brute_force_stationary(np.zeros((2, 3)))
 
 
@@ -68,8 +69,8 @@ def test_brute_force_agrees_with_lbcl_direct(mmc):
 def test_bright_taylor_mm1_fixed_point(mm1):
     result = bright_taylor(mm1, K_star=60)
     # scalar rate matrix: minimal root of 2R^2 - 3R + 1, i.e. 0.5, not 1
-    assert abs(result.chain.R[0].item() - 0.5) < 1e-10
-    assert all(r.item() <= 0.5 + 1e-12 for r in result.chain.R)
+    assert abs(result.R[0].item() - 0.5) < 1e-10
+    assert all(r.item() <= 0.5 + 1e-12 for r in result.R)
     pi = result.flatten()
     geo = oracles.geometric_pi(1.0, 2.0, 60)
     assert np.abs(pi[:21] - geo[:21]).max() < 1e-8
@@ -79,8 +80,8 @@ def test_bright_taylor_burn_in_sharpens_tail(mm1):
     plain = bright_taylor(mm1, K_star=20)
     burned = bright_taylor(mm1, K_star=20, tail_levels=40)
     # with burn-in, R_20 is already converged; without, it is zero-initialized
-    assert abs(burned.chain.R[-1].item() - 0.5) < 1e-10
-    assert abs(plain.chain.R[-1].item() - 0.5) > 1e-3
+    assert abs(burned.R[-1].item() - 0.5) < 1e-10
+    assert abs(plain.R[-1].item() - 0.5) > 1e-3
 
 
 def test_bright_taylor_refuses_infinite_band():

@@ -218,6 +218,35 @@ def test_malformed_number_is_config_error(tmp_path, capsys, section, key):
     assert f"error: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--epsilon", "abc"), ("--max-level", "2.5")])
+def test_malformed_flag_is_config_error(tmp_path, capsys, flag, value):
+    cfg, _, _ = write_config(tmp_path)
+    assert main(["run", str(cfg), flag, value]) == 1
+    assert f"error: {flag} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["distribution", "report"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, key):
+    target = tmp_path / "missing_dir" / "out"
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\n"
+        f"output: {{{key}: {target}}}\n"
+    )
+    assert main(["run", str(cfg)]) == 1
+    assert f"error: cannot write output.{key} {target}" in capsys.readouterr().err
+
+
+def test_nonpositive_drift_weight_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "drift.yaml"
+    cfg.write_text(
+        "model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\n"
+        "solver: {variant: mip_drift, drift: {v: {affine: {intercept: 1.0, slope: -1.0}}}}\n"
+    )
+    assert main(["run", str(cfg)]) == 1
+    assert "error: drift vector at level 1" in capsys.readouterr().err
+
+
 def test_drift_variant_via_config(tmp_path):
     report = tmp_path / "report.yaml"
     cfg = tmp_path / "drift.yaml"

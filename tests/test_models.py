@@ -8,7 +8,6 @@ import oracles
 from bhmc import (
     BadRates,
     ConfigError,
-    ModelSpec,
     SolverOptions,
     UnstableModel,
     build_model,
@@ -148,12 +147,12 @@ def test_every_catalog_model_validates(catalog):
 
 
 def test_build_model_dispatch():
-    gen = build_model(ModelSpec("mm1", {"lam": 1.0, "mu": 2.0}))
+    gen = build_model("mm1", {"lam": 1.0, "mu": 2.0})
     assert gen.block(0, 0).item() == -1.0
     with pytest.raises(ConfigError):
-        build_model(ModelSpec("nope", {}))
+        build_model("nope", {})
     with pytest.raises(ConfigError):
-        build_model(ModelSpec("mm1", {"lam": 1.0, "mu": 2.0, "extra": 1.0}))
+        build_model("mm1", {"lam": 1.0, "mu": 2.0, "extra": 1.0})
 
 
 @given(

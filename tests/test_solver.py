@@ -13,13 +13,10 @@ from bhmc import (
     DriftCertificate,
     FixedDirection,
     IndexOutOfRange,
-    NonpositiveWeight,
     PhaseMismatch,
     SingularBlock,
     SolverOptions,
     UnsupportedInfiniteBand,
-    conditional_distribution,
-    flatten_blocks,
     make_heavy_tail_mg1,
     make_ld_qbd_birth_death,
     make_mm1,
@@ -350,31 +347,10 @@ def test_fixed_direction_phase_count_mismatch(lattice):
 # ------------------------------------------------------------ utilities
 
 
-def test_conditional_distribution_examples():
-    blocks = [np.array([2.0 / 3.0]), np.array([1.0 / 3.0])]
-    out = conditional_distribution(blocks, 1)
-    np.testing.assert_allclose(np.concatenate(out), [2.0 / 3.0, 1.0 / 3.0])
-    geo = [np.array([0.5 * 0.5**k]) for k in range(5)]
-    out = conditional_distribution(geo, 1)
-    np.testing.assert_allclose(np.concatenate(out), [2.0 / 3.0, 1.0 / 3.0])
-    out = conditional_distribution(geo, 0)
-    np.testing.assert_allclose(np.concatenate(out), [1.0])
-    with pytest.raises(IndexOutOfRange):
-        conditional_distribution(geo, 5)
-
-
 def test_tv_distance_examples():
     assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 2.0
     assert tv_distance([0.5, 0.5], [0.5, 0.25, 0.25]) == pytest.approx(0.5)
-    assert tv_distance([1.0], [1.0, 0.25], f=[1.0, 4.0]) == pytest.approx(1.0)
-
-
-def test_tv_distance_weight_validation():
-    with pytest.raises(NonpositiveWeight):
-        tv_distance([1.0], [1.0], f=[0.0])
-    with pytest.raises(ValueError):
-        tv_distance([1.0, 0.0], [1.0], f=[1.0])
 
 
 @given(
@@ -388,12 +364,3 @@ def test_tv_distance_symmetry_and_nonnegativity(a, b):
     assert d_ab == pytest.approx(tv_distance(b, a))
     assert tv_distance(a, a) == 0.0
 
-
-@given(seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=30, deadline=None)
-def test_flatten_blocks_roundtrip(seed):
-    rng = np.random.default_rng(seed)
-    blocks = [rng.random(rng.integers(1, 4)) for _ in range(4)]
-    flat = flatten_blocks(blocks)
-    assert flat.size == sum(b.size for b in blocks)
-    np.testing.assert_array_equal(flat[: blocks[0].size], blocks[0])

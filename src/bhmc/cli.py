@@ -478,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     p_ins = sub.add_parser("inspect", help="dump recursion state at one level")
     add_common(p_ins)
-    p_ins.add_argument("--level", type=int, required=True, help="level to inspect")
+    p_ins.add_argument("--level", required=True, help="level to inspect")
     p_val = sub.add_parser("validate", help="check the generator for violations")
     p_val.add_argument("config", help="path to YAML run configuration")
     return parser
@@ -490,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run(args.config, args)
         if args.command == "inspect":
-            return inspect(args.config, args.level, args)
+            return inspect(args.config, _number(args.level, "--level", int), args)
         return validate(args.config)
     except BhmcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,23 +8,20 @@ the inverse of the local exit matrix.  The state also carries the row-sum
 vector ``u_star`` over the whole family and the partial row-sum vector
 ``u_star_K`` over the index set ``K_set``.
 
-The family is kept in product form.  Only the members the next exit
-correction reads are stored: the top ``bandwidth`` levels, or every level
-on an infinite band.  On a finite band each level ``j`` also keeps one
-step factor ``T_j = block(j, j-1) @ U_star(j-1)``, and a member below the
-stored window is the product ``window[0] @ T_lo @ ... @ T_{k+1}``.  A
-banded step therefore costs a fixed number of block solves and products,
-and memory grows by one factor per level.  On an infinite band the exit
-correction reads every level, so the whole family is stored and each step
-multiplies every member.
+The family is kept in product form on every band: ``U_star`` plus one step
+factor ``T_j = block(j, j-1) @ U_star(j-1)`` per level, so member ``k`` is
+``U_star @ T_n @ ... @ T_{k+1}``.  The exit correction of the next level
+reads the members of the levels the band reaches, multiplied out in one
+top-down row sweep.  A step on a band of width ``b`` therefore costs one
+exit-matrix inversion and about ``2 b`` block products, and memory grows by
+one factor per level.  On an infinite band the correction reaches every
+level, so the step cost grows with the level.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
 
 import numpy as np
 import scipy.linalg
@@ -70,30 +67,23 @@ def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
 class RecursionState:
     """First-exit quantities at the current level ``n``.
 
-    ``window`` holds the sojourn matrices of levels ``n + 1 - len(window)``
-    to ``n``: every level on an infinite band, otherwise the top
-    ``bandwidth`` levels, which are all that the next exit correction and
-    the drift pivot read.  Its last entry is ``U_star``.  ``factors`` links
-    the step factors ``T_j = block(j, j-1) @ U_star(j-1)`` of a finite band
-    from the top down, as nested pairs ``(T_n, (T_{n-1}, ... (T_1, None)))``;
-    it stays ``None`` on an infinite band.  ``u_K`` is the running partial
-    row sum over ``K_set`` restricted to levels ``0..n``; ``u_star_K``
-    exposes it once ``n`` has reached ``max(K_set)`` and is ``None`` before
-    that.  ``q_diag_n`` caches the diagonal of ``block(n, n)`` for the
-    stopping rule.
+    ``U_star`` is the sojourn matrix of level ``n``.  ``factors`` links the
+    step factors ``T_j = block(j, j-1) @ U_star(j-1)`` from the top down, as
+    nested pairs ``(T_n, (T_{n-1}, ... (T_1, None)))``; the sojourn matrix
+    of level ``k`` is ``U_star @ T_n @ ... @ T_{k+1}``.  ``u_K`` is the
+    running partial row sum over ``K_set`` restricted to levels ``0..n``;
+    ``u_star_K`` exposes it once ``n`` has reached ``max(K_set)`` and is
+    ``None`` before that.  ``q_diag_n`` caches the diagonal of
+    ``block(n, n)`` for the stopping rule.
     """
 
     n: int
-    window: list[np.ndarray]
+    U_star: np.ndarray
     factors: tuple | None
     u_star: np.ndarray
     u_K: np.ndarray
     K_set: frozenset[int]
     q_diag_n: np.ndarray
-
-    @property
-    def U_star(self) -> np.ndarray:
-        return self.window[-1]
 
     @property
     def u_star_K(self) -> np.ndarray | None:
@@ -119,7 +109,7 @@ def init_state(gen: BlockGenerator, K_set=frozenset({0})) -> RecursionState:
     u_vec = u0.sum(axis=1)
     return RecursionState(
         n=0,
-        window=[u0],
+        U_star=u0,
         factors=None,
         u_star=u_vec,
         u_K=u_vec.copy() if 0 in ks else np.zeros_like(u_vec),
@@ -131,33 +121,33 @@ def init_state(gen: BlockGenerator, K_set=frozenset({0})) -> RecursionState:
 def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     """Advance the rolling state from level ``n`` to ``n + 1``.
 
-    The new ``U_star`` inverts the local exit matrix at level ``n + 1``,
-    whose correction sum runs over the stored window.  The window members
-    that stay in it, and the total and partial row-sum vectors, then update
-    by a single left product with ``U_star @ block(n+1, n)``; on a finite
-    band the step factor ``block(n+1, n) @ U_star(n)`` joins ``factors``.
+    The new ``U_star`` inverts the local exit matrix at level ``n + 1``.
+    Its correction sum ``sum_l sojourn_matrix(state, l) @ block(l, n+1)``
+    runs top down over the levels ``l = n .. lo`` that the band reaches
+    (``lo = 0`` on an infinite band), carrying one row of products
+    ``U_star @ T_n @ ... @ T_{l+1}`` down the factor chain.  The partial
+    row-sum vector updates by a single left product with
+    ``U_star @ block(n+1, n)``, and the step factor
+    ``block(n+1, n) @ U_star(n)`` joins ``factors``.
     """
     n, n1 = state.n, state.n + 1
     m1 = gen.phase_count(n1)
     q_next = gen.block_array(n1, n1)
     q_down = gen.block_array(n1, n)
 
-    lo = n1 - len(state.window)
+    lo = 0 if gen.bandwidth is None else max(0, n1 - gen.bandwidth)
     correction = np.zeros((state.U_star.shape[0], m1))
-    for l, f in enumerate(state.window, start=lo):
+    row, node = state.U_star, state.factors
+    for l in range(n, lo - 1, -1):
         b = gen.block_array(l, n1)
         if b.any():
-            correction += f @ b
+            correction += row @ b
+        if l > lo:
+            factor, node = node
+            row = row @ factor
     u1 = lu_inverse(-q_next - q_down @ correction, f"level {n1} exit matrix")
 
     step = u1 @ q_down
-    if gen.bandwidth is None:
-        kept, factors = state.window, None
-    else:
-        kept = state.window[max(0, len(state.window) + 1 - gen.bandwidth) :]
-        factors = (q_down @ state.U_star, state.factors)
-    window = [step @ f for f in kept]
-    window.append(u1)
     # Positivity and finiteness are guaranteed in exact arithmetic; losing
     # them means overflow or accumulated rounding has exhausted double
     # precision at this depth.  The checks below report it, so numpy's
@@ -182,8 +172,8 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
 
     return RecursionState(
         n=n1,
-        window=window,
-        factors=factors,
+        U_star=u1,
+        factors=(q_down @ state.U_star, state.factors),
         u_star=u_vec,
         u_K=u_k,
         K_set=state.K_set,
@@ -191,32 +181,18 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     )
 
 
-def _factors_below(state: RecursionState) -> Iterator[np.ndarray]:
-    """Step factors ``T_lo, ..., T_1`` below the window's lowest level ``lo``."""
-    node = state.factors
-    for _ in range(len(state.window) - 1):  # skip T_n .. T_{lo+1}
-        if node is None:
-            return
-        node = node[1]
-    while node is not None:
-        factor, node = node
-        yield factor
-
-
 def sojourn_matrix(state: RecursionState, k: int) -> np.ndarray:
     """Expected-sojourn matrix for level ``k``.
 
     Entry ``(i, j)`` is the expected total time spent in ``(k, j)`` before
     the chain first visits any level above ``n``, starting from ``(n, i)``.
-    Levels below the stored window are multiplied out on demand.
+    It is multiplied out on demand as ``U_star @ T_n @ ... @ T_{k+1}``.
     """
     if not 0 <= k <= state.n:
         raise IndexOutOfRange(f"level {k} outside 0..{state.n}")
-    lo = state.n + 1 - len(state.window)
-    if k >= lo:
-        return state.window[k - lo]
-    product = state.window[0]
-    for factor in islice(_factors_below(state), lo - k):
+    product, node = state.U_star, state.factors
+    for _ in range(state.n - k):
+        factor, node = node
         product = product @ factor
     return product
 
@@ -224,16 +200,15 @@ def sojourn_matrix(state: RecursionState, k: int) -> np.ndarray:
 def sojourn_rows(state: RecursionState, seed: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rows ``seed @ sojourn_matrix(state, k)`` for ``k = 0..n``.
 
-    One backward sweep: ``x_k = seed @ window[k]`` inside the window, then
-    ``x_{k-1} = x_k @ T_k`` below it, so each level costs one row-matrix
-    product.  A seed with ``seed @ u_star = 1`` gives rows summing to one.
+    One backward sweep: ``x_n = seed @ U_star``, then ``x_{k-1} = x_k @ T_k``,
+    so each level costs one row-matrix product.  A seed with
+    ``seed @ u_star = 1`` gives rows summing to one.
     """
-    top = [seed @ f for f in state.window]
-    below = []
-    x = top[0]
-    for factor in _factors_below(state):
+    x, node = seed @ state.U_star, state.factors
+    rows = [x]
+    while node is not None:
+        factor, node = node
         x = x @ factor
-        below.append(x)
-    below.reverse()
-    return tuple(below + top)
-
+        rows.append(x)
+    rows.reverse()
+    return tuple(rows)

@@ -19,6 +19,7 @@ once the run stops.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
@@ -63,6 +64,18 @@ TRACE_LIMIT = 1024  # checkpoints retained per run
 VARIANTS = ("mip_new", "mip_drift", "fixed_direction")
 
 
+def _as_number(value, where: str, kind: type = float):
+    """``kind(value)`` for a real (``float``) or integral (``int``) number.
+
+    Anything else, a numeric string included, is a ConfigError naming the
+    option ``where``; parsing text is the CLI's job.
+    """
+    if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class CheckpointSchedule:
     """Increasing levels at which the solver evaluates its stopping rule.
@@ -81,6 +94,8 @@ class CheckpointSchedule:
     def __post_init__(self):
         if self.kind not in ("every", "arithmetic", "geometric", "explicit"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
+        object.__setattr__(self, "stride", _as_number(self.stride, "stride", int))
+        object.__setattr__(self, "factor", _as_number(self.factor, "factor"))
         if self.kind == "arithmetic" and self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if self.kind == "geometric" and not self.factor > 1.0:
@@ -88,7 +103,7 @@ class CheckpointSchedule:
         if self.kind == "explicit":
             if not self.levels:
                 raise ConfigError("explicit schedule needs at least one level")
-            lv = tuple(int(x) for x in self.levels)
+            lv = tuple(_as_number(x, "levels", int) for x in self.levels)
             if any(b <= a for a, b in zip(lv, lv[1:])) or lv[0] < 0:
                 raise ConfigError("explicit schedule must be strictly increasing")
             object.__setattr__(self, "levels", lv)
@@ -120,6 +135,8 @@ class SolverOptions:
     max_level: int = 10_000
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", _as_number(self.epsilon, "epsilon"))
+        object.__setattr__(self, "max_level", _as_number(self.max_level, "max_level", int))
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         ks = _normalize_k_set(self.K_set)

@@ -63,6 +63,44 @@ def two_phase_product_qbd() -> BlockGenerator:
     return BlockGenerator(lambda k: 2, block, bandwidth=1)
 
 
+def random_banded(bandwidth: int | None, phases: int, seed: int) -> BlockGenerator:
+    """Level-dependent chain with random rates up to ``bandwidth`` levels up.
+
+    With ``bandwidth=None`` the chain jumps ``j >= 1`` levels up at rates
+    ``rates(k, k+1) * 0.5**j``, which sum to ``rates(k, k+1)``, so the
+    diagonal has a closed form.  Downward rates outweigh the upward drift,
+    so the chain is ergodic.
+    """
+    drift = 2 if bandwidth is None else bandwidth  # sum_j j * (rate of jump j)
+
+    def rates(k, l):
+        return np.random.default_rng([seed, k, l]).uniform(0.2, 1.0, (phases, phases))
+
+    def off_level(k, l):
+        if l == k - 1:
+            return 2.0 * drift * rates(k, l)
+        if l > k and bandwidth is None:
+            return rates(k, k + 1) * 0.5 ** (l - k)
+        if k < l <= k + drift:
+            return rates(k, l) / (l - k)
+        return np.zeros((phases, phases))
+
+    def block(k, l):
+        if l != k:
+            return off_level(k, l)
+        local = rates(k, k)
+        np.fill_diagonal(local, 0.0)
+        if bandwidth is None:
+            ups = [rates(k, k + 1)]
+        else:
+            ups = [off_level(k, j) for j in range(k + 1, k + bandwidth + 1)]
+        downs = [off_level(k, k - 1)] if k else []
+        out = local.sum(axis=1) + sum(b.sum(axis=1) for b in downs + ups)
+        return local - np.diag(out)
+
+    return BlockGenerator(lambda k: phases, block, bandwidth=bandwidth)
+
+
 def drive_to(gen: BlockGenerator, n: int, k_set=frozenset({0})):
     state = init_state(gen, k_set)
     for _ in range(n):

@@ -1,7 +1,9 @@
 """Public surface: export lists resolve, and library failures are BhmcErrors."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 import bhmc
 from bhmc import (
     BhmcError,
+    CheckpointSchedule,
+    SolverOptions,
     bright_taylor,
     brute_force_stationary,
     init_state,
@@ -44,6 +48,11 @@ def test_star_import():
         lambda gen: brute_force_stationary(np.ones(3)),
         lambda gen: init_state(gen, []),
         lambda gen: init_state(gen, ["x"]),
+        lambda gen: SolverOptions(max_level="9"),
+        lambda gen: SolverOptions(epsilon=None),
+        lambda gen: CheckpointSchedule(kind="arithmetic", stride="2"),
+        lambda gen: CheckpointSchedule(kind="geometric", factor="2"),
+        lambda gen: CheckpointSchedule(kind="explicit", levels=("a",)),
     ],
     ids=[
         "principal_submatrix",
@@ -52,8 +61,23 @@ def test_star_import():
         "brute_force",
         "init_state_empty",
         "init_state_not_integer",
+        "options_max_level_str",
+        "options_epsilon_none",
+        "schedule_stride_str",
+        "schedule_factor_str",
+        "schedule_levels_str",
     ],
 )
 def test_invalid_argument_is_bhmc_error(call):
     with pytest.raises(BhmcError):
         call(make_mm1(1.0, 2.0))
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark's tracer wraps these names; a missing one goes unmeasured
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for kind, module, name in tracing.HOOKS:
+        assert callable(getattr(importlib.import_module(module), name, None)), kind

@@ -218,10 +218,13 @@ def test_malformed_number_is_config_error(tmp_path, capsys, section, key):
     assert f"error: {key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--epsilon", "abc"), ("--max-level", "2.5")])
+@pytest.mark.parametrize(
+    "flag, value", [("--epsilon", "abc"), ("--max-level", "2.5"), ("--level", "abc")]
+)
 def test_malformed_flag_is_config_error(tmp_path, capsys, flag, value):
     cfg, _, _ = write_config(tmp_path)
-    assert main(["run", str(cfg), flag, value]) == 1
+    command = "inspect" if flag == "--level" else "run"
+    assert main([command, str(cfg), flag, value]) == 1
     assert f"error: {flag} must be" in capsys.readouterr().err
 
 

@@ -1,5 +1,7 @@
 """First-exit recursion: frozen hand values, cross-formulas, invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from bhmc import (
 )
 from bhmc.solver import _pivot_blocks
 from oracles import u_star_K_direct
-from conftest import drive_to, two_phase_ldqbd, two_phase_product_qbd
+from conftest import drive_to, random_banded, two_phase_ldqbd, two_phase_product_qbd
 
 
 def test_init_state_mm1(mm1):
@@ -187,49 +189,25 @@ def test_stationary_identity_against_deep_reference():
 def test_heavy_tail_uses_full_history(heavy):
     # with an infinite band the exit correction reaches every retained level
     state = drive_to(heavy, 25)
-    assert len(state.window) == 26
-    assert state.u_star.item() > 0
-
-
-def random_banded(bandwidth: int, phases: int, seed: int) -> BlockGenerator:
-    """Level-dependent chain with random rates up to ``bandwidth`` levels up.
-
-    Downward rates outweigh the upward ones, so the chain is ergodic.
-    """
-
-    def rates(k, l):
-        return np.random.default_rng([seed, k, l]).uniform(0.2, 1.0, (phases, phases))
-
-    def off_level(k, l):
-        if l == k - 1:
-            return 2.0 * bandwidth * rates(k, l)
-        if k < l <= k + bandwidth:
-            return rates(k, l) / (l - k)
-        return np.zeros((phases, phases))
+    fetched = []
 
     def block(k, l):
-        if l != k:
-            return off_level(k, l)
-        local = rates(k, k)
-        np.fill_diagonal(local, 0.0)
-        out = local.sum(axis=1) + sum(
-            off_level(k, j).sum(axis=1)
-            for j in range(max(0, k - 1), k + bandwidth + 1)
-            if j != k
-        )
-        return local - np.diag(out)
+        fetched.append((k, l))
+        return heavy.block(k, l)
 
-    return BlockGenerator(lambda k: phases, block, bandwidth=bandwidth)
+    assert advance(state, replace(heavy, block=block)).u_star.item() > 0
+    assert {k for k, l in fetched if l == 26} == set(range(27))
 
 
 def test_product_form_matches_family_oracle(catalog):
-    """Stored window, lazy products and sweeps equal the whole-family recursion."""
+    """Lazy products, pivot blocks and sweeps equal the whole-family recursion."""
     gens = dict(
         catalog,
         two_phase_ldqbd=two_phase_ldqbd(),
         two_phase_product_qbd=two_phase_product_qbd(),
         band2=random_banded(2, 2, seed=7),
         band3=random_banded(3, 3, seed=11),
+        band_inf=random_banded(None, 2, seed=13),
     )
     k_set = frozenset({0, 2})
     rng = np.random.default_rng(3)
@@ -242,7 +220,6 @@ def test_product_form_matches_family_oracle(catalog):
         for n in range(13):
             if n:
                 state = advance(state, gen)
-            assert len(state.window) == min(n + 1, gen.bandwidth or n + 1), name
             family, u_star, u_star_K = oracles.family_blocks(gen, n, k_set)
             for k in range(n + 1):
                 assert close(sojourn_matrix(state, k), family[k]), (name, n, k)

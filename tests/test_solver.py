@@ -17,6 +17,7 @@ from bhmc import (
     SingularBlock,
     SolverOptions,
     UnsupportedInfiniteBand,
+    lbcl_direct,
     make_heavy_tail_mg1,
     make_ld_qbd_birth_death,
     make_mm1,
@@ -31,6 +32,7 @@ from bhmc import (
 from conftest import (
     QBD_VARPI,
     drive_to,
+    random_banded,
     two_phase_ldqbd,
     two_phase_product_qbd,
 )
@@ -306,7 +308,7 @@ def test_solve_mip_drift_refuses_infinite_band():
 
 
 def test_fixed_direction_scalar_matches_primary(catalog):
-    # the infinite band keeps no step factors: its sweep runs inside the window
+    # heavy_tail_mg1 is the only test of the fixed-direction sweep on an infinite band
     for name, eps in (("mm1", 1e-8), ("heavy_tail_mg1", 1e-5)):
         gen = catalog[name]
         opts = SolverOptions(epsilon=eps)
@@ -364,3 +366,17 @@ def test_tv_distance_symmetry_and_nonnegativity(a, b):
     assert d_ab == pytest.approx(tv_distance(b, a))
     assert tv_distance(a, a) == 0.0
 
+
+@given(
+    bandwidth=st.sampled_from([1, 2, 3, None]),
+    phases=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_solve_mip_matches_lbcl_direct_on_random_chains(bandwidth, phases, seed):
+    gen = random_banded(bandwidth, phases, seed)
+    approx = solve_mip(gen, SolverOptions(epsilon=1e-10))
+    assert approx.converged
+    alpha = np.zeros(phases)
+    alpha[approx.pivot_trace[-1].pivot] = 1.0
+    assert tv_distance(approx.flatten(), lbcl_direct(gen, approx.n, alpha)) < 1e-10

@@ -48,12 +48,20 @@ class BlockGenerator:
         Exact analytic tail row sum ``(k, i, L) -> sum_{l > L}
         (block(k, l) @ e)[i]``.  Required for conservativity checks when
         ``bandwidth`` is absent.
+    column_blocks : callable, optional
+        Maps ``(j, lo, hi)`` to the blocks ``block(l, j)`` for
+        ``l = lo..hi`` stacked top to bottom, an array of shape
+        ``(M_lo + ... + M_hi, M_j)``.  It must agree with ``block``; it
+        lets a provider build a whole block column in one expression,
+        which is what the infinite-band recursion reads at every level.
+        Without it, ``block_column`` stacks single ``block`` calls.
     """
 
     phase_count: Callable[[int], int]
     block: Callable[[int, int], np.ndarray]
     bandwidth: int | None = None
     row_tail_mass: Callable[[int, int, int], float] | None = None
+    column_blocks: Callable[[int, int, int], np.ndarray] | None = None
 
     def block_array(self, k: int, l: int) -> np.ndarray:
         """Fetch ``block(k, l)`` as a float array with its shape checked."""
@@ -64,6 +72,17 @@ class BlockGenerator:
                 f"block({k},{l}) has shape {b.shape}, expected {want}"
             )
         return b
+
+    def block_column(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """Blocks ``block(l, j)``, ``l = lo..hi``, stacked as one float array.
+
+        Uses ``column_blocks`` when the provider has it.  Its shape is left
+        to the caller, which knows the row count without summing phase
+        counts level by level.
+        """
+        if self.column_blocks is not None:
+            return np.asarray(self.column_blocks(j, lo, hi), dtype=float)
+        return np.concatenate([self.block_array(l, j) for l in range(lo, hi + 1)])
 
 
 @dataclass(frozen=True)
@@ -120,6 +139,25 @@ def _check_block_signs(k: int, l: int, b: np.ndarray) -> None:
             raise InvalidBlock(f"block({k},{k}) has a positive diagonal entry")
     elif np.any(b < 0.0):
         raise InvalidBlock(f"block({k},{l}) has a negative entry")
+
+
+def check_blocks(gen: BlockGenerator, n: int) -> None:
+    """Raise InvalidBlock for the first bad block among levels ``0..n``.
+
+    Checks signs and finiteness column by column.  The blocks above the
+    diagonal of a column are read in one ``block_column`` call and checked
+    at once; only a column that fails is split into blocks to name the
+    culprit.
+    """
+    for j in range(n + 1):
+        lo = 0 if gen.bandwidth is None else max(0, j - gen.bandwidth)
+        if lo < j:
+            up = gen.block_column(j, lo, j - 1)
+            if not np.all(np.isfinite(up) & (up >= 0.0)):
+                for k in range(lo, j):
+                    _check_block_signs(k, j, gen.block_array(k, j))
+        for k in range(j, min(j + 1, n) + 1):
+            _check_block_signs(k, j, gen.block_array(k, j))
 
 
 def validate_proper_q(

@@ -126,18 +126,31 @@ def make_heavy_tail_mg1(mu: float, tail_c: float = 1.0) -> BlockGenerator:
         )
     a0 = -(mu + tail_c / 4.0)
 
-    def up_rate(j: int) -> float:
+    def up_rate(j):
         return tail_c / (j * (j + 1.0) * (j + 2.0))
+
+    def local_rate(k: int) -> float:
+        # boundary level has no downward transition; its rate folds in
+        return a0 + mu if k == 0 else a0
 
     def block(k: int, l: int) -> np.ndarray:
         if l == k:
-            # boundary level has no downward transition; its rate folds in
-            return _scalar(a0 + mu if k == 0 else a0)
+            return _scalar(local_rate(k))
         if l == k - 1 and k >= 1:
             return _scalar(mu)
         if l > k:
             return _scalar(up_rate(l - k))
         return _scalar(0.0)
+
+    def column_blocks(j: int, lo: int, hi: int) -> np.ndarray:
+        # block(l, j) for l = lo..hi as a function of d = j - l; up_rate
+        # on a float array gives the same floats as on each integer
+        d = j - np.arange(lo, hi + 1, dtype=float)
+        col = np.where(d == -1.0, mu, 0.0)
+        up = d >= 1.0
+        col[up] = up_rate(d[up])
+        col[d == 0.0] = local_rate(j)
+        return col[:, None]
 
     def row_tail_mass(k: int, i: int, L: int) -> float:
         # telescoping tail: sum_{j > m} A_j = tail_c / (2 (m+1) (m+2))
@@ -148,7 +161,13 @@ def make_heavy_tail_mg1(mu: float, tail_c: float = 1.0) -> BlockGenerator:
             return a0 + tail_c / 4.0  # = -mu
         return 0.0
 
-    return BlockGenerator(_one_phase, block, bandwidth=None, row_tail_mass=row_tail_mass)
+    return BlockGenerator(
+        _one_phase,
+        block,
+        bandwidth=None,
+        row_tail_mass=row_tail_mass,
+        column_blocks=column_blocks,
+    )
 
 
 def make_lattice_rw_2d(

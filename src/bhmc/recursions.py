@@ -8,14 +8,19 @@ the inverse of the local exit matrix.  The state also carries the row-sum
 vector ``u_star`` over the whole family and the partial row-sum vector
 ``u_star_K`` over the index set ``K_set``.
 
-The family is kept in product form on every band: ``U_star`` plus one step
-factor ``T_j = block(j, j-1) @ U_star(j-1)`` per level, so member ``k`` is
-``U_star @ T_n @ ... @ T_{k+1}``.  The exit correction of the next level
-reads the members of the levels the band reaches, multiplied out in one
-top-down row sweep.  A step on a band of width ``b`` therefore costs one
-exit-matrix inversion and about ``2 b`` block products, and memory grows by
-one factor per level.  On an infinite band the correction reaches every
-level, so the step cost grows with the level.
+On a band of finite width the family is kept in product form: ``U_star``
+plus one step factor ``T_j = block(j, j-1) @ U_star(j-1)`` per level, so
+member ``k`` is ``U_star @ T_n @ ... @ T_{k+1}``.  The exit correction of
+the next level reads the members of the levels the band reaches,
+multiplied out in one top-down row sweep.  A step on a band of width ``b``
+therefore costs one exit-matrix inversion and about ``2 b`` block
+products, and memory grows by one factor per level.
+
+On an infinite band the correction reaches every level, so the family is
+kept multiplied out instead, as one wide array
+``W = [F_0 | ... | F_n]`` of shape ``M_n x (M_0 + ... + M_n)``.  A step
+reads one stacked block column and costs one ``M x sum(M)`` product for the
+correction and one for the update; only the newest ``W`` is retained.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, IndexOutOfRange, SingularBlock
+from .errors import ConfigError, IndexOutOfRange, InvalidBlock, SingularBlock
 from .generator import BlockGenerator
 
 __all__ = [
@@ -67,19 +72,30 @@ def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
 class RecursionState:
     """First-exit quantities at the current level ``n``.
 
-    ``U_star`` is the sojourn matrix of level ``n``.  ``factors`` links the
-    step factors ``T_j = block(j, j-1) @ U_star(j-1)`` from the top down, as
-    nested pairs ``(T_n, (T_{n-1}, ... (T_1, None)))``; the sojourn matrix
-    of level ``k`` is ``U_star @ T_n @ ... @ T_{k+1}``.  ``u_K`` is the
-    running partial row sum over ``K_set`` restricted to levels ``0..n``;
-    ``u_star_K`` exposes it once ``n`` has reached ``max(K_set)`` and is
-    ``None`` before that.  ``q_diag_n`` caches the diagonal of
-    ``block(n, n)`` for the stopping rule.
+    ``U_star`` is the sojourn matrix of level ``n``.  The rest of the
+    family is held in one of two forms, fixed by the band of the generator.
+    On a finite band, ``factors`` links the step factors
+    ``T_j = block(j, j-1) @ U_star(j-1)`` from the top down, as nested pairs
+    ``(T_n, (T_{n-1}, ... (T_1, None)))``; the sojourn matrix of level
+    ``k`` is ``U_star @ T_n @ ... @ T_{k+1}``.  On an infinite band,
+    ``W`` holds the whole family side by side, level ``k`` in columns
+    ``offsets[k]:offsets[k+1]``; ``factors`` is then ``None``, and on a
+    finite band ``W`` and ``offsets`` are.  A step on an infinite band costs
+    one ``M x sum(M)`` product for the correction and one for the update;
+    it builds a new ``W`` and never writes into the old one, so earlier
+    states stay valid, and each state retains exactly one ``W``.
+
+    ``u_K`` is the running partial row sum over ``K_set`` restricted to
+    levels ``0..n``; ``u_star_K`` exposes it once ``n`` has reached
+    ``max(K_set)`` and is ``None`` before that.  ``q_diag_n`` caches the
+    diagonal of ``block(n, n)`` for the stopping rule.
     """
 
     n: int
     U_star: np.ndarray
     factors: tuple | None
+    W: np.ndarray | None
+    offsets: np.ndarray | None
     u_star: np.ndarray
     u_K: np.ndarray
     K_set: frozenset[int]
@@ -107,10 +123,13 @@ def init_state(gen: BlockGenerator, K_set=frozenset({0})) -> RecursionState:
     q00 = gen.block_array(0, 0)
     u0 = lu_inverse(-q00, "level 0 exit matrix")
     u_vec = u0.sum(axis=1)
+    wide = gen.bandwidth is None
     return RecursionState(
         n=0,
         U_star=u0,
         factors=None,
+        W=u0 if wide else None,
+        offsets=np.array([0, u0.shape[0]]) if wide else None,
         u_star=u_vec,
         u_K=u_vec.copy() if 0 in ks else np.zeros_like(u_vec),
         K_set=ks,
@@ -123,28 +142,39 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
 
     The new ``U_star`` inverts the local exit matrix at level ``n + 1``.
     Its correction sum ``sum_l sojourn_matrix(state, l) @ block(l, n+1)``
-    runs top down over the levels ``l = n .. lo`` that the band reaches
-    (``lo = 0`` on an infinite band), carrying one row of products
-    ``U_star @ T_n @ ... @ T_{l+1}`` down the factor chain.  The partial
-    row-sum vector updates by a single left product with
-    ``U_star @ block(n+1, n)``, and the step factor
-    ``block(n+1, n) @ U_star(n)`` joins ``factors``.
+    runs over the levels ``l`` that the band reaches.  On a finite band it
+    runs top down over ``l = n .. n + 1 - b``, carrying one row of products
+    ``U_star @ T_n @ ... @ T_{l+1}`` down the factor chain, and the step
+    factor ``block(n+1, n) @ U_star(n)`` joins ``factors``.  On an infinite
+    band it is the single product ``W @ block_column(n+1, 0, n)``, and the
+    new ``W`` is ``U_star(n+1) @ block(n+1, n) @ W`` with ``U_star(n+1)``
+    appended.  The partial row-sum vector updates by a single left product
+    with ``U_star @ block(n+1, n)``.
     """
     n, n1 = state.n, state.n + 1
     m1 = gen.phase_count(n1)
     q_next = gen.block_array(n1, n1)
     q_down = gen.block_array(n1, n)
 
-    lo = 0 if gen.bandwidth is None else max(0, n1 - gen.bandwidth)
-    correction = np.zeros((state.U_star.shape[0], m1))
-    row, node = state.U_star, state.factors
-    for l in range(n, lo - 1, -1):
-        b = gen.block_array(l, n1)
-        if b.any():
-            correction += row @ b
-        if l > lo:
-            factor, node = node
-            row = row @ factor
+    if state.W is not None:
+        col = gen.block_column(n1, 0, n)
+        if col.shape != (state.W.shape[1], m1):
+            raise InvalidBlock(
+                f"block column {n1} over levels 0..{n} has shape {col.shape}, "
+                f"expected {(state.W.shape[1], m1)}"
+            )
+        correction = state.W @ col
+    else:
+        lo = max(0, n1 - gen.bandwidth)
+        correction = np.zeros((state.U_star.shape[0], m1))
+        row, node = state.U_star, state.factors
+        for l in range(n, lo - 1, -1):
+            b = gen.block_array(l, n1)
+            if b.any():
+                correction += row @ b
+            if l > lo:
+                factor, node = node
+                row = row @ factor
     u1 = lu_inverse(-q_next - q_down @ correction, f"level {n1} exit matrix")
 
     step = u1 @ q_down
@@ -170,10 +200,18 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     if u_k.min() < -1e-12 * max(u_k.max(), 0.0):
         raise SingularBlock(f"positivity of u_star_K lost at level {n1}")
 
+    if state.W is None:
+        factors, W, offsets = (q_down @ state.U_star, state.factors), None, None
+    else:
+        factors = None
+        W = np.concatenate([step @ state.W, u1], axis=1)
+        offsets = np.append(state.offsets, state.offsets[-1] + m1)
     return RecursionState(
         n=n1,
         U_star=u1,
-        factors=(q_down @ state.U_star, state.factors),
+        factors=factors,
+        W=W,
+        offsets=offsets,
         u_star=u_vec,
         u_K=u_k,
         K_set=state.K_set,
@@ -186,10 +224,13 @@ def sojourn_matrix(state: RecursionState, k: int) -> np.ndarray:
 
     Entry ``(i, j)`` is the expected total time spent in ``(k, j)`` before
     the chain first visits any level above ``n``, starting from ``(n, i)``.
-    It is multiplied out on demand as ``U_star @ T_n @ ... @ T_{k+1}``.
+    On an infinite band it is a column slice of ``W``; otherwise it is
+    multiplied out on demand as ``U_star @ T_n @ ... @ T_{k+1}``.
     """
     if not 0 <= k <= state.n:
         raise IndexOutOfRange(f"level {k} outside 0..{state.n}")
+    if state.W is not None:
+        return state.W[:, state.offsets[k] : state.offsets[k + 1]]
     product, node = state.U_star, state.factors
     for _ in range(state.n - k):
         factor, node = node
@@ -200,10 +241,13 @@ def sojourn_matrix(state: RecursionState, k: int) -> np.ndarray:
 def sojourn_rows(state: RecursionState, seed: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rows ``seed @ sojourn_matrix(state, k)`` for ``k = 0..n``.
 
-    One backward sweep: ``x_n = seed @ U_star``, then ``x_{k-1} = x_k @ T_k``,
-    so each level costs one row-matrix product.  A seed with
-    ``seed @ u_star = 1`` gives rows summing to one.
+    On an infinite band this is ``seed @ W`` split at the level offsets.
+    Otherwise it is one backward sweep: ``x_n = seed @ U_star``, then
+    ``x_{k-1} = x_k @ T_k``, so each level costs one row-matrix product.  A
+    seed with ``seed @ u_star = 1`` gives rows summing to one.
     """
+    if state.W is not None:
+        return tuple(np.split(seed @ state.W, state.offsets[1:-1]))
     x, node = seed @ state.U_star, state.factors
     rows = [x]
     while node is not None:

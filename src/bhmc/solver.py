@@ -27,8 +27,15 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, IndexOutOfRange, PhaseMismatch, SingularBlock
-from .generator import BlockGenerator
+from .errors import (
+    BhmcError,
+    ConfigError,
+    IndexOutOfRange,
+    InvalidBlock,
+    PhaseMismatch,
+    SingularBlock,
+)
+from .generator import BlockGenerator, check_blocks
 from .lfp import (
     DriftCertificate,
     PivotSelection,
@@ -103,7 +110,12 @@ class CheckpointSchedule:
         if self.kind == "explicit":
             if not self.levels:
                 raise ConfigError("explicit schedule needs at least one level")
-            lv = tuple(_as_number(x, "levels", int) for x in self.levels)
+            try:
+                lv = tuple(_as_number(x, "levels", int) for x in self.levels)
+            except TypeError as exc:
+                raise ConfigError(
+                    f"levels must be a sequence of integer levels, got {self.levels!r}"
+                ) from exc
             if any(b <= a for a, b in zip(lv, lv[1:])) or lv[0] < 0:
                 raise ConfigError("explicit schedule must be strictly increasing")
             object.__setattr__(self, "levels", lv)
@@ -144,6 +156,10 @@ class SolverOptions:
         if self.max_level < 1:
             raise ConfigError(f"max_level must be >= 1, got {self.max_level}")
         sched = self.checkpoint_schedule
+        if not isinstance(sched, CheckpointSchedule):
+            raise ConfigError(
+                f"checkpoint_schedule must be a CheckpointSchedule, got {sched!r}"
+            )
         if sched.kind == "explicit" and sched.levels[0] < max(ks):
             raise ConfigError(
                 f"schedule starts at {sched.levels[0]}, below max(K_set) = {max(ks)}"
@@ -265,28 +281,39 @@ def _drive(
     rule holds, and a thunk assembling the blocks, which is called only at
     the stop.  The run stops when the rule holds, at ``max_level``, or at
     the last level of an explicit schedule; ``converged`` says whether the
-    rule held there.
+    rule held there.  A numerical failure is first traced back to the
+    blocks read so far: a block with a wrong sign or a non-finite entry is
+    reported as ``InvalidBlock``, caused by the original error.
     """
     state = init_state(gen, opts.K_set)
     schedule = opts.checkpoint_schedule.iterate(max(max(opts.K_set), 1))
     next_cp = next(schedule, None)
     trace: deque[CheckpointRecord] = deque(maxlen=TRACE_LIMIT)
-    while True:
-        at_cap = state.n >= opts.max_level
-        if state.n == next_cp or at_cap:
-            record, done, blocks = checkpoint(state)
-            trace.append(record)
-            next_cp = next(schedule, None)
-            if done or at_cap or next_cp is None:
-                return Approximation(
-                    n=state.n,
-                    blocks=blocks(),
-                    pivot_trace=tuple(trace),
-                    residual=record.residual,
-                    converged=done,
-                    variant=variant,
-                )
-        state = advance(state, gen)
+    try:
+        while True:
+            at_cap = state.n >= opts.max_level
+            if state.n == next_cp or at_cap:
+                record, done, blocks = checkpoint(state)
+                trace.append(record)
+                next_cp = next(schedule, None)
+                if done or at_cap or next_cp is None:
+                    return Approximation(
+                        n=state.n,
+                        blocks=blocks(),
+                        pivot_trace=tuple(trace),
+                        residual=record.residual,
+                        converged=done,
+                        variant=variant,
+                    )
+            state = advance(state, gen)
+    except BhmcError as exc:
+        if isinstance(exc, (ConfigError, InvalidBlock)):
+            raise
+        try:
+            check_blocks(gen, state.n + 1)
+        except InvalidBlock as bad:
+            raise bad from exc
+        raise
 
 
 def solve_mip(gen: BlockGenerator, opts: SolverOptions | None = None) -> Approximation:

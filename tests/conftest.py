@@ -101,6 +101,42 @@ def random_banded(bandwidth: int | None, phases: int, seed: int) -> BlockGenerat
     return BlockGenerator(lambda k: phases, block, bandwidth=bandwidth)
 
 
+def random_infinite_varying(seed: int) -> BlockGenerator:
+    """Infinite-band chain whose level ``k`` has ``1 + k % 3`` phases.
+
+    Row ``i`` of level ``k`` jumps ``j >= 1`` levels up at total rate
+    ``a_k[i] * 0.5**j``, spread over the target phases by random weights,
+    so the upward rates sum to ``a_k[i]`` and the diagonal has a closed
+    form.
+    """
+
+    def phases(k):
+        return 1 + k % 3
+
+    def rates(k, l):
+        return np.random.default_rng([seed, k, l]).uniform(0.2, 1.0, (phases(k), phases(l)))
+
+    def up_total(k):
+        return rates(k, k + 1).sum(axis=1)
+
+    def block(k, l):
+        if l == k - 1:
+            return 4.0 * rates(k, l)
+        if l > k:
+            w = rates(k, l)
+            return (up_total(k) * 0.5 ** (l - k) / w.sum(axis=1))[:, None] * w
+        if l < k - 1:
+            return np.zeros((phases(k), phases(l)))
+        local = rates(k, k)
+        np.fill_diagonal(local, 0.0)
+        out = local.sum(axis=1) + up_total(k)
+        if k:
+            out += block(k, k - 1).sum(axis=1)
+        return local - np.diag(out)
+
+    return BlockGenerator(phases, block, bandwidth=None)
+
+
 def drive_to(gen: BlockGenerator, n: int, k_set=frozenset({0})):
     state = init_state(gen, k_set)
     for _ in range(n):

@@ -11,7 +11,12 @@ import pytest
 import bhmc
 from bhmc import (
     BhmcError,
+    BlockGenerator,
     CheckpointSchedule,
+    ConfigError,
+    EmptyCandidateSet,
+    InvalidBlock,
+    SingularBlock,
     SolverOptions,
     bright_taylor,
     brute_force_stationary,
@@ -19,6 +24,7 @@ from bhmc import (
     lbcl_direct,
     make_mm1,
     principal_submatrix,
+    solve_mip,
 )
 
 MODULES = sorted(
@@ -71,6 +77,57 @@ def test_star_import():
 def test_invalid_argument_is_bhmc_error(call):
     with pytest.raises(BhmcError):
         call(make_mm1(1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: CheckpointSchedule(kind="explicit", levels=5), "levels"),
+        (lambda: SolverOptions(checkpoint_schedule="every"), "checkpoint_schedule"),
+    ],
+    ids=["schedule_levels_int", "options_schedule_str"],
+)
+def test_malformed_option_is_config_error_naming_field(call, field):
+    with pytest.raises(ConfigError, match=field):
+        call()
+
+
+def _edited_mm1(edit) -> BlockGenerator:
+    """mm1(1, 2) with ``edit(k, l, block)`` applied to every block."""
+    mm1 = make_mm1(1.0, 2.0)
+    return BlockGenerator(lambda k: 1, lambda k, l: edit(k, l, mm1.block(k, l)), bandwidth=1)
+
+
+@pytest.mark.parametrize(
+    "gen, block, cause",
+    [
+        # up-rate -0.5: pivot selection finds no candidate at level 1
+        (
+            _edited_mm1(lambda k, l, b: b - 1.5 * (l == k + 1) + 1.5 * (l == k)),
+            r"block\(0,0\) has a positive diagonal",
+            EmptyCandidateSet,
+        ),
+        # NaN diagonal at level 3: its exit matrix is non-finite
+        (
+            _edited_mm1(lambda k, l, b: b * np.nan if k == l == 3 else b),
+            r"block\(3,3\) contains non-finite",
+            SingularBlock,
+        ),
+    ],
+    ids=["negative_up_rate", "nan_diagonal"],
+)
+def test_numerical_failure_is_traced_to_bad_block(gen, block, cause):
+    with pytest.raises(InvalidBlock, match=block) as info:
+        solve_mip(gen, SolverOptions(epsilon=1e-8))
+    assert isinstance(info.value.__cause__, cause)
+
+
+def test_numerical_failure_on_valid_blocks_keeps_its_class():
+    # level 1 has no upward rate, so its exit matrix is singular; every
+    # block has the right signs, so the SingularBlock stands
+    stuck = _edited_mm1(lambda k, l, b: {(1, 1): b + 1.0, (1, 2): b - 1.0}.get((k, l), b))
+    with pytest.raises(SingularBlock, match="level 1 exit matrix"):
+        solve_mip(stuck, SolverOptions(epsilon=1e-8))
 
 
 def test_benchmark_hooks_resolve():

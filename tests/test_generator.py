@@ -1,5 +1,7 @@
 """Block provider, assembly, augmentation, and validation checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from bhmc import (
     principal_submatrix,
     validate_proper_q,
 )
+from bhmc.generator import check_blocks
 
 
 def test_principal_submatrix_mm1_n1(mm1):
@@ -182,3 +185,22 @@ def test_block_array_checks_shape(mm1):
     gen = BlockGenerator(mm1.phase_count, bad_block, bandwidth=1)
     with pytest.raises(InvalidBlock):
         gen.block_array(0, 0)
+
+
+def test_block_column_stacks_blocks_without_callback(mm1):
+    col = mm1.block_column(3, 1, 4)
+    np.testing.assert_array_equal(col, [[0.0], [1.0], [-3.0], [2.0]])
+    assert col.dtype == float
+
+
+def test_check_blocks_names_first_bad_block_on_infinite_band():
+    heavy = make_heavy_tail_mg1(3.0, 1.0)
+    check_blocks(heavy, 40)  # a valid model passes, column by column
+    bad = replace(
+        heavy,
+        block=lambda k, l: np.array([[-1.0]]) if (k, l) == (1, 3) else heavy.block(k, l),
+        column_blocks=None,
+    )
+    check_blocks(bad, 2)  # column 3 lies beyond levels 0..2
+    with pytest.raises(InvalidBlock, match=r"block\(1,3\) has a negative entry"):
+        check_blocks(bad, 3)

@@ -79,6 +79,23 @@ def test_heavy_tail_closed_form_sums():
     assert gen.block(0, 0).item() == pytest.approx(3.0 - 13.0 / 4.0)
 
 
+def test_heavy_tail_column_blocks_match_block(heavy):
+    for j, lo, hi in [(0, 0, 0), (0, 0, 3), (1, 0, 4), (26, 0, 25), (40, 5, 45), (7, 9, 12)]:
+        stacked = np.concatenate([heavy.block(l, j) for l in range(lo, hi + 1)])
+        np.testing.assert_array_equal(heavy.column_blocks(j, lo, hi), stacked)
+
+
+def test_heavy_tail_quadratic_decay_over_decades():
+    # pi_k ~ c / k^2: the doubling ratio (2k)^2 pi_2k / (k^2 pi_k) tends to 1
+    approx = solve_mip(make_heavy_tail_mg1(3.0, 1.0), SolverOptions(epsilon=1e-8))
+    assert approx.converged and approx.n >= 3200
+    pi = approx.flatten()
+    ks = [100, 200, 400, 800, 1600]
+    gaps = [abs((2 * k) ** 2 * pi[2 * k] / (k**2 * pi[k]) - 1.0) for k in ks]
+    assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+    assert all(g <= 0.01 for k, g in zip(ks, gaps) if k >= 800), gaps
+
+
 def test_heavy_tail_drift_guard():
     with pytest.raises(UnstableModel):
         make_heavy_tail_mg1(0.4, 1.0)  # 0.4 < tail_c / 2

@@ -9,6 +9,7 @@ import oracles
 from bhmc import (
     BlockGenerator,
     IndexOutOfRange,
+    InvalidBlock,
     SingularBlock,
     advance,
     init_state,
@@ -18,7 +19,13 @@ from bhmc import (
 )
 from bhmc.solver import _pivot_blocks
 from oracles import u_star_K_direct
-from conftest import drive_to, random_banded, two_phase_ldqbd, two_phase_product_qbd
+from conftest import (
+    drive_to,
+    random_banded,
+    random_infinite_varying,
+    two_phase_ldqbd,
+    two_phase_product_qbd,
+)
 
 
 def test_init_state_mm1(mm1):
@@ -187,20 +194,49 @@ def test_stationary_identity_against_deep_reference():
 
 
 def test_heavy_tail_uses_full_history(heavy):
-    # with an infinite band the exit correction reaches every retained level
+    # with an infinite band the exit correction reaches every retained level,
+    # read as one block column through the provider's callback ...
     state = drive_to(heavy, 25)
+    columns = []
+
+    def column_blocks(j, lo, hi):
+        columns.append((j, lo, hi))
+        return heavy.column_blocks(j, lo, hi)
+
+    spied = replace(heavy, column_blocks=column_blocks)
+    assert advance(state, spied).u_star.item() > 0
+    assert columns == [(26, 0, 25)]
+
+    # ... or block by block when the provider has no column callback
     fetched = []
 
     def block(k, l):
         fetched.append((k, l))
         return heavy.block(k, l)
 
-    assert advance(state, replace(heavy, block=block)).u_star.item() > 0
+    plain = replace(heavy, block=block, column_blocks=None)
+    assert advance(state, plain).u_star.item() > 0
     assert {k for k, l in fetched if l == 26} == set(range(27))
 
 
+def test_column_shape_mismatch_is_invalid_block(heavy):
+    state = drive_to(heavy, 4)
+    short = replace(heavy, column_blocks=lambda j, lo, hi: np.zeros((hi - lo, 1)))
+    with pytest.raises(InvalidBlock, match=r"block column 5 over levels 0\.\.4"):
+        advance(state, short)
+
+
+def test_wide_update_leaves_earlier_states_valid(heavy):
+    state = drive_to(heavy, 10)
+    before = [sojourn_matrix(state, k).copy() for k in range(11)]
+    advance(advance(state, heavy), heavy)
+    for k in range(11):
+        np.testing.assert_array_equal(sojourn_matrix(state, k), before[k])
+    assert state.factors is None
+
+
 def test_product_form_matches_family_oracle(catalog):
-    """Lazy products, pivot blocks and sweeps equal the whole-family recursion."""
+    """Lazy products, wide arrays, pivot blocks and sweeps equal the whole-family recursion."""
     gens = dict(
         catalog,
         two_phase_ldqbd=two_phase_ldqbd(),
@@ -208,6 +244,7 @@ def test_product_form_matches_family_oracle(catalog):
         band2=random_banded(2, 2, seed=7),
         band3=random_banded(3, 3, seed=11),
         band_inf=random_banded(None, 2, seed=13),
+        band_inf_varying=random_infinite_varying(seed=17),
     )
     k_set = frozenset({0, 2})
     rng = np.random.default_rng(3)

@@ -8,30 +8,30 @@ the inverse of the local exit matrix.  The state also carries the row-sum
 vector ``u_star`` over the whole family and the partial row-sum vector
 ``u_star_K`` over the index set ``K_set``.
 
-On a band of finite width the family is kept in product form: ``U_star``
-plus one step factor ``T_j = block(j, j-1) @ U_star(j-1)`` per level, so
-member ``k`` is ``U_star @ T_n @ ... @ T_{k+1}``.  The exit correction of
-the next level reads the members of the levels the band reaches,
-multiplied out in one top-down row sweep.  A step on a band of width ``b``
-therefore costs one exit-matrix inversion and about ``2 b`` block
-products, and memory grows by one factor per level.
-
-On an infinite band the correction reaches every level, so the family is
-kept multiplied out instead, as one wide array
-``W = [F_0 | ... | F_n]`` of shape ``M_n x (M_0 + ... + M_n)``.  A step
-reads one stacked block column and costs one ``M x sum(M)`` product for the
-correction and one for the update; only the newest ``W`` is retained.
+Every band keeps the family in one form.  The members of the levels the
+next exit correction reads sit side by side in one wide array ``W``: on a
+band of width ``b`` those are the window levels ``lo..n`` with
+``lo = max(0, n + 1 - b)``, on an infinite band all levels ``0..n``.  A
+step reads the stacked block column over the window and costs one
+exit-matrix inversion, one product for the correction and one for the
+update.  On a finite band the members below the window are kept in
+product form, as the step factors ``T_j = block(j, j-1) @ U_star(j-1)``:
+member ``k < lo`` is the window's lowest member times
+``T_lo @ ... @ T_{k+1}``, and memory grows by one factor per level.  An
+infinite band keeps no factors; its ``W`` grows by one member per level.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, IndexOutOfRange, InvalidBlock, SingularBlock
+from .errors import ConfigError, IndexOutOfRange, InvalidBlock, PhaseMismatch, SingularBlock
 from .generator import BlockGenerator
 
 __all__ = [
@@ -72,18 +72,17 @@ def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
 class RecursionState:
     """First-exit quantities at the current level ``n``.
 
-    ``U_star`` is the sojourn matrix of level ``n``.  The rest of the
-    family is held in one of two forms, fixed by the band of the generator.
+    ``W`` holds the sojourn matrices of the window levels ``lo..n`` side by
+    side and ``phases`` their phase counts, so ``lo = n + 1 - len(phases)``
+    and the last member is ``U_star``, the sojourn matrix of level ``n``.
     On a finite band, ``factors`` links the step factors
     ``T_j = block(j, j-1) @ U_star(j-1)`` from the top down, as nested pairs
-    ``(T_n, (T_{n-1}, ... (T_1, None)))``; the sojourn matrix of level
-    ``k`` is ``U_star @ T_n @ ... @ T_{k+1}``.  On an infinite band,
-    ``W`` holds the whole family side by side, level ``k`` in columns
-    ``offsets[k]:offsets[k+1]``; ``factors`` is then ``None``, and on a
-    finite band ``W`` and ``offsets`` are.  A step on an infinite band costs
-    one ``M x sum(M)`` product for the correction and one for the update;
-    it builds a new ``W`` and never writes into the old one, so earlier
-    states stay valid, and each state retains exactly one ``W``.
+    ``(T_n, (T_{n-1}, ... (T_1, None)))``; the factors of window levels wait
+    there until their level leaves the window, and the sojourn matrix of a
+    level ``k < lo`` is the window's lowest member times
+    ``T_lo @ ... @ T_{k+1}``.  An infinite band has ``lo = 0`` and
+    ``factors = None``.  A step builds a new ``W`` and never writes into
+    the old one, so earlier states stay valid.
 
     ``u_K`` is the running partial row sum over ``K_set`` restricted to
     levels ``0..n``; ``u_star_K`` exposes it once ``n`` has reached
@@ -92,14 +91,17 @@ class RecursionState:
     """
 
     n: int
-    U_star: np.ndarray
+    W: np.ndarray
+    phases: tuple[int, ...]
     factors: tuple | None
-    W: np.ndarray | None
-    offsets: np.ndarray | None
     u_star: np.ndarray
     u_K: np.ndarray
     K_set: frozenset[int]
     q_diag_n: np.ndarray
+
+    @property
+    def U_star(self) -> np.ndarray:
+        return self.W[:, self.W.shape[1] - self.phases[-1] :]
 
     @property
     def u_star_K(self) -> np.ndarray | None:
@@ -123,13 +125,11 @@ def init_state(gen: BlockGenerator, K_set=frozenset({0})) -> RecursionState:
     q00 = gen.block_array(0, 0)
     u0 = lu_inverse(-q00, "level 0 exit matrix")
     u_vec = u0.sum(axis=1)
-    wide = gen.bandwidth is None
     return RecursionState(
         n=0,
-        U_star=u0,
+        W=u0,
+        phases=(u0.shape[0],),
         factors=None,
-        W=u0 if wide else None,
-        offsets=np.array([0, u0.shape[0]]) if wide else None,
         u_star=u_vec,
         u_K=u_vec.copy() if 0 in ks else np.zeros_like(u_vec),
         K_set=ks,
@@ -142,39 +142,26 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
 
     The new ``U_star`` inverts the local exit matrix at level ``n + 1``.
     Its correction sum ``sum_l sojourn_matrix(state, l) @ block(l, n+1)``
-    runs over the levels ``l`` that the band reaches.  On a finite band it
-    runs top down over ``l = n .. n + 1 - b``, carrying one row of products
-    ``U_star @ T_n @ ... @ T_{l+1}`` down the factor chain, and the step
-    factor ``block(n+1, n) @ U_star(n)`` joins ``factors``.  On an infinite
-    band it is the single product ``W @ block_column(n+1, 0, n)``, and the
-    new ``W`` is ``U_star(n+1) @ block(n+1, n) @ W`` with ``U_star(n+1)``
-    appended.  The partial row-sum vector updates by a single left product
-    with ``U_star @ block(n+1, n)``.
+    runs over the window levels ``l = lo..n``, the levels the band reaches,
+    and is the single product ``W @ block_column(n+1, lo, n)``.  The new
+    ``W`` is ``U_star(n+1) @ block(n+1, n) @ W``, less the member of level
+    ``lo`` once that level leaves the band, with ``U_star(n+1)`` appended.
+    On a finite band the step factor ``block(n+1, n) @ U_star(n)`` joins
+    ``factors``.  The partial row-sum vector updates by a single left
+    product with ``U_star(n+1) @ block(n+1, n)``.
     """
     n, n1 = state.n, state.n + 1
+    lo = n1 - len(state.phases)
     m1 = gen.phase_count(n1)
     q_next = gen.block_array(n1, n1)
     q_down = gen.block_array(n1, n)
-
-    if state.W is not None:
-        col = gen.block_column(n1, 0, n)
-        if col.shape != (state.W.shape[1], m1):
-            raise InvalidBlock(
-                f"block column {n1} over levels 0..{n} has shape {col.shape}, "
-                f"expected {(state.W.shape[1], m1)}"
-            )
-        correction = state.W @ col
-    else:
-        lo = max(0, n1 - gen.bandwidth)
-        correction = np.zeros((state.U_star.shape[0], m1))
-        row, node = state.U_star, state.factors
-        for l in range(n, lo - 1, -1):
-            b = gen.block_array(l, n1)
-            if b.any():
-                correction += row @ b
-            if l > lo:
-                factor, node = node
-                row = row @ factor
+    col = gen.block_column(n1, lo, n)
+    if col.shape != (state.W.shape[1], m1):
+        raise InvalidBlock(
+            f"block column {n1} over levels {lo}..{n} has shape {col.shape}, "
+            f"expected {(state.W.shape[1], m1)}"
+        )
+    correction = state.W @ col
     u1 = lu_inverse(-q_next - q_down @ correction, f"level {n1} exit matrix")
 
     step = u1 @ q_down
@@ -200,18 +187,15 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     if u_k.min() < -1e-12 * max(u_k.max(), 0.0):
         raise SingularBlock(f"positivity of u_star_K lost at level {n1}")
 
-    if state.W is None:
-        factors, W, offsets = (q_down @ state.U_star, state.factors), None, None
-    else:
-        factors = None
-        W = np.concatenate([step @ state.W, u1], axis=1)
-        offsets = np.append(state.offsets, state.offsets[-1] + m1)
+    finite = gen.bandwidth is not None
+    # once the window spans the band, level lo leaves it
+    drop = int(finite and len(state.phases) == gen.bandwidth)
+    kept = state.W[:, sum(state.phases[:drop]) :]
     return RecursionState(
         n=n1,
-        U_star=u1,
-        factors=factors,
-        W=W,
-        offsets=offsets,
+        W=np.concatenate([step @ kept, u1], axis=1) if kept.size else u1,
+        phases=state.phases[drop:] + (m1,),
+        factors=(q_down @ state.U_star, state.factors) if finite else None,
         u_star=u_vec,
         u_K=u_k,
         K_set=state.K_set,
@@ -219,21 +203,30 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     )
 
 
+def _chain(node: tuple | None) -> Iterator[np.ndarray]:
+    """The factors of a ``factors`` chain, top down."""
+    while node is not None:
+        factor, node = node
+        yield factor
+
+
 def sojourn_matrix(state: RecursionState, k: int) -> np.ndarray:
     """Expected-sojourn matrix for level ``k``.
 
     Entry ``(i, j)`` is the expected total time spent in ``(k, j)`` before
     the chain first visits any level above ``n``, starting from ``(n, i)``.
-    On an infinite band it is a column slice of ``W``; otherwise it is
-    multiplied out on demand as ``U_star @ T_n @ ... @ T_{k+1}``.
+    A window level's matrix is a column slice of ``W``; a lower level's is
+    the window's lowest member multiplied down through the step factors.
     """
     if not 0 <= k <= state.n:
         raise IndexOutOfRange(f"level {k} outside 0..{state.n}")
-    if state.W is not None:
-        return state.W[:, state.offsets[k] : state.offsets[k + 1]]
-    product, node = state.U_star, state.factors
-    for _ in range(state.n - k):
-        factor, node = node
+    lo = state.n + 1 - len(state.phases)
+    if k >= lo:
+        start = sum(state.phases[: k - lo])
+        return state.W[:, start : start + state.phases[k - lo]]
+    # the chain starts at T_n; the factors of the window levels are skipped
+    product = state.W[:, : state.phases[0]]
+    for factor in islice(_chain(state.factors), state.n - lo, state.n - k):
         product = product @ factor
     return product
 
@@ -241,18 +234,17 @@ def sojourn_matrix(state: RecursionState, k: int) -> np.ndarray:
 def sojourn_rows(state: RecursionState, seed: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rows ``seed @ sojourn_matrix(state, k)`` for ``k = 0..n``.
 
-    On an infinite band this is ``seed @ W`` split at the level offsets.
-    Otherwise it is one backward sweep: ``x_n = seed @ U_star``, then
-    ``x_{k-1} = x_k @ T_k``, so each level costs one row-matrix product.  A
-    seed with ``seed @ u_star = 1`` gives rows summing to one.
+    The window's rows are ``seed @ W``, split by level.  Below the window
+    one backward sweep continues from the lowest of them,
+    ``x_{k-1} = x_k @ T_k``, so each lower level costs one row-matrix
+    product.  A seed with ``seed @ u_star = 1`` gives rows summing to one.
     """
-    if state.W is not None:
-        return tuple(np.split(seed @ state.W, state.offsets[1:-1]))
-    x, node = seed @ state.U_star, state.factors
-    rows = [x]
-    while node is not None:
-        factor, node = node
+    seed, m = np.asarray(seed), state.phases[-1]
+    if seed.shape != (m,):
+        raise PhaseMismatch(f"seed has shape {seed.shape}, but level {state.n} has {m} phases")
+    rows = np.split(seed @ state.W, np.cumsum(state.phases[:-1]))
+    below, x = [], rows[0]
+    for factor in islice(_chain(state.factors), len(state.phases) - 1, None):
         x = x @ factor
-        rows.append(x)
-    rows.reverse()
-    return tuple(rows)
+        below.append(x)
+    return (*below[::-1], *rows)

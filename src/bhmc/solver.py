@@ -105,8 +105,8 @@ class CheckpointSchedule:
         object.__setattr__(self, "factor", _as_number(self.factor, "factor"))
         if self.kind == "arithmetic" and self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if self.kind == "geometric" and not self.factor > 1.0:
-            raise ConfigError(f"factor must be > 1, got {self.factor}")
+        if self.kind == "geometric" and not 1.0 < self.factor < np.inf:
+            raise ConfigError(f"factor must be finite and > 1, got {self.factor}")
         if self.kind == "explicit":
             if not self.levels:
                 raise ConfigError("explicit schedule needs at least one level")
@@ -131,7 +131,8 @@ class CheckpointSchedule:
                 n = max(start, 1)
                 while True:
                     yield n
-                    n = max(n + 1, int(np.ceil(self.factor * n)))
+                    # a product past double range is far past any reachable level
+                    n = max(n + 1, int(np.ceil(min(self.factor * n, np.finfo(float).max))))
 
             return geo()
         return iter(self.levels)
@@ -155,6 +156,8 @@ class SolverOptions:
         object.__setattr__(self, "K_set", ks)
         if self.max_level < 1:
             raise ConfigError(f"max_level must be >= 1, got {self.max_level}")
+        if max(ks) > self.max_level:
+            raise ConfigError(f"max(K_set) = {max(ks)} exceeds max_level = {self.max_level}")
         sched = self.checkpoint_schedule
         if not isinstance(sched, CheckpointSchedule):
             raise ConfigError(
@@ -281,9 +284,10 @@ def _drive(
     rule holds, and a thunk assembling the blocks, which is called only at
     the stop.  The run stops when the rule holds, at ``max_level``, or at
     the last level of an explicit schedule; ``converged`` says whether the
-    rule held there.  A numerical failure is first traced back to the
-    blocks read so far: a block with a wrong sign or a non-finite entry is
-    reported as ``InvalidBlock``, caused by the original error.
+    rule held there.  A numerical failure, or a stop without convergence,
+    is first traced back to the blocks read so far: a block with a wrong
+    sign or a non-finite entry is reported as ``InvalidBlock``, caused by
+    the original error if there was one.
     """
     state = init_state(gen, opts.K_set)
     schedule = opts.checkpoint_schedule.iterate(max(max(opts.K_set), 1))
@@ -297,6 +301,8 @@ def _drive(
                 trace.append(record)
                 next_cp = next(schedule, None)
                 if done or at_cap or next_cp is None:
+                    if not done:
+                        check_blocks(gen, state.n + 1)
                     return Approximation(
                         n=state.n,
                         blocks=blocks(),

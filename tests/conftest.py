@@ -101,14 +101,19 @@ def random_banded(bandwidth: int | None, phases: int, seed: int) -> BlockGenerat
     return BlockGenerator(lambda k: phases, block, bandwidth=bandwidth)
 
 
-def random_infinite_varying(seed: int) -> BlockGenerator:
-    """Infinite-band chain whose level ``k`` has ``1 + k % 3`` phases.
+def random_varying(seed: int, bandwidth: int | None = None) -> BlockGenerator:
+    """Chain whose level ``k`` has ``1 + k % 3`` phases.
 
-    Row ``i`` of level ``k`` jumps ``j >= 1`` levels up at total rate
+    Row ``i`` of level ``k`` jumps ``j`` levels up, ``1 <= j <= bandwidth``
+    (every ``j >= 1`` with ``bandwidth=None``), at total rate
     ``a_k[i] * 0.5**j``, spread over the target phases by random weights,
-    so the upward rates sum to ``a_k[i]`` and the diagonal has a closed
-    form.
+    so the upward rates sum to ``a_k[i] * (1 - 0.5**bandwidth)`` (to
+    ``a_k[i]`` without a band) and the diagonal has a closed form.  As in
+    ``random_banded``, the downward rates scale with the upward drift.
     """
+    kept = 1.0 if bandwidth is None else 1.0 - 0.5**bandwidth
+    # sum_j j * 0.5**j over the jumps the band allows
+    drift = 2.0 if bandwidth is None else sum(j * 0.5**j for j in range(1, bandwidth + 1))
 
     def phases(k):
         return 1 + k % 3
@@ -121,20 +126,20 @@ def random_infinite_varying(seed: int) -> BlockGenerator:
 
     def block(k, l):
         if l == k - 1:
-            return 4.0 * rates(k, l)
-        if l > k:
+            return 2.0 * drift * rates(k, l)
+        if l > k and (bandwidth is None or l <= k + bandwidth):
             w = rates(k, l)
             return (up_total(k) * 0.5 ** (l - k) / w.sum(axis=1))[:, None] * w
-        if l < k - 1:
+        if l != k:
             return np.zeros((phases(k), phases(l)))
         local = rates(k, k)
         np.fill_diagonal(local, 0.0)
-        out = local.sum(axis=1) + up_total(k)
+        out = local.sum(axis=1) + up_total(k) * kept
         if k:
             out += block(k, k - 1).sum(axis=1)
         return local - np.diag(out)
 
-    return BlockGenerator(phases, block, bandwidth=None)
+    return BlockGenerator(phases, block, bandwidth=bandwidth)
 
 
 def drive_to(gen: BlockGenerator, n: int, k_set=frozenset({0})):

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from bhmc import (
     brute_force_stationary,
     init_state,
     lbcl_direct,
+    make_heavy_tail_mg1,
     make_mm1,
     principal_submatrix,
     solve_mip,
@@ -84,8 +86,10 @@ def test_invalid_argument_is_bhmc_error(call):
     [
         (lambda: CheckpointSchedule(kind="explicit", levels=5), "levels"),
         (lambda: SolverOptions(checkpoint_schedule="every"), "checkpoint_schedule"),
+        (lambda: SolverOptions(K_set={50}, max_level=10), "K_set"),
+        (lambda: CheckpointSchedule(kind="geometric", factor=np.inf), "factor"),
     ],
-    ids=["schedule_levels_int", "options_schedule_str"],
+    ids=["schedule_levels_int", "options_schedule_str", "k_set_above_cap", "factor_inf"],
 )
 def test_malformed_option_is_config_error_naming_field(call, field):
     with pytest.raises(ConfigError, match=field):
@@ -120,6 +124,19 @@ def test_numerical_failure_is_traced_to_bad_block(gen, block, cause):
     with pytest.raises(InvalidBlock, match=block) as info:
         solve_mip(gen, SolverOptions(epsilon=1e-8))
     assert isinstance(info.value.__cause__, cause)
+
+
+def test_non_converged_stop_is_traced_to_bad_block():
+    # the negative rate leaves every exit matrix regular, so the run would
+    # otherwise stop at the cap and report only that it did not converge
+    heavy = make_heavy_tail_mg1(3.0, 1.0)
+    bad = replace(
+        heavy,
+        block=lambda k, l: -np.ones((1, 1)) if (k, l) == (1, 3) else heavy.block(k, l),
+        column_blocks=None,
+    )
+    with pytest.raises(InvalidBlock, match=r"block\(1,3\) has a negative entry"):
+        solve_mip(bad, SolverOptions(max_level=150))
 
 
 def test_numerical_failure_on_valid_blocks_keeps_its_class():

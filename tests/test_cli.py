@@ -203,6 +203,7 @@ def test_config_error_messages(tmp_path):
     [
         ("solver: {epsilon: abc}", "solver.epsilon"),
         ("solver: {schedule: {kind: arithmetic, stride: abc}}", "solver.schedule.stride"),
+        ("solver: {schedule: {kind: geometric, factor: .inf}}", "factor"),
         ("solver: {max_level: [1]}", "solver.max_level"),
         ("validate: {levels: x}", "validate.levels"),
         ("solver: {variant: fixed_direction, varpi: abc}", "solver.varpi"),

@@ -10,6 +10,7 @@ from bhmc import (
     BlockGenerator,
     IndexOutOfRange,
     InvalidBlock,
+    PhaseMismatch,
     SingularBlock,
     advance,
     init_state,
@@ -22,7 +23,7 @@ from oracles import u_star_K_direct
 from conftest import (
     drive_to,
     random_banded,
-    random_infinite_varying,
+    random_varying,
     two_phase_ldqbd,
     two_phase_product_qbd,
 )
@@ -134,6 +135,10 @@ def test_sojourn_matrix_accessors(mm1):
         sojourn_matrix(state, 3)
     with pytest.raises(IndexOutOfRange):
         sojourn_matrix(state, -1)
+    with pytest.raises(PhaseMismatch, match=r"shape \(2,\), but level 2 has 1 phases"):
+        sojourn_rows(state, np.ones(2))
+    with pytest.raises(PhaseMismatch, match=r"shape \(1, 1\)"):
+        sojourn_rows(state, np.ones((1, 1)))
 
 
 def test_family_nonnegative_and_u_star_consistency():
@@ -227,16 +232,18 @@ def test_column_shape_mismatch_is_invalid_block(heavy):
 
 
 def test_wide_update_leaves_earlier_states_valid(heavy):
-    state = drive_to(heavy, 10)
-    before = [sojourn_matrix(state, k).copy() for k in range(11)]
-    advance(advance(state, heavy), heavy)
-    for k in range(11):
-        np.testing.assert_array_equal(sojourn_matrix(state, k), before[k])
-    assert state.factors is None
+    for gen in (heavy, random_banded(2, 2, seed=7)):
+        state = drive_to(gen, 10)
+        before = [sojourn_matrix(state, k).copy() for k in range(11)]
+        advance(advance(state, gen), gen)
+        for k in range(11):
+            np.testing.assert_array_equal(sojourn_matrix(state, k), before[k])
+        if gen.bandwidth is None:
+            assert state.factors is None
 
 
 def test_product_form_matches_family_oracle(catalog):
-    """Lazy products, wide arrays, pivot blocks and sweeps equal the whole-family recursion."""
+    """Window slices, lower products, pivot blocks and sweeps equal the whole-family recursion."""
     gens = dict(
         catalog,
         two_phase_ldqbd=two_phase_ldqbd(),
@@ -244,7 +251,8 @@ def test_product_form_matches_family_oracle(catalog):
         band2=random_banded(2, 2, seed=7),
         band3=random_banded(3, 3, seed=11),
         band_inf=random_banded(None, 2, seed=13),
-        band_inf_varying=random_infinite_varying(seed=17),
+        band_inf_varying=random_varying(seed=17),
+        band3_varying=random_varying(seed=19, bandwidth=3),
     )
     k_set = frozenset({0, 2})
     rng = np.random.default_rng(3)

@@ -78,6 +78,10 @@ def test_schedule_validation_and_iteration():
     assert [next(it) for _ in range(5)] == [1, 2, 3, 5, 8]
     it = CheckpointSchedule(kind="explicit", levels=(2, 9)).iterate(0)
     assert list(it) == [2, 9]
+    # from the third level on, factor * n is past double range
+    it = CheckpointSchedule(kind="geometric", factor=1e300).iterate(1)
+    levels = [next(it) for _ in range(4)]
+    assert levels[1] > 1e299 and levels == sorted(set(levels))
 
 
 # ---------------------------------------------------------------- residuals

@@ -4,7 +4,7 @@ The primary solver advances a first-exit recursion level by level and, at
 checkpoints, augments the truncated generator with a unit mass on a
 ratio-maximizing pivot phase; a closed-form q-weighted residual drives
 the stopping rule.  Baseline solvers (direct augmented-truncation solve,
-backward R-matrix recursion, dense null-vector solve) provide
+backward R-matrix recursion, sparse null-vector solve) provide
 independent cross-checks, and a small model catalog covers the standard
 test regimes.
 

@@ -3,19 +3,25 @@
 All three methods reach a stationary approximation through routes that
 share no code with the sequential recursion: a direct linear solve of the
 augmented truncation, the classical backward R-matrix recursion for
-block-tridiagonal chains, and a dense left-null-vector solve.
+block-tridiagonal chains, and a left-null-vector solve of a finite
+generator.  The two linear solves factor a ``scipy.sparse`` matrix with
+sparse LU (``splu``), under the same relative pivot guard as the
+recursion's dense LU.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
-from .errors import IndexOutOfRange, InvalidBlock, NotQbd
+from .errors import IndexOutOfRange, InvalidBlock, NotQbd, SingularBlock
 from .generator import BlockGenerator, check_distribution, principal_submatrix
-from .recursions import guarded_lu_factor, lu_inverse
+from .recursions import PIVOT_RTOL, lu_inverse
+
+if TYPE_CHECKING:  # scipy.sparse is imported where it is used, to keep import light
+    import scipy.sparse
 
 __all__ = [
     "BrightTaylorResult",
@@ -40,10 +46,29 @@ class BrightTaylorResult:
         return np.concatenate(self.blocks)
 
 
-def _left_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve ``x @ matrix = rhs`` by LU with the shared pivot guard."""
-    lu, piv = guarded_lu_factor(np.asarray(matrix, dtype=float).T, what)
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+def _left_solve(
+    matrix: scipy.sparse.sparray, rhs: np.ndarray, what: str
+) -> np.ndarray:
+    """Solve ``x @ matrix = rhs`` by sparse LU with the shared pivot guard.
+
+    Factors ``matrix.T``; a pivot of ``U`` below ``PIVOT_RTOL`` times the
+    largest row norm of ``matrix.T``, or an exactly singular factor, is
+    reported as SingularBlock.
+    """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    a = scipy.sparse.csc_array(matrix.T)
+    scale = abs(a).sum(axis=1).max()
+    if scale == 0.0 or not np.isfinite(scale):
+        raise SingularBlock(f"{what}: matrix is zero or non-finite")
+    try:
+        lu = scipy.sparse.linalg.splu(a)
+    except RuntimeError as exc:  # splu: "Factor is exactly singular"
+        raise SingularBlock(f"{what}: matrix is exactly singular") from exc
+    if np.abs(lu.U.diagonal()).min() < PIVOT_RTOL * scale:
+        raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
+    return lu.solve(rhs)
 
 
 def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
@@ -104,23 +129,33 @@ def bright_taylor(
     )
 
 
-def _null_left_vector(matrix: np.ndarray) -> np.ndarray:
+def _null_left_vector(matrix: np.ndarray | scipy.sparse.sparray) -> np.ndarray:
     """Solve ``x @ A = 0`` with the last balance equation swapped for ``x e = 1``."""
-    a = np.array(matrix, dtype=float)
-    a[:, -1] = 1.0
-    rhs = np.zeros(a.shape[0])
+    import scipy.sparse
+
+    a = scipy.sparse.csc_array(matrix, dtype=float)
+    m = a.shape[0]
+    ones = scipy.sparse.csc_array(np.ones((m, 1)))
+    a = scipy.sparse.hstack([a[:, : m - 1], ones], format="csc")
+    rhs = np.zeros(m)
     rhs[-1] = 1.0
     return _left_solve(a, rhs, "left null vector")
 
 
-def brute_force_stationary(q_hat: np.ndarray) -> np.ndarray:
-    """Stationary vector of a finite proper generator by dense solve.
+def brute_force_stationary(
+    q_hat: np.ndarray | scipy.sparse.sparray | scipy.sparse.spmatrix,
+) -> np.ndarray:
+    """Stationary vector of a finite proper generator by sparse solve.
 
-    Replaces the last column (a deterministic choice, for reproducibility)
-    with the normalization equation.  The input must have zero row sums
-    and be irreducible; a singular reduced system signals reducibility.
+    Accepts a dense array or any ``scipy.sparse`` matrix; both take the same
+    path through CSC form.  Replaces the last column (a deterministic
+    choice, for reproducibility) with the normalization equation.  The input
+    must have zero row sums and be irreducible; a singular reduced system
+    signals reducibility.
     """
-    q = np.asarray(q_hat, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise InvalidBlock(f"expected a square matrix, got shape {q.shape}")
+    import scipy.sparse
+
+    q = q_hat if scipy.sparse.issparse(q_hat) else np.asarray(q_hat, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] == 0:
+        raise InvalidBlock(f"expected a nonempty square matrix, got shape {q.shape}")
     return _null_left_vector(q)

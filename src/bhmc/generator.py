@@ -11,11 +11,14 @@ have different phase counts and all shapes are derived from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import BadDistribution, IndexOutOfRange, InvalidBlock, MissingTailInfo
+
+if TYPE_CHECKING:  # scipy.sparse is imported where it is used, to keep import light
+    import scipy.sparse
 
 __all__ = [
     "BlockGenerator",
@@ -110,15 +113,17 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class PrincipalSubmatrix:
-    """Dense leading principal submatrix over levels ``0..n``.
+    """Sparse leading principal submatrix over levels ``0..n``.
 
-    ``level_offsets[k]`` is the first flat index of level ``k``;
-    ``level_offsets[n + 1]`` equals the matrix dimension.
+    ``data`` is a ``scipy.sparse`` CSR array holding the nonzero entries of
+    the blocks ``block(k, l)``, ``k, l <= n``.  ``level_offsets[k]`` is the
+    first flat index of level ``k``; ``level_offsets[n + 1]`` equals the
+    matrix dimension.
     """
 
     n: int
     level_offsets: np.ndarray
-    data: np.ndarray
+    data: scipy.sparse.csr_array
 
     def level_slice(self, k: int) -> slice:
         return slice(int(self.level_offsets[k]), int(self.level_offsets[k + 1]))
@@ -144,20 +149,31 @@ def _check_block_signs(k: int, l: int, b: np.ndarray) -> None:
 def check_blocks(gen: BlockGenerator, n: int) -> None:
     """Raise InvalidBlock for the first bad block among levels ``0..n``.
 
-    Checks signs and finiteness column by column.  The blocks above the
-    diagonal of a column are read in one ``block_column`` call and checked
-    at once; only a column that fails is split into blocks to name the
-    culprit.
+    Checks signs and finiteness column by column.  Each column's blocks
+    ``block(l, j)``, ``l = lo..min(j + 1, n)``, are read in one
+    ``block_column`` call and tested at once: the diagonal of
+    ``block(j, j)`` must be nonpositive and every other entry nonnegative.
+    Only a column that fails, or has the wrong shape, is split into blocks
+    to name the culprit.
     """
+    counts = [gen.phase_count(k) for k in range(n + 1)]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
     for j in range(n + 1):
         lo = 0 if gen.bandwidth is None else max(0, j - gen.bandwidth)
-        if lo < j:
-            up = gen.block_column(j, lo, j - 1)
-            if not np.all(np.isfinite(up) & (up >= 0.0)):
-                for k in range(lo, j):
-                    _check_block_signs(k, j, gen.block_array(k, j))
-        for k in range(j, min(j + 1, n) + 1):
+        hi = min(j + 1, n)
+        col = gen.block_column(j, lo, hi)
+        if col.shape == (offsets[hi + 1] - offsets[lo], counts[j]):
+            # flip the sign of block(j, j)'s diagonal so one test covers all
+            d = np.arange(counts[j])
+            col = col.copy()
+            col[offsets[j] - offsets[lo] + d, d] *= -1.0
+            if np.all(np.isfinite(col) & (col >= 0.0)):
+                continue
+        for k in range(lo, hi + 1):
             _check_block_signs(k, j, gen.block_array(k, j))
+        raise InvalidBlock(
+            f"block column {j} over levels {lo}..{hi} disagrees with its blocks"
+        )
 
 
 def validate_proper_q(
@@ -212,18 +228,35 @@ def validate_proper_q(
 
 
 def principal_submatrix(gen: BlockGenerator, n: int) -> PrincipalSubmatrix:
-    """Assemble the dense generator restriction to levels ``0..n``."""
+    """Assemble the sparse generator restriction to levels ``0..n``.
+
+    Block row ``k`` spans the contiguous columns of levels ``k - 1`` to
+    ``k + bandwidth`` (to ``n`` without a band), so its blocks are stacked
+    side by side and its nonzeros found in one pass.
+    """
+    import scipy.sparse
+
     if n < 0:
         raise IndexOutOfRange(f"level must be nonnegative, got {n}")
     counts = [gen.phase_count(k) for k in range(n + 1)]
     offsets = np.concatenate(([0], np.cumsum(counts)))
     dim = int(offsets[-1])
-    data = np.zeros((dim, dim))
+    rows, cols, vals = [], [], []
     for k in range(n + 1):
-        rows = slice(offsets[k], offsets[k + 1])
+        lo = max(0, k - 1)
         hi = n if gen.bandwidth is None else min(n, k + gen.bandwidth)
-        for l in range(max(0, k - 1), hi + 1):
-            data[rows, offsets[l] : offsets[l + 1]] = gen.block_array(k, l)
+        strip = np.concatenate(
+            [gen.block_array(k, l) for l in range(lo, hi + 1)], axis=1
+        )
+        r, c = np.nonzero(strip)
+        rows.append(r + offsets[k])
+        cols.append(c + offsets[lo])
+        vals.append(strip[r, c])
+    # np.nonzero lists entries row by row, columns ascending: already CSR order
+    indptr = np.searchsorted(np.concatenate(rows), np.arange(dim + 1))
+    data = scipy.sparse.csr_array(
+        (np.concatenate(vals), np.concatenate(cols), indptr), shape=(dim, dim)
+    )
     return PrincipalSubmatrix(n, offsets, data)
 
 
@@ -239,16 +272,25 @@ def check_distribution(alpha: np.ndarray, size: int, tol: float = 1e-12) -> np.n
     return a
 
 
-def lbcl_augment(sub: PrincipalSubmatrix, alpha_n: np.ndarray) -> np.ndarray:
+def lbcl_augment(
+    sub: PrincipalSubmatrix, alpha_n: np.ndarray
+) -> scipy.sparse.csr_array:
     """Redirect each row's truncated rate into the last level block.
 
     The row deficits (the negated row sums of the principal submatrix) are
     distributed over the last block's columns according to ``alpha_n``,
-    producing a finite proper generator with zero row sums.
+    producing a finite proper generator with zero row sums, returned as a
+    sparse CSR array.  Only rows with a nonzero deficit change.
     """
+    import scipy.sparse
+
     last = sub.level_slice(sub.n)
     alpha = check_distribution(alpha_n, last.stop - last.start)
     deficit = -sub.data.sum(axis=1)
-    out = sub.data.copy()
-    out[:, last] += np.outer(deficit, alpha)
-    return out
+    target = np.zeros(sub.dim)
+    target[last] = alpha
+    # a sparse outer product forms only the nonzero deficit x alpha entries
+    added = scipy.sparse.csr_array(deficit[:, None]) @ scipy.sparse.csr_array(
+        target[None, :]
+    )
+    return sub.data + added

@@ -47,8 +47,8 @@ __all__ = [
 PIVOT_RTOL = 1e-13
 
 
-def guarded_lu_factor(matrix: np.ndarray, what: str):
-    """LU with partial pivoting; tiny pivots are reported as SingularBlock."""
+def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Invert by LU with partial pivoting; tiny pivots raise SingularBlock."""
     m = np.asarray(matrix, dtype=float)
     scale = np.abs(m).sum(axis=1).max() if m.size else 0.0
     if scale == 0.0 or not np.isfinite(scale):
@@ -59,13 +59,7 @@ def guarded_lu_factor(matrix: np.ndarray, what: str):
         lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
     if np.abs(np.diag(lu)).min() < PIVOT_RTOL * scale:
         raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
-    return lu, piv
-
-
-def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Invert via LU with partial pivoting, guarding against singularity."""
-    lu, piv = guarded_lu_factor(matrix, what)
-    return scipy.linalg.lu_solve((lu, piv), np.eye(lu.shape[0]), check_finite=False)
+    return scipy.linalg.lu_solve((lu, piv), np.eye(m.shape[0]), check_finite=False)
 
 
 @dataclass

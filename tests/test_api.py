@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +48,24 @@ def test_star_import():
     namespace: dict = {}
     exec("from bhmc import *", namespace)
     assert "solve_mip" in namespace
+
+
+def test_import_leaves_sparse_solvers_unloaded():
+    # the baselines import scipy.sparse.linalg on first use; loading it at
+    # import time would add about 40 ms to every process start
+    code = (
+        "import bhmc, bhmc.cli, sys; "
+        "print('scipy.sparse.linalg' in sys.modules)"
+    )
+    src = str(Path(bhmc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
-"""Reference solvers: direct solve, R-matrix recursion, dense null vector."""
+"""Reference solvers: direct solve, R-matrix recursion, sparse null vector."""
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import oracles
 from bhmc import (
+    IndexOutOfRange,
     InvalidBlock,
     NotQbd,
     SingularBlock,
@@ -19,7 +21,12 @@ from bhmc import (
     solve_mip,
     tv_distance,
 )
-from conftest import drive_to, two_phase_ldqbd
+from conftest import (
+    drive_to,
+    random_banded,
+    two_phase_ldqbd,
+    two_phase_product_qbd,
+)
 
 
 def test_lbcl_direct_mm1_hand_values(mm1):
@@ -49,6 +56,10 @@ def test_brute_force_single_state():
 def test_brute_force_rejects_non_square():
     with pytest.raises(InvalidBlock):
         brute_force_stationary(np.zeros((2, 3)))
+    with pytest.raises(InvalidBlock, match="square"):
+        brute_force_stationary(scipy.sparse.csr_array(np.ones((2, 3))))
+    with pytest.raises(InvalidBlock, match="square"):
+        brute_force_stationary(np.zeros((0, 0)))
 
 
 def test_brute_force_detects_reducible():
@@ -56,6 +67,87 @@ def test_brute_force_detects_reducible():
     q = np.zeros((2, 2))
     with pytest.raises(SingularBlock):
         brute_force_stationary(q)
+
+
+# (generator, depth) pairs for the sparse-vs-dense differential tests
+def differential_cases(catalog):
+    depths = {
+        "mm1": 60,
+        "mmc": 40,
+        "ld_qbd_birth_death": 12,
+        "heavy_tail_mg1": 50,
+        "lattice_rw_2d": 15,
+    }
+    cases = [(name, gen, depths[name]) for name, gen in catalog.items()]
+    cases += [
+        ("two_phase_ldqbd", two_phase_ldqbd(), 30),
+        ("two_phase_product_qbd", two_phase_product_qbd(), 30),
+    ]
+    cases += [
+        (f"random_banded({b})", random_banded(b, 3, seed=11), 25)
+        for b in (1, 2, 3, None)
+    ]
+    return cases
+
+
+def test_lbcl_direct_matches_dense_oracle(catalog):
+    rng = np.random.default_rng(5)
+    for name, gen, n in differential_cases(catalog):
+        alpha = rng.uniform(0.1, 1.0, gen.phase_count(n))
+        alpha /= alpha.sum()
+        sparse = lbcl_direct(gen, n, alpha)
+        dense = oracles.lbcl_direct_dense(gen, n, alpha)
+        assert tv_distance(sparse, dense) < 1e-13, name
+
+
+def test_brute_force_same_for_dense_and_sparse_input(catalog):
+    rng = np.random.default_rng(6)
+    for name, gen, n in differential_cases(catalog):
+        alpha = rng.uniform(0.1, 1.0, gen.phase_count(n))
+        alpha /= alpha.sum()
+        q = lbcl_augment(principal_submatrix(gen, n), alpha)
+        assert scipy.sparse.issparse(q)
+        from_sparse = brute_force_stationary(q)
+        from_dense = brute_force_stationary(q.toarray())
+        assert np.abs(from_sparse - from_dense).max() < 1e-13, name
+        # the augmented generator's stationary law is lbcl_direct's vector
+        dense_lbcl = oracles.lbcl_direct_dense(gen, n, alpha)
+        assert tv_distance(from_sparse, dense_lbcl) < 1e-13, name
+
+
+REDUCIBLE_3 = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "q",
+    [REDUCIBLE_3, scipy.sparse.csr_array(REDUCIBLE_3), scipy.sparse.coo_matrix(REDUCIBLE_3)],
+    ids=["dense", "csr_array", "coo_matrix"],
+)
+def test_brute_force_reducible_is_singular_block(q):
+    # a closed class {0, 1} and an absorbing state 2: no unique stationary law
+    with pytest.raises(SingularBlock, match="singular"):
+        brute_force_stationary(q)
+
+
+def test_brute_force_nearly_reducible_trips_pivot_guard():
+    # two closed pairs coupled at rate 1e-15: LU succeeds, with a tiny pivot
+    eps = 1e-15
+    q = np.array(
+        [
+            [-1.0, 1.0, 0.0, 0.0],
+            [1.0, -1.0 - eps, eps, 0.0],
+            [0.0, eps, -1.0 - eps, 1.0],
+            [0.0, 0.0, 1.0, -1.0],
+        ]
+    )
+    for given in (q, scipy.sparse.csr_array(q)):
+        with pytest.raises(SingularBlock, match="pivot below"):
+            brute_force_stationary(given)
+
+
+def test_principal_submatrix_negative_level_is_index_error(mm1):
+    with pytest.raises(IndexOutOfRange):
+        principal_submatrix(mm1, -1)
 
 
 def test_brute_force_agrees_with_lbcl_direct(mmc):

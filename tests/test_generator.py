@@ -19,22 +19,23 @@ from bhmc import (
     validate_proper_q,
 )
 from bhmc.generator import check_blocks
+from conftest import two_phase_ldqbd
 
 
 def test_principal_submatrix_mm1_n1(mm1):
     sub = principal_submatrix(mm1, 1)
-    np.testing.assert_array_equal(sub.data, [[-1.0, 1.0], [2.0, -3.0]])
+    np.testing.assert_array_equal(sub.data.toarray(), [[-1.0, 1.0], [2.0, -3.0]])
 
 
 def test_principal_submatrix_n0_is_first_block(mm1):
     sub = principal_submatrix(mm1, 0)
-    np.testing.assert_array_equal(sub.data, [[-1.0]])
+    np.testing.assert_array_equal(sub.data.toarray(), [[-1.0]])
 
 
 def test_principal_submatrix_mm1_n2_tridiagonal(mm1):
     sub = principal_submatrix(mm1, 2)
     expected = [[-1.0, 1.0, 0.0], [2.0, -3.0, 1.0], [0.0, 2.0, -3.0]]
-    np.testing.assert_array_equal(sub.data, expected)
+    np.testing.assert_array_equal(sub.data.toarray(), expected)
 
 
 def test_principal_submatrix_nesting(mm1, lattice):
@@ -42,7 +43,9 @@ def test_principal_submatrix_nesting(mm1, lattice):
         big = principal_submatrix(gen, 6)
         small = principal_submatrix(gen, 5)
         d = small.dim
-        np.testing.assert_array_equal(big.data[:d, :d], small.data)
+        np.testing.assert_array_equal(
+            big.data.toarray()[:d, :d], small.data.toarray()
+        )
 
 
 def test_row_sums_nonpositive_and_banded_zero(lattice):
@@ -57,12 +60,12 @@ def test_row_sums_nonpositive_and_banded_zero(lattice):
 def test_lbcl_augment_mm1_n1(mm1):
     sub = principal_submatrix(mm1, 1)
     out = lbcl_augment(sub, np.array([1.0]))
-    np.testing.assert_allclose(out, [[-1.0, 1.0], [2.0, -2.0]])
+    np.testing.assert_allclose(out.toarray(), [[-1.0, 1.0], [2.0, -2.0]])
 
 
 def test_lbcl_augment_n0_single_state(mm1):
     out = lbcl_augment(principal_submatrix(mm1, 0), np.array([1.0]))
-    np.testing.assert_array_equal(out, [[0.0]])
+    np.testing.assert_array_equal(out.toarray(), [[0.0]])
 
 
 def closed_three_level_chain() -> BlockGenerator:
@@ -85,7 +88,7 @@ def closed_three_level_chain() -> BlockGenerator:
 def test_lbcl_augment_no_deficit_returns_input():
     sub = principal_submatrix(closed_three_level_chain(), 2)
     out = lbcl_augment(sub, np.array([1.0]))
-    np.testing.assert_array_equal(out, sub.data)
+    np.testing.assert_array_equal(out.toarray(), sub.data.toarray())
 
 
 @given(
@@ -98,7 +101,7 @@ def test_lbcl_augment_yields_proper_generator(weights, n):
     sub = principal_submatrix(lattice, n)
     alpha = np.array(weights[: n + 1])
     alpha /= alpha.sum()
-    out = lbcl_augment(sub, alpha)
+    out = lbcl_augment(sub, alpha).toarray()
     np.testing.assert_allclose(out.sum(axis=1), 0.0, atol=1e-12)
     off = out - np.diag(np.diag(out))
     assert np.all(off >= -1e-15)
@@ -204,3 +207,41 @@ def test_check_blocks_names_first_bad_block_on_infinite_band():
     check_blocks(bad, 2)  # column 3 lies beyond levels 0..2
     with pytest.raises(InvalidBlock, match=r"block\(1,3\) has a negative entry"):
         check_blocks(bad, 3)
+
+
+def _spoiled(gen, at, entry, value):
+    def block(k, l):
+        b = np.array(gen.block(k, l), dtype=float)
+        if (k, l) == at:
+            b[entry] = value
+        return b
+
+    return replace(gen, block=block)
+
+
+@pytest.mark.parametrize(
+    "at, entry, value, message",
+    [
+        ((2, 2), (1, 1), 0.5, r"block\(2,2\) has a positive diagonal entry"),
+        ((2, 2), (0, 1), -0.5, r"block\(2,2\) has a negative off-diagonal entry"),
+        ((3, 2), (1, 0), np.nan, r"block\(3,2\) contains non-finite entries"),
+        ((1, 2), (0, 0), -1.0, r"block\(1,2\) has a negative entry"),
+        ((2, 2), (0, 0), np.inf, r"block\(2,2\) contains non-finite entries"),
+    ],
+)
+def test_check_blocks_names_bad_block_in_column(at, entry, value, message):
+    gen = two_phase_ldqbd()
+    check_blocks(gen, 6)
+    with pytest.raises(InvalidBlock, match=message):
+        check_blocks(_spoiled(gen, at, entry, value), 6)
+
+
+def test_check_blocks_reports_column_that_disagrees_with_blocks():
+    heavy = make_heavy_tail_mg1(3.0, 1.0)
+
+    def column_blocks(j, lo, hi):
+        col = heavy.column_blocks(j, lo, hi)
+        return -col if j == 4 else col
+
+    with pytest.raises(InvalidBlock, match=r"block column 4 over levels 0\.\.5"):
+        check_blocks(replace(heavy, column_blocks=column_blocks), 8)

@@ -149,7 +149,7 @@ def test_sign_facts_of_truncated_residual(mmc):
 
     approx = solve_mip(mmc, SolverOptions(epsilon=1e-6))
     sub = principal_submatrix(mmc, approx.n)
-    resid = approx.flatten() @ sub.data
+    resid = approx.flatten() @ sub.data.toarray()
     assert np.all(resid <= 1e-12)
     assert np.abs(resid).max() > 0.0
 

@@ -23,13 +23,12 @@ infinite band keeps no factors; its ``W`` grows by one member per level.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import ConfigError, IndexOutOfRange, InvalidBlock, PhaseMismatch, SingularBlock
 from .generator import BlockGenerator
@@ -48,18 +47,22 @@ PIVOT_RTOL = 1e-13
 
 
 def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Invert by LU with partial pivoting; tiny pivots raise SingularBlock."""
+    """Invert by LU with partial pivoting; tiny pivots raise SingularBlock.
+
+    Calls LAPACK ``getrf``/``getrs`` directly: on the small exit matrices
+    the wrapper overhead of ``scipy.linalg.lu_factor``/``lu_solve`` costs
+    more than the factorization.  An exactly zero pivot, which ``getrf``
+    reports through ``info``, fails the pivot test below like any tiny one.
+    """
     m = np.asarray(matrix, dtype=float)
     scale = np.abs(m).sum(axis=1).max() if m.size else 0.0
     if scale == 0.0 or not np.isfinite(scale):
         raise SingularBlock(f"{what}: matrix is zero or non-finite")
-    with warnings.catch_warnings():
-        # an exactly zero pivot is our SingularBlock case, not a warning
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    lu, piv, _ = dgetrf(m)
     if np.abs(np.diag(lu)).min() < PIVOT_RTOL * scale:
         raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
-    return scipy.linalg.lu_solve((lu, piv), np.eye(m.shape[0]), check_finite=False)
+    inverse, _ = dgetrs(lu, piv, np.eye(m.shape[0], order="F"), overwrite_b=True)
+    return inverse
 
 
 @dataclass

@@ -11,8 +11,10 @@ once the run stops.
   The residual has the closed form ``1 / (|q(n, j; n, j)| * u_star(j))``
   at the chosen pivot ``j``, so testing it costs nothing.
 * ``solve_mip_drift`` (legacy): drift-minimizing pivot, successive-
-  iterate total-variation stopping, so it assembles the blocks at every
-  checkpoint; finite upper bandwidth only.
+  iterate total-variation stopping; finite upper bandwidth only.  The
+  distance between consecutive checkpoints is read off the previous
+  checkpoint's state through one vector carried down the step factors,
+  so the blocks are assembled only at the stop.
 * ``solve_fixed_direction``: a fixed positive direction over a constant
   phase set replaces pivot selection entirely.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -46,6 +48,7 @@ from .lfp import (
 )
 from .recursions import (
     RecursionState,
+    _chain,
     _normalize_k_set,
     advance,
     init_state,
@@ -265,10 +268,45 @@ def _select_at(state: RecursionState, gen: BlockGenerator) -> PivotSelection:
     return select_pivot(state, inc, out)
 
 
-def _pivot_blocks(state: RecursionState, pivot: int) -> tuple[np.ndarray, ...]:
+def _pivot_seed(state: RecursionState, pivot: int) -> np.ndarray:
     seed = np.zeros(state.u_star.shape[0])
     seed[pivot] = 1.0 / state.u_star[pivot]
-    return sojourn_rows(state, seed)
+    return seed
+
+
+def _pivot_blocks(state: RecursionState, pivot: int) -> tuple[np.ndarray, ...]:
+    return sojourn_rows(state, _pivot_seed(state, pivot))
+
+
+def _step_distance(
+    prev: RecursionState,
+    a: np.ndarray,
+    state: RecursionState,
+    s: np.ndarray,
+    gen: BlockGenerator,
+) -> float:
+    """Total variation between the approximations seeded by ``a`` and ``s``.
+
+    ``prev`` is an earlier state at level ``p`` of the same run and
+    ``state`` the current one at level ``n``.  On the levels ``0..p`` the
+    current approximation is ``c @ sojourn_matrix(prev, k)`` with
+    ``c = s @ U_star(n) @ T_n @ ... @ T_{p+2} @ block(p+1, p)``, so there
+    the two differ by the rows seeded by ``d = a - c``; the levels above
+    ``p`` hold the rest of the current mass, ``1 - c @ u_star(p)``.  The
+    sojourn matrices are nonnegative, so a ``d`` of one sign gives the
+    level-``0..p`` distance as ``|d @ u_star(p)|``; a ``d`` of mixed signs
+    takes one backward sweep of ``prev``.
+    """
+    p = prev.n
+    c = s @ state.U_star
+    for factor in islice(_chain(state.factors), state.n - p - 1):
+        c = c @ factor
+    c = c @ gen.block_array(p + 1, p)
+    d = a - c
+    tail = 1.0 - float(c @ prev.u_star)
+    if np.all(d >= 0.0) or np.all(d <= 0.0):
+        return abs(float(d @ prev.u_star)) + tail
+    return float(np.abs(np.concatenate(sojourn_rows(prev, d))).sum()) + tail
 
 
 Blocks = Callable[[], tuple[np.ndarray, ...]]
@@ -352,23 +390,28 @@ def solve_mip_drift(
     Stops when the total variation between consecutive checkpoint
     approximations falls below ``epsilon`` (which can in principle trigger
     early, unlike the residual rule); the q-weighted residual is still
-    recorded at every checkpoint for diagnosis.  Requires a finite upper
-    bandwidth: otherwise the first checkpoint raises
+    recorded at every checkpoint for diagnosis.  The distance is computed
+    from the previous checkpoint's state and seed without assembling
+    either approximation (see ``_step_distance``): on a scalar chain, or
+    whenever the seed difference has one sign, it costs one vector product
+    per level advanced; otherwise one backward sweep of the previous
+    state.  The blocks are assembled once, at the stop.  Requires a finite
+    upper bandwidth: otherwise the first checkpoint raises
     ``UnsupportedInfiniteBand``.
     """
     opts = opts if opts is not None else SolverOptions()
-    prev_flat: np.ndarray | None = None
+    prev: tuple[RecursionState, np.ndarray] | None = None
 
     def checkpoint(state: RecursionState):
-        nonlocal prev_flat
+        nonlocal prev
         sel = select_pivot_drift(state, gen, cert)
-        blocks = _pivot_blocks(state, sel.pivot)
-        flat = np.concatenate(blocks)
         res = residual_q_norm(state, sel.pivot)
-        step = tv_distance(flat, prev_flat) if prev_flat is not None else None
-        prev_flat = flat
+        seed = _pivot_seed(state, sel.pivot)
+        step = _step_distance(*prev, state, seed, gen) if prev is not None else None
+        prev = state, seed
         record = CheckpointRecord(state.n, sel.pivot, sel.objective, res, step)
-        return record, step is not None and step < opts.epsilon, lambda: blocks
+        done = step is not None and step < opts.epsilon
+        return record, done, lambda: _pivot_blocks(state, sel.pivot)
 
     return _drive(gen, opts, "mip_drift", checkpoint)
 

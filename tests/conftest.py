@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,23 @@ def two_phase_product_qbd() -> BlockGenerator:
     return BlockGenerator(lambda k: 2, block, bandwidth=1)
 
 
+def _rate_table(seed: int, shape):
+    """Cached uniform(0.2, 1) rate blocks, one per ``(k, l)``.
+
+    Each block comes from its own ``default_rng([seed, k, l])``; it is
+    drawn on the first read only and returned read-only, since every later
+    read shares it.
+    """
+
+    @lru_cache(maxsize=None)
+    def rates(k, l):
+        r = np.random.default_rng([seed, k, l]).uniform(0.2, 1.0, shape(k, l))
+        r.flags.writeable = False
+        return r
+
+    return rates
+
+
 def random_banded(bandwidth: int | None, phases: int, seed: int) -> BlockGenerator:
     """Level-dependent chain with random rates up to ``bandwidth`` levels up.
 
@@ -72,9 +91,7 @@ def random_banded(bandwidth: int | None, phases: int, seed: int) -> BlockGenerat
     so the chain is ergodic.
     """
     drift = 2 if bandwidth is None else bandwidth  # sum_j j * (rate of jump j)
-
-    def rates(k, l):
-        return np.random.default_rng([seed, k, l]).uniform(0.2, 1.0, (phases, phases))
+    rates = _rate_table(seed, lambda k, l: (phases, phases))
 
     def off_level(k, l):
         if l == k - 1:
@@ -88,7 +105,7 @@ def random_banded(bandwidth: int | None, phases: int, seed: int) -> BlockGenerat
     def block(k, l):
         if l != k:
             return off_level(k, l)
-        local = rates(k, k)
+        local = rates(k, k).copy()
         np.fill_diagonal(local, 0.0)
         if bandwidth is None:
             ups = [rates(k, k + 1)]
@@ -118,8 +135,7 @@ def random_varying(seed: int, bandwidth: int | None = None) -> BlockGenerator:
     def phases(k):
         return 1 + k % 3
 
-    def rates(k, l):
-        return np.random.default_rng([seed, k, l]).uniform(0.2, 1.0, (phases(k), phases(l)))
+    rates = _rate_table(seed, lambda k, l: (phases(k), phases(l)))
 
     def up_total(k):
         return rates(k, k + 1).sum(axis=1)
@@ -132,7 +148,7 @@ def random_varying(seed: int, bandwidth: int | None = None) -> BlockGenerator:
             return (up_total(k) * 0.5 ** (l - k) / w.sum(axis=1))[:, None] * w
         if l != k:
             return np.zeros((phases(k), phases(l)))
-        local = rates(k, k)
+        local = rates(k, k).copy()
         np.fill_diagonal(local, 0.0)
         out = local.sum(axis=1) + up_total(k) * kept
         if k:

@@ -2,10 +2,12 @@
 
 Most of what is here is computed by a route that shares nothing with the
 package's recursion machinery: closed-form balance equations, product
-forms, dense grid solves, and trajectory simulation.  The two direct
+forms, dense grid solves, and trajectory simulation.  The direct
 cross-checks at the end assemble from the package's sojourn family or
-principal submatrix what the solver keeps in closed or recursive form, and
-``lbcl_direct_dense`` is the dense-LU reference for the sparse baseline.
+principal submatrix what the solver keeps in closed or recursive form,
+``lbcl_direct_dense`` is the dense-LU reference for the sparse baseline,
+and ``drift_blockwise`` measures the drift driver's stopping distance on
+assembled approximations.
 """
 
 from __future__ import annotations
@@ -17,10 +19,15 @@ import scipy.linalg
 
 from bhmc import (
     IndexOutOfRange,
+    advance,
     brute_force_stationary,
+    init_state,
     principal_submatrix,
+    select_pivot_drift,
     sojourn_matrix,
+    tv_distance,
 )
+from bhmc.solver import _pivot_blocks
 
 
 def geometric_pi(lam: float, mu: float, levels: int) -> np.ndarray:
@@ -201,3 +208,37 @@ def lbcl_direct_dense(gen, n: int, alpha_n: np.ndarray) -> np.ndarray:
     rhs[off[n] :] = alpha_n
     x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(-q.T), rhs)
     return x / x.sum()
+
+
+def drift_blockwise(gen, cert, opts):
+    """The drift driver with its stopping distance taken on assembled blocks.
+
+    Walks the schedule of ``opts`` like ``solve_mip_drift``: at each
+    checkpoint it assembles the approximation from the drift pivot and
+    takes ``tv_distance`` to the previous one, stopping below ``epsilon``,
+    at ``max_level`` or at the end of an explicit schedule.  Returns the
+    distances (``None`` first, as in the trace), the final blocks, and at
+    each later checkpoint the seed difference ``a - c``: ``a`` seeds the
+    previous approximation at its level ``p``, and ``c`` is recovered from
+    the current one through ``blocks[p] = c @ U_star(p)``.
+    """
+    state = init_state(gen, opts.K_set)
+    steps, diffs, prev = [], [], None
+    for level in opts.checkpoint_schedule.iterate(max(max(opts.K_set), 1)):
+        while state.n < min(level, opts.max_level):
+            state = advance(state, gen)
+        pivot = select_pivot_drift(state, gen, cert).pivot
+        blocks = _pivot_blocks(state, pivot)
+        seed = np.zeros(state.u_star.shape[0])
+        seed[pivot] = 1.0 / state.u_star[pivot]
+        if prev is None:
+            steps.append(None)
+        else:
+            p_state, p_seed, p_blocks = prev
+            steps.append(tv_distance(np.concatenate(p_blocks), np.concatenate(blocks)))
+            c = np.linalg.solve(p_state.U_star.T, blocks[p_state.n])
+            diffs.append(p_seed - c)
+        prev = state, seed, blocks
+        if (steps[-1] is not None and steps[-1] < opts.epsilon) or state.n >= opts.max_level:
+            break
+    return steps, blocks, diffs

@@ -18,6 +18,7 @@ from bhmc import (
     sojourn_matrix,
     sojourn_rows,
 )
+from bhmc.recursions import lu_inverse
 from bhmc.solver import _pivot_blocks
 from oracles import u_star_K_direct
 from conftest import (
@@ -105,6 +106,15 @@ def test_advance_singular_exit_matrix():
     state = init_state(walk)
     with pytest.raises(SingularBlock):
         advance(state, walk)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exactly_singular_inverse_raises_singular_block_without_warning():
+    # LAPACK reports the exactly zero second pivot through ``info``
+    with pytest.raises(SingularBlock, match="pivot below"):
+        lu_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]), "rank one")
+    with pytest.raises(SingularBlock, match="pivot below"):
+        lu_inverse(np.array([[0.0, 0.0], [0.0, 1.0]]), "zero column")
 
 
 def test_u_star_K_recursive_equals_direct(mm1):

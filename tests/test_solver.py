@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import residual_q_norm_direct
+from oracles import drift_blockwise, residual_q_norm_direct
 from bhmc import (
     Approximation,
     CheckpointSchedule,
@@ -293,6 +293,46 @@ def test_solve_mip_drift_records_step_distance(mm1):
     assert legacy.flatten().sum() == pytest.approx(1.0, abs=1e-12)
 
 
+SCHEDULES = {
+    "every": CheckpointSchedule(),
+    "arithmetic": CheckpointSchedule(kind="arithmetic", stride=7),
+    "geometric": CheckpointSchedule(kind="geometric", factor=1.3),
+    "explicit": CheckpointSchedule(kind="explicit", levels=(3, 4, 10, 50, 51, 200, 494, 600)),
+}
+
+
+def _assert_drift_matches_blockwise(gen, cert, opts):
+    """Step distances, stop level and blocks against the blockwise oracle."""
+    approx = solve_mip_drift(gen, cert, opts)
+    steps, blocks, diffs = drift_blockwise(gen, cert, opts)
+    got = [r.step_distance for r in approx.pivot_trace]
+    assert len(got) == len(steps) and got[0] is None and steps[0] is None
+    for mine, ref in zip(got[1:], steps[1:]):
+        assert abs(mine - ref) <= 1e-14, (mine, ref)
+    assert approx.n == len(blocks) - 1
+    assert all(np.array_equal(a, b) for a, b in zip(approx.blocks, blocks))
+    return approx, diffs
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULES))
+def test_drift_step_distance_matches_blockwise_mm1(kind):
+    # the schedules between them skip 0, 1 and many factors between checkpoints
+    opts = SolverOptions(epsilon=1e-12, checkpoint_schedule=SCHEDULES[kind])
+    approx, _ = _assert_drift_matches_blockwise(make_mm1(0.95, 1.0), MM1_CERT, opts)
+    assert len(approx.pivot_trace) > 2
+
+
+@pytest.mark.parametrize("make_gen", [two_phase_ldqbd, two_phase_product_qbd])
+@pytest.mark.parametrize("kind", ["every", "arithmetic", "geometric"])
+def test_drift_step_distance_mixed_sign_sweep(make_gen, kind):
+    cert = DriftCertificate(v_blocks=lambda l: np.full(2, float(l + 1)), b=1.0)
+    opts = SolverOptions(epsilon=1e-10, checkpoint_schedule=SCHEDULES[kind])
+    approx, diffs = _assert_drift_matches_blockwise(make_gen(), cert, opts)
+    assert approx.converged
+    # the seed differences change sign, so the distance takes the sweep
+    assert any(d.min() < -1e-9 and d.max() > 1e-9 for d in diffs)
+
+
 def test_pivot_trace_is_bounded(heavy):
     # heavy tail decays slowly enough to outlast the retention window
     approx = solve_mip(heavy, SolverOptions(epsilon=1e-30, max_level=1100))
@@ -380,6 +420,28 @@ def test_tv_distance_symmetry_and_nonnegativity(a, b):
 def test_solve_mip_matches_lbcl_direct_on_random_chains(bandwidth, phases, seed):
     gen = random_banded(bandwidth, phases, seed)
     approx = solve_mip(gen, SolverOptions(epsilon=1e-10))
+    assert approx.converged
+    alpha = np.zeros(phases)
+    alpha[approx.pivot_trace[-1].pivot] = 1.0
+    assert tv_distance(approx.flatten(), lbcl_direct(gen, approx.n, alpha)) < 1e-10
+
+
+@given(
+    bandwidth=st.integers(1, 3),
+    phases=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    # geometric checkpoints grow too far apart: on some chains double
+    # precision runs out before two consecutive ones agree
+    kind=st.sampled_from(["every", "arithmetic"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_solve_mip_drift_matches_oracles_on_random_chains(bandwidth, phases, seed, kind):
+    gen = random_banded(bandwidth, phases, seed)
+    cert = DriftCertificate(v_blocks=lambda l: np.full(phases, float(l + 1)), b=1.0)
+    # 1e-8 keeps the stop level below about 50, past which lbcl_direct's
+    # pivot guard starts to refuse these truncations
+    opts = SolverOptions(epsilon=1e-8, checkpoint_schedule=SCHEDULES[kind])
+    approx, _ = _assert_drift_matches_blockwise(gen, cert, opts)
     assert approx.converged
     alpha = np.zeros(phases)
     alpha[approx.pivot_trace[-1].pivot] = 1.0

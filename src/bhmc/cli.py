@@ -43,6 +43,11 @@ from .solver import (
 
 BASELINE_NAMES = ("lbcl_direct", "bright_taylor", "brute_force")
 
+# The report never folds a line: libyaml and PyYAML's own emitter fold long
+# double-quoted strings at different places, and unfolded they agree byte
+# for byte.  This is the largest width libyaml accepts.
+REPORT_WIDTH = 2**31 - 1
+
 
 @dataclass
 class RunConfig:
@@ -399,7 +404,10 @@ def run(config_path: str, args: argparse.Namespace | None = None) -> int:
     if comparisons:
         report["result"]["comparisons"] = comparisons
     if cfg.report_path:
-        _write(cfg.report_path, yaml.safe_dump(report, sort_keys=False), "output.report")
+        # libyaml's emitter, when PyYAML has it, writes the same bytes faster
+        dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+        text = yaml.dump(report, Dumper=dumper, sort_keys=False, width=REPORT_WIDTH)
+        _write(cfg.report_path, text, "output.report")
     status = "converged" if approx.converged else "NOT converged"
     print(
         f"{status} at level {approx.n}: residual {approx.residual:.6g} "

@@ -206,30 +206,33 @@ def make_lattice_rw_2d(
         south_wall=south_wall,
     )
 
-    def moves(x: int, y: int):
-        # (dx, dy, rate) for every admissible unit step from (x, y)
-        yield 1, 0, east_wall if x == 0 else east
-        yield 0, 1, north_wall if y == 0 else north
-        if x > 0:
-            yield -1, 0, west_wall if y == 0 else west
-        if y > 0:
-            yield 0, -1, south_wall if x == 0 else south
-
     def phase_count(k: int) -> int:
         return k + 1
 
     def block(k: int, l: int) -> np.ndarray:
         out = np.zeros((k + 1, l + 1))
-        if abs(l - k) > 1:
+        if abs(l - k) > 1 or out.size == 0:
             return out
-        for x in range(k + 1):
-            y = k - x
-            if l == k:
-                out[x, x] = -sum(rate for _, _, rate in moves(x, y))
-            else:
-                for dx, dy, rate in moves(x, y):
-                    if k + dx + dy == l:
-                        out[x, x + dx] = rate
+        # phase x of level k is the point (x, k - x): the x = 0 wall is
+        # phase 0 and the y = 0 wall is phase k
+        x = np.arange(k + 1)
+        if l == k + 1:
+            out[x, x + 1] = east
+            out[x, x] = north
+            out[0, 1] = east_wall
+            out[k, k] = north_wall
+        elif l == k - 1:
+            out[x[1:], x[:-1]] = west
+            out[x[:-1], x[:-1]] = south
+            out[k, k - 1] = west_wall
+            out[0, 0] = south_wall
+        elif k == 0:
+            out[0, 0] = -(east_wall + north_wall)
+        else:
+            # each total sums its moves east, north, west, south
+            out[x, x] = -(east + north + west + south)
+            out[0, 0] = -(east_wall + north + south_wall)
+            out[k, k] = -(east + north_wall + west_wall)
         return out
 
     return BlockGenerator(phase_count, block, bandwidth=1)

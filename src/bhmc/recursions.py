@@ -28,7 +28,7 @@ from itertools import islice
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetri
 
 from .errors import ConfigError, IndexOutOfRange, InvalidBlock, PhaseMismatch, SingularBlock
 from .generator import BlockGenerator
@@ -49,9 +49,13 @@ PIVOT_RTOL = 1e-13
 def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     """Invert by LU with partial pivoting; tiny pivots raise SingularBlock.
 
-    Calls LAPACK ``getrf``/``getrs`` directly: on the small exit matrices
-    the wrapper overhead of ``scipy.linalg.lu_factor``/``lu_solve`` costs
-    more than the factorization.  An exactly zero pivot, which ``getrf``
+    Calls LAPACK ``getrf`` and then ``getri``, which inverts in place from
+    the factors: on the small exit matrices the wrapper overhead of
+    ``scipy.linalg.lu_factor``/``lu_solve`` costs more than the
+    factorization, and ``getri`` is cheaper than solving ``getrs`` against
+    the identity at every size (a 1x1 inverse is ``1 / pivot`` either way).
+    ``getri`` gets a fixed ``64 * m`` workspace, the blocked size LAPACK's
+    own workspace query returns.  An exactly zero pivot, which ``getrf``
     reports through ``info``, fails the pivot test below like any tiny one.
     """
     m = np.asarray(matrix, dtype=float)
@@ -61,7 +65,7 @@ def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     lu, piv, _ = dgetrf(m)
     if np.abs(np.diag(lu)).min() < PIVOT_RTOL * scale:
         raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
-    inverse, _ = dgetrs(lu, piv, np.eye(m.shape[0], order="F"), overwrite_b=True)
+    inverse, _ = dgetri(lu, piv, lwork=64 * m.shape[0], overwrite_lu=True)
     return inverse
 
 

@@ -7,15 +7,20 @@ cross-checks at the end assemble from the package's sojourn family or
 principal submatrix what the solver keeps in closed or recursive form,
 ``lbcl_direct_dense`` is the dense-LU reference for the sparse baseline,
 and ``drift_blockwise`` measures the drift driver's stopping distance on
-assembled approximations.
+assembled approximations.  ``lattice_block_loop`` and ``lu_inverse_getrs``
+keep the move-by-move lattice blocks and the ``getrs`` inverse that the
+package replaced, and ``family_blocks_mp`` is the 40-digit reference for
+the sojourn family.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from bhmc import (
     IndexOutOfRange,
@@ -27,6 +32,7 @@ from bhmc import (
     sojourn_matrix,
     tv_distance,
 )
+from bhmc.recursions import lu_inverse
 from bhmc.solver import _pivot_blocks
 
 
@@ -99,6 +105,50 @@ def lattice_grid_pi(rates: dict[str, float], grid: int) -> np.ndarray:
     return np.array(ordered)
 
 
+def lattice_block_loop(k: int, l: int, rates: dict[str, float]) -> np.ndarray:
+    """Block ``(k, l)`` of ``make_lattice_rw_2d`` built move by move.
+
+    ``rates`` holds all eight rates, the four compass rates and the four
+    ``*_wall`` rates.  Each phase ``x`` of level ``k`` lists its admissible
+    unit steps from ``(x, k - x)``; the diagonal sums their rates in the
+    order east, north, west, south, starting from 0.
+    """
+    e, w, n, s = rates["east"], rates["west"], rates["north"], rates["south"]
+    ew, ww, nw, sw = (rates[f"{d}_wall"] for d in ("east", "west", "north", "south"))
+
+    def moves(x, y):
+        yield 1, 0, ew if x == 0 else e
+        yield 0, 1, nw if y == 0 else n
+        if x > 0:
+            yield -1, 0, ww if y == 0 else w
+        if y > 0:
+            yield 0, -1, sw if x == 0 else s
+
+    out = np.zeros((k + 1, l + 1))
+    if abs(l - k) > 1:
+        return out
+    for x in range(k + 1):
+        y = k - x
+        if l == k:
+            out[x, x] = -sum(rate for _, _, rate in moves(x, y))
+        else:
+            for dx, dy, rate in moves(x, y):
+                if k + dx + dy == l:
+                    out[x, x + dx] = rate
+    return out
+
+
+def lu_inverse_getrs(matrix: np.ndarray) -> np.ndarray:
+    """Inverse by LAPACK ``getrf`` and ``getrs`` against the identity.
+
+    The route ``lu_inverse`` took before it called ``getri``; it has no
+    pivot guard, so callers pass well-conditioned matrices.
+    """
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(np.asarray(matrix, dtype=float))
+    inverse, _ = scipy.linalg.lapack.dgetrs(lu, piv, np.eye(lu.shape[0], order="F"))
+    return inverse
+
+
 def mm1_sojourn_at_zero_mc(
     lam: float, mu: float, start: int, top: int, paths: int, seed: int
 ) -> tuple[float, float]:
@@ -134,28 +184,64 @@ def family_blocks(gen, n: int, K_set=(0,)):
     """Whole sojourn family at level ``n`` by the full-family recursion.
 
     Keeps every member ``F[0..n]`` and multiplies each by
-    ``U_j @ block(j, j-1)`` at every level ``j``, with plain numpy inverses
-    and blocks read straight from the callback.  Returns the family, the
-    row sums ``u_star`` carried by their own recursion, and the partial row
-    sums over the levels of ``K_set`` up to ``n``, summed directly from the
-    family.
+    ``U_j @ block(j, j-1)`` at every level ``j``, with blocks read straight
+    from the callback.  It inverts with the package's ``lu_inverse``, so the
+    comparison with the product form checks the form and not which LAPACK
+    routine rounds the inverses; ``family_blocks_mp`` checks the rounding.
+    Returns the family, the row sums ``u_star`` carried by their own
+    recursion, and the partial row sums over the levels of ``K_set`` up to
+    ``n``, summed directly from the family.
     """
 
     def blk(k, l):
         return np.asarray(gen.block(k, l), dtype=float)
 
-    family = [np.linalg.inv(-blk(0, 0))]
+    family = [lu_inverse(-blk(0, 0), "oracle level 0")]
     u_star = family[0].sum(axis=1)
     for j in range(1, n + 1):
         q_down = blk(j, j - 1)
         lo = 0 if gen.bandwidth is None else max(0, j - gen.bandwidth)
         correction = sum(family[l] @ blk(l, j) for l in range(lo, j))
-        u_j = np.linalg.inv(-blk(j, j) - q_down @ correction)
+        u_j = lu_inverse(-blk(j, j) - q_down @ correction, f"oracle level {j}")
         step = u_j @ q_down
         family = [step @ f for f in family] + [u_j]
         u_star = u_j @ (1.0 + q_down @ u_star)
     u_star_K = sum(family[l].sum(axis=1) for l in K_set if l <= n)
     return family, u_star, u_star_K
+
+
+def family_blocks_mp(gen, n: int):
+    """The family and ``u_star`` of ``family_blocks`` at 40 digits.
+
+    Every block converts exactly to an mpmath matrix, and the recursion,
+    inverses included, runs at 40 digits; the results are rounded to
+    float64 only on return, so at the small ``n`` the tests use they are
+    the exact values to within one rounding.
+    """
+
+    def blk(k, l):
+        return mpmath.matrix(np.asarray(gen.block(k, l), dtype=float).tolist())
+
+    def ones(k):
+        return mpmath.ones(gen.phase_count(k), 1)
+
+    def to_float(a):
+        return np.array(a.tolist(), dtype=float).reshape(a.rows, a.cols)
+
+    with mpmath.workdps(40):
+        family = [(-blk(0, 0)) ** -1]
+        u_star = family[0] * ones(0)
+        for j in range(1, n + 1):
+            q_down = blk(j, j - 1)
+            lo = 0 if gen.bandwidth is None else max(0, j - gen.bandwidth)
+            correction = family[lo] * blk(lo, j)
+            for l in range(lo + 1, j):
+                correction += family[l] * blk(l, j)
+            u_j = (-blk(j, j) - q_down * correction) ** -1
+            step = u_j * q_down
+            family = [step * f for f in family] + [u_j]
+            u_star = u_j * (ones(j) + q_down * u_star)
+        return [to_float(f) for f in family], to_float(u_star)[:, 0]
 
 
 def u_star_K_direct(state) -> np.ndarray:

@@ -6,7 +6,7 @@ import yaml
 
 import oracles
 from bhmc import ConfigError, tv_distance
-from bhmc.cli import load_config, main
+from bhmc.cli import REPORT_WIDTH, load_config, main
 
 MM1_CONFIG = """
 model:
@@ -169,6 +169,49 @@ output:
     probs = np.array([float(ln.split(",")[2]) for ln in lines])
     geo = oracles.geometric_pi(1.0, 2.0, len(probs) - 1)
     assert tv_distance(probs, geo) < 1e-7
+
+
+@pytest.mark.parametrize("emitter", ["as_installed", "pure_python"])
+def test_report_bytes_match_safe_dumper(tmp_path, monkeypatch, emitter):
+    """The report is PyYAML's SafeDumper output, with libyaml or without it.
+
+    The config puts a non-ASCII output path longer than 80 characters with
+    spaces in it, a ``None`` value and nested block lists into the report.
+    Such a path is written double-quoted, which the two emitters would fold
+    at different places within 80 columns.
+    """
+    if emitter == "pure_python":
+        monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+    out_dir = tmp_path / ("résumé ünïcode directory " * 3).strip()
+    out_dir.mkdir()
+    report = out_dir / "report.yaml"
+    assert len(str(report)) > 80
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        f"""
+model:
+  inline:
+    bandwidth: 1
+    levels:
+      - {{"0": [[-1.0]], "1": [[1.0]]}}
+    tail: {{"-1": [[2.0]], "0": [[-3.0]], "1": [[1.0]]}}
+solver:
+  epsilon: 1.0e-8
+  schedule: null
+compare: [lbcl_direct]
+output:
+  report: "{report}"
+""",
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg)]) == 0
+    written = report.read_text()
+    payload = yaml.safe_load(written)
+    assert payload["config"]["output"]["report"] == str(report)
+    assert payload["config"]["solver"]["schedule"] is None
+    assert written == yaml.dump(
+        payload, Dumper=yaml.SafeDumper, sort_keys=False, width=REPORT_WIDTH
+    )
 
 
 def test_schedule_and_kset_overrides(tmp_path):

@@ -133,6 +133,25 @@ def test_lattice_unit_step_mapping(lattice):
     assert up[1, 1] == LATTICE_RATES["north"]
 
 
+def test_lattice_blocks_equal_loop_oracle():
+    """Closed-form blocks are bit-identical to the move-by-move loop.
+
+    All eight rates differ, and the three diagonal sums round differently
+    under any other summation order, so a wall rate read in the wrong place
+    or a reordered sum shows up.
+    """
+    rates = dict(
+        east=1.0 / 3.0, west=0.7, north=0.2, south=3.0 / 11.0,
+        east_wall=2.3, west_wall=0.3, north_wall=1.7, south_wall=1.1,
+    )
+    gen = make_lattice_rw_2d(**rates)
+    for k in range(61):
+        for l in range(max(k - 2, -1), k + 3):
+            got, expected = gen.block(k, l), oracles.lattice_block_loop(k, l, rates)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (k, l)
+    assert validate_proper_q(gen, 60).ok
+
+
 def test_lattice_bad_rates():
     with pytest.raises(BadRates):
         make_lattice_rw_2d(1.0, 0.0, 1.0, 3.0)

@@ -117,6 +117,34 @@ def test_exactly_singular_inverse_raises_singular_block_without_warning():
         lu_inverse(np.array([[0.0, 0.0], [0.0, 1.0]]), "zero column")
 
 
+def test_lu_inverse_matches_getrs_oracle():
+    """``getri`` inverts like ``getrs`` on the identity, and exactly at 1x1."""
+    rng = np.random.default_rng(5)
+    for m in range(1, 301):
+        a = rng.uniform(-1.0, 1.0, (m, m))
+        a += np.diag(np.abs(a).sum(axis=1) + rng.uniform(0.1, 1.0, m))
+        expected = oracles.lu_inverse_getrs(a)
+        got = lu_inverse(a, "dominant")
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), m
+    # the scalar-phase chains' digests rest on bit-identical 1x1 inverses
+    for value in [*rng.uniform(-10.0, 10.0, 200), 3.0, -1.0 / 3.0, 1e-300, -7e299]:
+        a = np.array([[value]])
+        assert lu_inverse(a, "scalar").tobytes() == oracles.lu_inverse_getrs(a).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [2, 7, 60])
+def test_nearly_singular_inverse_raises_singular_block(m):
+    rng = np.random.default_rng(m)
+    a = rng.uniform(0.0, 1.0, (m, m))
+    a[-1] = a[:-1].sum(axis=0)
+    with pytest.raises(SingularBlock, match="pivot below"):
+        lu_inverse(a, "dependent rows")
+    a[-1, -1] += 1e-15
+    with pytest.raises(SingularBlock, match="pivot below"):
+        lu_inverse(a, "nearly dependent rows")
+
+
 def test_u_star_K_recursive_equals_direct(mm1):
     state = drive_to(mm1, 2)
     np.testing.assert_allclose(state.u_star_K, [4.0])
@@ -252,9 +280,9 @@ def test_wide_update_leaves_earlier_states_valid(heavy):
             assert state.factors is None
 
 
-def test_product_form_matches_family_oracle(catalog):
-    """Window slices, lower products, pivot blocks and sweeps equal the whole-family recursion."""
-    gens = dict(
+def _family_chains(catalog):
+    """The catalog plus multi-phase, banded and infinite-band test chains."""
+    return dict(
         catalog,
         two_phase_ldqbd=two_phase_ldqbd(),
         two_phase_product_qbd=two_phase_product_qbd(),
@@ -264,6 +292,11 @@ def test_product_form_matches_family_oracle(catalog):
         band_inf_varying=random_varying(seed=17),
         band3_varying=random_varying(seed=19, bandwidth=3),
     )
+
+
+def test_product_form_matches_family_oracle(catalog):
+    """Window slices, lower products, pivot blocks and sweeps equal the whole-family recursion."""
+    gens = _family_chains(catalog)
     k_set = frozenset({0, 2})
     rng = np.random.default_rng(3)
 
@@ -290,3 +323,26 @@ def test_product_form_matches_family_oracle(catalog):
             rows = sojourn_rows(state, seed)
             for k in range(n + 1):
                 assert close(rows[k], seed @ family[k]), (name, n, k)
+
+
+def test_recursion_error_against_mp_reference(catalog):
+    """The float64 family and ``u_star`` are within ``4 eps u_star.max()`` of 40 digits.
+
+    The error of each member, relative to the largest entry of the family,
+    grows with the expected sojourn times; on these chains it stays below
+    1.7 ``eps * u_star.max()`` at every level up to 12.
+    """
+    eps = np.finfo(float).eps
+    for name, gen in _family_chains(catalog).items():
+        state = init_state(gen)
+        for n in range(13):
+            if n:
+                state = advance(state, gen)
+            family, u_star = oracles.family_blocks_mp(gen, n)
+            bound = 4.0 * eps * u_star.max()
+            scale = max(np.abs(f).max() for f in family)
+            for k in range(n + 1):
+                err = np.abs(sojourn_matrix(state, k) - family[k]).max()
+                assert err <= bound * scale, (name, n, k, err / scale)
+            err = np.abs(state.u_star - u_star).max()
+            assert err <= bound * u_star.max(), (name, n, err / u_star.max())

@@ -25,7 +25,7 @@ import yaml
 
 from . import baseline
 from .errors import BhmcError, ConfigError
-from .generator import BlockGenerator, lbcl_augment, principal_submatrix, validate_proper_q
+from .generator import BlockGenerator, check_blocks, lbcl_augment, principal_submatrix, validate_proper_q
 from .lfp import DriftCertificate
 from .models import build_model
 from .recursions import advance, init_state
@@ -160,9 +160,7 @@ def _inline_generator(node: Any) -> BlockGenerator:
         return b
 
     gen = BlockGenerator(phase_count, block, bandwidth=bandwidth)
-    for k in range(explicit + 1):  # shape consistency across the seam
-        for l in range(max(0, k - 1), k + bandwidth + 1):
-            gen.block_array(k, l)
+    check_blocks(gen, explicit + bandwidth)  # shapes across the seam, and signs
     return gen
 
 
@@ -174,7 +172,8 @@ def _build_generator(node: Any) -> BlockGenerator:
         _mapping(node, "model", {"inline"})
         return _inline_generator(node["inline"])
     _mapping(node, "model", {"name", "params"})
-    return build_model(node["name"], _mapping(node.get("params", {}), "model.params"))
+    params = _mapping(node.get("params", {}), "model.params")
+    return build_model(node["name"], {k: _number(v, f"model.params.{k}") for k, v in params.items()})
 
 
 def _build_schedule(node: Any, where: str = "solver.schedule") -> CheckpointSchedule:

@@ -10,7 +10,7 @@ class InvalidBlock(BhmcError):
 
 
 class MissingTailInfo(BhmcError):
-    """Row sums cannot be checked: no bandwidth and no tail-mass callback."""
+    """Row sums cannot be checked: no bandwidth and no ``tail_column`` callback."""
 
 
 class BadDistribution(BhmcError):
@@ -42,7 +42,7 @@ class UnsupportedInfiniteBand(BhmcError):
 
 
 class PhaseMismatch(BhmcError):
-    """A fixed direction vector does not match the phase layout."""
+    """A fixed direction, seed or drift vector does not fit its level's phases."""
 
 
 class NotQbd(BhmcError):

@@ -47,10 +47,11 @@ class BlockGenerator:
     bandwidth : int, optional
         Upper band limit ``b`` with ``block(k, l) = 0`` for ``l > k + b``.
         ``None`` means the upper band is genuinely infinite.
-    row_tail_mass : callable, optional
-        Exact analytic tail row sum ``(k, i, L) -> sum_{l > L}
-        (block(k, l) @ e)[i]``.  Required for conservativity checks when
-        ``bandwidth`` is absent.
+    tail_column : callable, optional
+        Maps ``(L, lo, hi)``, ``hi <= L``, to the exact tail row sums
+        ``sum_{m > L} block(l, m) @ e`` for ``l = lo..hi``, stacked into a
+        vector of length ``M_lo + ... + M_hi``.  Required for
+        conservativity checks when ``bandwidth`` is absent.
     column_blocks : callable, optional
         Maps ``(j, lo, hi)`` to the blocks ``block(l, j)`` for
         ``l = lo..hi`` stacked top to bottom, an array of shape
@@ -63,13 +64,15 @@ class BlockGenerator:
     phase_count: Callable[[int], int]
     block: Callable[[int, int], np.ndarray]
     bandwidth: int | None = None
-    row_tail_mass: Callable[[int, int, int], float] | None = None
+    tail_column: Callable[[int, int, int], np.ndarray] | None = None
     column_blocks: Callable[[int, int, int], np.ndarray] | None = None
 
     def block_array(self, k: int, l: int) -> np.ndarray:
-        """Fetch ``block(k, l)`` as a float array with its shape checked."""
+        """Fetch ``block(k, l)`` as a float array with its shape and ``M_k >= 1`` checked."""
         b = np.asarray(self.block(k, l), dtype=float)
         want = (self.phase_count(k), self.phase_count(l))
+        if want[0] < 1:
+            raise InvalidBlock(f"level {k} has phase_count {want[0]}, expected at least 1")
         if b.shape != want:
             raise InvalidBlock(
                 f"block({k},{l}) has shape {b.shape}, expected {want}"
@@ -92,7 +95,7 @@ class BlockGenerator:
 class Violation:
     """One proper-Q-matrix violation at state ``(level, phase)``."""
 
-    kind: str  # "stability" or "conservativity"
+    kind: str  # "conservativity"; bad signs and non-finite entries raise instead
     level: int
     phase: int
     value: float
@@ -146,18 +149,20 @@ def _check_block_signs(k: int, l: int, b: np.ndarray) -> None:
         raise InvalidBlock(f"block({k},{l}) has a negative entry")
 
 
-def check_blocks(gen: BlockGenerator, n: int) -> None:
-    """Raise InvalidBlock for the first bad block among levels ``0..n``.
+def check_blocks(gen: BlockGenerator, n: int) -> np.ndarray:
+    """Check the blocks among levels ``0..n`` and return their row sums.
 
     Checks signs and finiteness column by column.  Each column's blocks
     ``block(l, j)``, ``l = lo..min(j + 1, n)``, are read in one
     ``block_column`` call and tested at once: the diagonal of
     ``block(j, j)`` must be nonpositive and every other entry nonnegative.
     Only a column that fails, or has the wrong shape, is split into blocks
-    to name the culprit.
+    to raise InvalidBlock naming the culprit.  Returns the row sums
+    ``sum_{l <= n} block(k, l) @ e`` of levels ``k = 0..n``, flat.
     """
     counts = [gen.phase_count(k) for k in range(n + 1)]
     offsets = np.concatenate(([0], np.cumsum(counts)))
+    sums = np.zeros(offsets[-1])
     for j in range(n + 1):
         lo = 0 if gen.bandwidth is None else max(0, j - gen.bandwidth)
         hi = min(j + 1, n)
@@ -165,66 +170,57 @@ def check_blocks(gen: BlockGenerator, n: int) -> None:
         if col.shape == (offsets[hi + 1] - offsets[lo], counts[j]):
             # flip the sign of block(j, j)'s diagonal so one test covers all
             d = np.arange(counts[j])
-            col = col.copy()
-            col[offsets[j] - offsets[lo] + d, d] *= -1.0
-            if np.all(np.isfinite(col) & (col >= 0.0)):
+            signed = col.copy()
+            signed[offsets[j] - offsets[lo] + d, d] *= -1.0
+            if np.all(np.isfinite(signed) & (signed >= 0.0)):
+                sums[offsets[lo] : offsets[hi + 1]] += col.sum(axis=1)
                 continue
         for k in range(lo, hi + 1):
             _check_block_signs(k, j, gen.block_array(k, j))
         raise InvalidBlock(
             f"block column {j} over levels {lo}..{hi} disagrees with its blocks"
         )
+    return sums
 
 
 def validate_proper_q(
     gen: BlockGenerator, levels: int, tol: float = 1e-12
 ) -> ValidationReport:
-    """Check stability and conservativity over the first ``levels + 1`` levels.
+    """Check conservativity over the first ``levels + 1`` levels.
 
-    Every state ``(k, i)`` with ``k <= levels`` must have a finite diagonal
-    rate (stability) and a row sum of magnitude at most ``tol``
-    (conservativity).  Banded generators are summed exactly over the band;
-    otherwise the exact analytic ``row_tail_mass`` supplies the part of the
-    row beyond the diagonal.
+    Every state ``(k, i)`` with ``k <= levels`` must have a row sum of
+    magnitude at most ``tol``.  The row sums come from :func:`check_blocks`,
+    which checks signs and finiteness as it reads the blocks: over the band
+    when there is one, otherwise through ``levels`` plus the exact
+    ``tail_column`` beyond it.
 
     Raises
     ------
     MissingTailInfo
-        If the generator has neither ``bandwidth`` nor ``row_tail_mass``.
+        If the generator has neither ``bandwidth`` nor ``tail_column``.
     InvalidBlock
-        On a negative off-diagonal entry, a positive diagonal entry, or a
-        non-finite block entry.
+        On a negative off-diagonal entry, a positive diagonal entry, a
+        non-finite block entry, or a misshapen block or tail column.
     """
-    if gen.bandwidth is None and gen.row_tail_mass is None:
+    if gen.bandwidth is None and gen.tail_column is None:
         raise MissingTailInfo(
-            "cannot check row sums: generator has no bandwidth and no row_tail_mass"
+            "cannot check row sums: generator has no bandwidth and no tail_column"
         )
-    violations: list[Violation] = []
-    for k in range(levels + 1):
-        mk = gen.phase_count(k)
-        if gen.bandwidth is not None:
-            hi = k + gen.bandwidth
-            tail = np.zeros(mk)
-        else:
-            hi = k  # explicit through the diagonal; callback covers l > k
-            tail = np.array(
-                [gen.row_tail_mass(k, i, k) for i in range(mk)], dtype=float
-            )
-        row = tail
-        diag_block = None
-        for l in range(max(0, k - 1), hi + 1):
-            b = gen.block_array(k, l)
-            _check_block_signs(k, l, b)
-            row = row + b.sum(axis=1)
-            if l == k:
-                diag_block = b
-        diag = np.diag(diag_block)
-        for i in range(mk):
-            if not np.isfinite(diag[i]):
-                violations.append(Violation("stability", k, i, float(diag[i])))
-            if abs(row[i]) > tol:
-                violations.append(Violation("conservativity", k, i, float(row[i])))
-    return ValidationReport(levels, tol, tuple(violations))
+    offsets = np.cumsum([0] + [gen.phase_count(k) for k in range(levels + 1)])
+    rows = check_blocks(gen, levels + (gen.bandwidth or 0))[: offsets[-1]]
+    if gen.bandwidth is None:
+        tail = np.asarray(gen.tail_column(levels, 0, levels), dtype=float)
+        if tail.shape != rows.shape:
+            raise InvalidBlock(f"tail_column has shape {tail.shape}, expected {rows.shape}")
+        rows = rows + tail
+    # a NaN row sum fails the test too
+    bad = np.nonzero(~(np.abs(rows) <= tol))[0]
+    level = np.searchsorted(offsets, bad, side="right") - 1
+    violations = tuple(
+        Violation("conservativity", int(k), int(i - offsets[k]), float(rows[i]))
+        for k, i in zip(level, bad)
+    )
+    return ValidationReport(levels, tol, violations)
 
 
 def principal_submatrix(gen: BlockGenerator, n: int) -> PrincipalSubmatrix:

@@ -20,11 +20,12 @@ from .errors import (
     EmptyCandidateSet,
     IndexOutOfRange,
     NonpositiveWeight,
+    PhaseMismatch,
     SingularBlock,
     UnsupportedInfiniteBand,
 )
 from .generator import BlockGenerator
-from .recursions import RecursionState, sojourn_matrix
+from .recursions import RecursionState
 
 __all__ = [
     "PivotSelection",
@@ -162,24 +163,25 @@ def select_pivot_drift(
     The objective vector is ``v_n`` plus, for each retained level ``k``,
     the sojourn matrix applied to the drift mass that level ``k`` sends
     above level ``n``.  With an upper band ``b`` that mass involves only
-    ``block(k, l)`` for ``n < l <= k + b``, so only levels
-    ``k > n - b`` contribute; without a band the sum would be infinite,
-    which is why this rule refuses infinite-band generators outright
-    rather than silently truncating.
+    ``block(k, l)`` for ``n < l <= k + b``, so only the window levels
+    ``k > n - b`` contribute, and the sum is ``v_n`` plus one product
+    ``W @ block_column(l, lo, n) @ v_l`` per level ``l = n+1..n+b``.
+    Without a band the sum would be infinite, which is why this rule
+    refuses infinite-band generators outright rather than silently
+    truncating.  A ``v_l`` without ``M_l`` entries raises PhaseMismatch.
     """
     if gen.bandwidth is None:
         raise UnsupportedInfiniteBand(
             "drift-based selection needs a finite upper bandwidth"
         )
-    n, b = state.n, gen.bandwidth
-    y = cert.v(n).copy()
-    for k in range(max(0, n - b + 1), n + 1):
-        inner = np.zeros(gen.phase_count(k))
-        for l in range(n + 1, k + b + 1):
-            blk = gen.block_array(k, l)
-            if blk.any():
-                inner += blk @ cert.v(l)
-        y += sojourn_matrix(state, k) @ inner
+    n, lo, top = state.n, state.n + 1 - len(state.phases), state.n + gen.bandwidth
+    v = {l: cert.v(l) for l in range(n, top + 1)}  # v_n is read first
+    for l, vec in v.items():
+        if vec.shape != (gen.phase_count(l),):
+            raise PhaseMismatch(
+                f"drift vector at level {l} has length {vec.size}, expected {gen.phase_count(l)}"
+            )
+    y = v[n] + sum(state.W @ (gen.block_column(l, lo, n) @ v[l]) for l in range(n + 1, top + 1))
     objective = y / state.u_star
     best = float(objective.min())
     ties = np.nonzero(objective <= best * (1.0 + TAU_REL))[0]

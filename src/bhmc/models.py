@@ -152,20 +152,16 @@ def make_heavy_tail_mg1(mu: float, tail_c: float = 1.0) -> BlockGenerator:
         col[d == 0.0] = local_rate(j)
         return col[:, None]
 
-    def row_tail_mass(k: int, i: int, L: int) -> float:
-        # telescoping tail: sum_{j > m} A_j = tail_c / (2 (m+1) (m+2))
-        if L >= k:
-            m = L - k
-            return tail_c / (2.0 * (m + 1.0) * (m + 2.0))
-        if L == k - 1:
-            return a0 + tail_c / 4.0  # = -mu
-        return 0.0
+    def tail_column(L: int, lo: int, hi: int) -> np.ndarray:
+        # telescoping tail: sum_{j > m} A_j = tail_c / (2 (m+1) (m+2)), m = L - l
+        m = L - np.arange(lo, hi + 1, dtype=float)
+        return tail_c / (2.0 * (m + 1.0) * (m + 2.0))
 
     return BlockGenerator(
         _one_phase,
         block,
         bandwidth=None,
-        row_tail_mass=row_tail_mass,
+        tail_column=tail_column,
         column_blocks=column_blocks,
     )
 

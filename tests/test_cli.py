@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 import oracles
-from bhmc import ConfigError, tv_distance
+from bhmc import ConfigError, InvalidBlock, tv_distance
 from bhmc.cli import REPORT_WIDTH, load_config, main
 
 MM1_CONFIG = """
@@ -144,6 +144,42 @@ model:
     )
     assert main(["validate", str(cfg)]) == 1
     assert "conservativity" in capsys.readouterr().out
+
+
+def test_inline_negative_rate_fails_at_load(tmp_path, capsys):
+    cfg = tmp_path / "negative.yaml"
+    cfg.write_text(
+        """
+model:
+  inline:
+    bandwidth: 1
+    levels:
+      - {"0": [[-1.0]], "1": [[-1.0]]}
+    tail: {"-1": [[2.0]], "0": [[-3.0]], "1": [[1.0]]}
+"""
+    )
+    with pytest.raises(InvalidBlock, match=r"block\(0,1\) has a negative entry"):
+        load_config(cfg)
+    assert main(["run", str(cfg)]) == 1
+    assert "error: block(0,1) has a negative entry" in capsys.readouterr().err
+
+
+def test_exponent_form_model_params(tmp_path, capsys):
+    """YAML reads 5e-1 as a string; it loads as the number 0.5."""
+    cfg = tmp_path / "params.yaml"
+    written = []
+    for lam in ("0.5", "5e-1"):
+        dist = tmp_path / f"dist_{lam}.csv"
+        cfg.write_text(
+            f"model: {{name: mm1, params: {{lam: {lam}, mu: 1.0}}}}\n"
+            f"output: {{distribution: {dist}}}\n"
+        )
+        assert main(["run", str(cfg)]) == 0
+        written.append(dist.read_bytes())
+    assert written[0] == written[1]
+    cfg.write_text("model: {name: mm1, params: {lam: abc, mu: 1.0}}\n")
+    assert main(["run", str(cfg)]) == 1
+    assert "error: model.params.lam must be a number, got 'abc'" in capsys.readouterr().err
 
 
 def test_inline_model_matches_catalog(tmp_path):

@@ -13,13 +13,16 @@ from bhmc import (
     InvalidBlock,
     MissingTailInfo,
     lbcl_augment,
+    Violation,
     make_heavy_tail_mg1,
+    make_lattice_rw_2d,
     make_mm1,
     principal_submatrix,
+    solve_mip,
     validate_proper_q,
 )
 from bhmc.generator import check_blocks
-from conftest import two_phase_ldqbd
+from conftest import LATTICE_RATES, random_banded, two_phase_ldqbd
 
 
 def test_principal_submatrix_mm1_n1(mm1):
@@ -181,6 +184,27 @@ def test_validate_reports_conservativity_violation():
     assert len(report.violations) == 3
 
 
+def test_validate_maps_violation_to_level_and_phase():
+    # an extra up-rate of 0.5 leaves states (2, 1) and (3, 0) only
+    gen = _spoiled(_spoiled(two_phase_ldqbd(), (2, 3), (1, 1), 1.0), (3, 4), (0, 0), 1.5)
+    report = validate_proper_q(gen, 4)
+    assert report.violations == (
+        Violation("conservativity", 2, 1, 0.5),
+        Violation("conservativity", 3, 0, 0.5),
+    )
+
+
+def test_level_without_phases_is_invalid_block(mm1):
+    def phase_count(k):
+        return 0 if k == 3 else 1
+
+    def block(k, l):
+        return np.zeros((phase_count(k), phase_count(l))) if 3 in (k, l) else mm1.block(k, l)
+
+    with pytest.raises(InvalidBlock, match=r"level 3 has phase_count 0"):
+        solve_mip(BlockGenerator(phase_count, block, bandwidth=1))
+
+
 def test_block_array_checks_shape(mm1):
     def bad_block(k, l):
         return np.zeros((2, 2))
@@ -245,3 +269,24 @@ def test_check_blocks_reports_column_that_disagrees_with_blocks():
 
     with pytest.raises(InvalidBlock, match=r"block column 4 over levels 0\.\.5"):
         check_blocks(replace(heavy, column_blocks=column_blocks), 8)
+
+
+ROW_SUM_CASES = {
+    "lattice": lambda: make_lattice_rw_2d(**LATTICE_RATES),
+    "two_phase_ldqbd": two_phase_ldqbd,
+    "heavy_tail": lambda: make_heavy_tail_mg1(3.0, 1.0),
+    "random_band_1": lambda: random_banded(1, 3, 0),
+    "random_band_3": lambda: random_banded(3, 2, 1),
+    "random_band_inf": lambda: random_banded(None, 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_SUM_CASES))
+def test_check_blocks_row_sums_match_submatrix(case):
+    """The row sums check_blocks reads column by column equal the assembled rows'."""
+    gen, n = ROW_SUM_CASES[case](), 12
+    q = principal_submatrix(gen, n).data
+    sums = check_blocks(gen, n)
+    assert sums.shape == (q.shape[0],)
+    scale = abs(q).sum(axis=1)
+    assert np.all(np.abs(sums - q.sum(axis=1)) <= 1e-15 * scale)

@@ -11,6 +11,7 @@ from bhmc import (
     DriftCertificate,
     EmptyCandidateSet,
     IndexOutOfRange,
+    PhaseMismatch,
     SingularBlock,
     UnsupportedInfiniteBand,
     incoming_support,
@@ -19,8 +20,10 @@ from bhmc import (
     outgoing_support,
     select_pivot,
     select_pivot_drift,
+    sojourn_matrix,
+    solve_mip_drift,
 )
-from conftest import drive_to, two_phase_ldqbd
+from conftest import drive_to, random_banded, two_phase_ldqbd
 
 
 def test_incoming_support_mm1(mm1):
@@ -189,6 +192,28 @@ def test_select_pivot_drift_two_phase_runs():
     sel = select_pivot_drift(state, gen, cert)
     assert sel.pivot in (0, 1)
     assert sel.objective > 0
+
+
+@pytest.mark.parametrize("bandwidth, n", [(1, 5), (2, 1), (3, 7)])
+def test_select_pivot_drift_matches_blockwise_sum(bandwidth, n):
+    """The objective equals v_n + sum_k sojourn(k) @ sum_l block(k, l) @ v_l, block by block."""
+    gen = random_banded(bandwidth, 2, 3)
+    cert = DriftCertificate(lambda l: np.array([1.0 + l, 2.0 + 0.5 * l]), b=1.0)
+    state = drive_to(gen, n)
+    y = cert.v(n).copy()
+    for k in range(max(0, n - bandwidth + 1), n + 1):
+        for l in range(n + 1, k + bandwidth + 1):
+            y += sojourn_matrix(state, k) @ gen.block(k, l) @ cert.v(l)
+    objective = y / state.u_star
+    sel = select_pivot_drift(state, gen, cert)
+    assert sel.pivot == int(np.argmin(objective))
+    assert sel.objective == pytest.approx(objective.min(), rel=1e-13)
+
+
+def test_drift_vector_of_wrong_length_is_phase_mismatch(mm1):
+    cert = DriftCertificate(lambda l: np.ones(2), b=1.0)
+    with pytest.raises(PhaseMismatch, match=r"drift vector at level 1 has length 2, expected 1"):
+        solve_mip_drift(mm1, cert)
 
 
 def test_select_pivot_drift_refuses_infinite_band():

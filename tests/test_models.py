@@ -107,17 +107,17 @@ def test_heavy_tail_jump_rates_strictly_decreasing():
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
-def test_heavy_tail_row_tail_mass_consistency():
-    gen = make_heavy_tail_mg1(3.0, 1.0)
-    # tail callback at L equals partial band sum difference
-    explicit = sum(gen.block(2, 2 + j).item() for j in range(1, 200))
-    assert gen.row_tail_mass(2, 0, 2) == pytest.approx(0.25)
-    assert gen.row_tail_mass(2, 0, 8) == pytest.approx(0.25 - sum(
-        gen.block(2, 2 + j).item() for j in range(1, 7)
-    ))
-    assert gen.row_tail_mass(2, 0, 1) == pytest.approx(-3.0)
-    assert gen.row_tail_mass(2, 0, 0) == 0.0
-    assert explicit < 0.25
+def test_heavy_tail_tail_column_matches_partial_sums(heavy):
+    # tail_column(L) - tail_column(L + 200) is a finite sum of blocks, with no truncation
+    for L, lo, hi in [(0, 0, 0), (5, 0, 5), (12, 3, 9), (40, 40, 40)]:
+        tail, far = heavy.tail_column(L, lo, hi), heavy.tail_column(L + 200, lo, hi)
+        assert tail.shape == (hi - lo + 1,)
+        for l in range(lo, hi + 1):
+            between = sum(heavy.block(l, m).item() for m in range(L + 1, L + 201))
+            assert tail[l - lo] - far[l - lo] == pytest.approx(between, rel=1e-12)
+    # a whole upward tail is tail_c / 4, the rate the diagonal pays for it
+    assert heavy.tail_column(2, 2, 2).item() == pytest.approx(0.25)
+    assert heavy.tail_column(2, 2, 2).item() == -heavy.block(2, 2).item() - heavy.block(2, 1).item()
 
 
 def test_lattice_phase_counts_and_shapes(lattice):

@@ -43,7 +43,8 @@ class BlockGenerator:
         Maps ``(k, l)`` to the ``M_k x M_l`` rate block.  Must return a
         zero matrix for ``l < k - 1`` and, when ``bandwidth`` is set, for
         ``l > k + bandwidth``.  Providers must be pure: repeated calls
-        return identical values.
+        return identical values.  A solve relies on it: it reuses each
+        block it reads while a later step needs it, and writes into none.
     bandwidth : int, optional
         Upper band limit ``b`` with ``block(k, l) = 0`` for ``l > k + b``.
         ``None`` means the upper band is genuinely infinite.
@@ -88,6 +89,8 @@ class BlockGenerator:
         """
         if self.column_blocks is not None:
             return np.asarray(self.column_blocks(j, lo, hi), dtype=float)
+        if lo == hi:  # a single block needs no copy
+            return self.block_array(lo, j)
         return np.concatenate([self.block_array(l, j) for l in range(lo, hi + 1)])
 
 

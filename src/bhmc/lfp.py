@@ -86,7 +86,7 @@ def incoming_support(gen: BlockGenerator, n: int) -> frozenset[int]:
     not computed quantities, so no tolerance applies.
     """
     col_sums = gen.block_array(n + 1, n).sum(axis=0)
-    return frozenset(int(j) for j in np.nonzero(col_sums > 0.0)[0])
+    return frozenset((col_sums > 0.0).nonzero()[0].tolist())
 
 
 def outgoing_support(state: RecursionState, gen: BlockGenerator) -> frozenset[int]:
@@ -102,7 +102,7 @@ def outgoing_support(state: RecursionState, gen: BlockGenerator) -> frozenset[in
     top = w.max()
     if top <= 0.0:
         return frozenset()
-    return frozenset(int(i) for i in np.nonzero(w > TAU_REL * top)[0])
+    return frozenset((w > TAU_REL * top).nonzero()[0].tolist())
 
 
 def select_pivot(
@@ -128,11 +128,11 @@ def select_pivot(
         raise IndexOutOfRange(
             f"u_star_K unavailable: level {state.n} below max(K_set)"
         )
-    candidates = sorted(I & O)
-    if not candidates:
+    candidates = np.array(sorted(I & O), dtype=int)
+    if not candidates.size:
         raise EmptyCandidateSet(f"no candidate phase at level {state.n}")
     ratios = state.u_star_K[candidates] / state.u_star[candidates]
-    if not np.all(np.isfinite(ratios)):
+    if not np.isfinite(ratios).all():
         raise SingularBlock(
             f"non-finite occupancy ratio at level {state.n}; u_star or "
             "u_star_K has left double range"
@@ -142,16 +142,14 @@ def select_pivot(
         raise EmptyCandidateSet(
             f"all candidate ratios vanish at level {state.n}"
         )
-    j_star = tuple(
-        j for j, r in zip(candidates, ratios) if r >= best * (1.0 - TAU_REL)
-    )
-    pivot = j_star[0]
+    ties = ratios >= best * (1.0 - TAU_REL)
+    first = int(ties.argmax())  # candidates ascend, so the smallest index
     return PivotSelection(
         I_plus=frozenset(I),
         O_plus=frozenset(O),
-        J_star=j_star,
-        pivot=pivot,
-        ratio=float(state.u_star_K[pivot] / state.u_star[pivot]),
+        J_star=tuple(candidates[ties].tolist()),
+        pivot=int(candidates[first]),
+        ratio=float(ratios[first]),
     )
 
 

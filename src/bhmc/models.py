@@ -86,9 +86,9 @@ def make_mmc(lam: float, mu: float, c: int) -> BlockGenerator:
     Stable when ``lam < c * mu``.
     """
     _require_positive(lam=lam, mu=mu)
+    if not (np.isfinite(c) and c >= 1 and c == int(c)):
+        raise BadRates(f"server count must be an integer >= 1, got {c!r}")
     c = int(c)
-    if c < 1:
-        raise BadRates(f"server count must be >= 1, got {c}")
     if lam >= c * mu:
         raise UnstableModel(
             f"mmc requires lam < c * mu, got lam={lam}, c*mu={c * mu}"

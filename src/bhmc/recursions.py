@@ -55,18 +55,18 @@ def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     factorization, and ``getri`` is cheaper than solving ``getrs`` against
     the identity at every size (a 1x1 inverse is ``1 / pivot`` either way).
     ``getri`` gets a fixed ``64 * m`` workspace, the blocked size LAPACK's
-    own workspace query returns.  An exactly zero pivot, which ``getrf``
-    reports through ``info``, fails the pivot test below like any tiny one.
+    own workspace query returns.  Its two tests, on the scale and on the
+    smallest pivot, are false on NaN too; an exactly zero pivot, which
+    ``getrf`` reports through ``info``, fails like any tiny one.
     """
     m = np.asarray(matrix, dtype=float)
     scale = np.abs(m).sum(axis=1).max() if m.size else 0.0
-    if scale == 0.0 or not np.isfinite(scale):
-        raise SingularBlock(f"{what}: matrix is zero or non-finite")
-    lu, piv, _ = dgetrf(m)
-    if np.abs(np.diag(lu)).min() < PIVOT_RTOL * scale:
+    if 0.0 < scale < np.inf:  # false on NaN too
+        lu, piv, _ = dgetrf(m)
+        if np.abs(lu.diagonal()).min() >= PIVOT_RTOL * scale:
+            return dgetri(lu, piv, lwork=64 * m.shape[0], overwrite_lu=True)[0]
         raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
-    inverse, _ = dgetri(lu, piv, lwork=64 * m.shape[0], overwrite_lu=True)
-    return inverse
+    raise SingularBlock(f"{what}: matrix is zero or non-finite")
 
 
 @dataclass
@@ -149,13 +149,14 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     ``lo`` once that level leaves the band, with ``U_star(n+1)`` appended.
     On a finite band the step factor ``block(n+1, n) @ U_star(n)`` joins
     ``factors``.  The partial row-sum vector updates by a single left
-    product with ``U_star(n+1) @ block(n+1, n)``.
+    product with ``U_star(n+1) @ block(n+1, n)``.  The new row sums pass
+    one test; only a failing step runs the checks that name the loss.
     """
     n, n1 = state.n, state.n + 1
     lo = n1 - len(state.phases)
-    m1 = gen.phase_count(n1)
     q_next = gen.block_array(n1, n1)
     q_down = gen.block_array(n1, n)
+    m1 = q_next.shape[0]
     col = gen.block_column(n1, lo, n)
     if col.shape != (state.W.shape[1], m1):
         raise InvalidBlock(
@@ -175,17 +176,19 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
         u_k = step @ state.u_K
         if n1 in state.K_set:
             u_k += u1.sum(axis=1)
-    if not (np.all(np.isfinite(u_vec)) and np.all(np.isfinite(u_k))):
-        raise SingularBlock(
-            f"u_star overflowed at level {n1}; the expected sojourn times "
-            "exceed double range at this depth"
-        )
-    if not np.all(u_vec > 0.0):
-        raise SingularBlock(
-            f"positivity of u_star lost at level {n1}; accumulated rounding "
-            "has exhausted double precision at this depth"
-        )
-    if u_k.min() < -1e-12 * max(u_k.max(), 0.0):
+    k_top = u_k.max()  # one test, false on NaN too; its body only names the failure
+    if not (0.0 < u_vec.min() and u_vec.max() < np.inf and k_top < np.inf
+            and u_k.min() >= -1e-12 * max(k_top, 0.0)):
+        if not (np.all(np.isfinite(u_vec)) and np.all(np.isfinite(u_k))):
+            raise SingularBlock(
+                f"u_star overflowed at level {n1}; the expected sojourn times "
+                "exceed double range at this depth"
+            )
+        if not np.all(u_vec > 0.0):
+            raise SingularBlock(
+                f"positivity of u_star lost at level {n1}; accumulated rounding "
+                "has exhausted double precision at this depth"
+            )
         raise SingularBlock(f"positivity of u_star_K lost at level {n1}")
 
     finite = gen.bandwidth is not None
@@ -200,7 +203,7 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
         u_star=u_vec,
         u_K=u_k,
         K_set=state.K_set,
-        q_diag_n=np.diag(q_next).copy(),
+        q_diag_n=q_next.diagonal().copy(),
     )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import count, islice
 from typing import Callable, Iterator
 
@@ -261,10 +261,8 @@ def tv_distance(h1, h2) -> float:
 
 def _select_at(state: RecursionState, gen: BlockGenerator) -> PivotSelection:
     inc = incoming_support(gen, state.n)
-    if state.n >= 1:
-        out = outgoing_support(state, gen)
-    else:
-        out = frozenset(range(state.u_star.shape[0]))  # no level below 0
+    # level 0 has no level below it, so no phase is ruled out
+    out = outgoing_support(state, gen) if state.n else frozenset(range(state.u_star.shape[0]))
     return select_pivot(state, inc, out)
 
 
@@ -309,8 +307,31 @@ def _step_distance(
     return float(np.abs(np.concatenate(sojourn_rows(prev, d))).sum()) + tail
 
 
+@dataclass(frozen=True)
+class _ReadOnce(BlockGenerator):
+    """The generator of one solve; ``block_array`` keeps the checked blocks in ``memo``.
+
+    Before the step from level ``n``, ``leave(n)`` drops all but what later
+    reads need: ``block(n+1, n)``, read by the checkpoint at ``n`` and the
+    step, and the columns above ``n`` that the drift rule reads ahead, at
+    most ``b * b`` blocks on a band of width ``b``.
+    """
+
+    memo: dict = field(default_factory=dict)
+
+    def block_array(self, k: int, l: int) -> np.ndarray:
+        b = self.memo.get((k, l))
+        if b is None:
+            b = self.memo[k, l] = super().block_array(k, l)
+        return b
+
+    def leave(self, n: int) -> None:
+        for kl in [kl for kl in self.memo if kl[1] <= n and kl != (n + 1, n)]:
+            del self.memo[kl]
+
+
 Blocks = Callable[[], tuple[np.ndarray, ...]]
-Checkpoint = Callable[[RecursionState], tuple[CheckpointRecord, bool, Blocks]]
+Checkpoint = Callable[[RecursionState, BlockGenerator], tuple[CheckpointRecord, bool, Blocks]]
 
 
 def _drive(
@@ -318,16 +339,19 @@ def _drive(
 ) -> Approximation:
     """Advance level by level and evaluate ``checkpoint`` at scheduled levels.
 
-    ``checkpoint(state)`` returns the trace record, whether the stopping
-    rule holds, and a thunk assembling the blocks, which is called only at
-    the stop.  The run stops when the rule holds, at ``max_level``, or at
-    the last level of an explicit schedule; ``converged`` says whether the
-    rule held there.  A numerical failure, or a stop without convergence,
-    is first traced back to the blocks read so far: a block with a wrong
-    sign or a non-finite entry is reported as ``InvalidBlock``, caused by
-    the original error if there was one.
+    ``checkpoint(state, gen)`` returns the trace record, whether the
+    stopping rule holds, and a thunk assembling the blocks, which is called
+    only at the stop.  Steps and checkpoints read ``gen`` through one
+    ``_ReadOnce``, so no block they share is fetched twice.  The run stops
+    when the rule holds, at ``max_level``, or at the last level of an
+    explicit schedule; ``converged`` says whether the rule held there.  A
+    numerical failure, or a stop without convergence, is first traced back
+    to the blocks, read afresh from ``gen``: a block with a wrong sign or a
+    non-finite entry is reported as ``InvalidBlock``, caused by the
+    original error if there was one.
     """
-    state = init_state(gen, opts.K_set)
+    reads = _ReadOnce(*(getattr(gen, f.name) for f in fields(BlockGenerator)))
+    state = init_state(reads, opts.K_set)
     schedule = opts.checkpoint_schedule.iterate(max(max(opts.K_set), 1))
     next_cp = next(schedule, None)
     trace: deque[CheckpointRecord] = deque(maxlen=TRACE_LIMIT)
@@ -335,7 +359,7 @@ def _drive(
         while True:
             at_cap = state.n >= opts.max_level
             if state.n == next_cp or at_cap:
-                record, done, blocks = checkpoint(state)
+                record, done, blocks = checkpoint(state, reads)
                 trace.append(record)
                 next_cp = next(schedule, None)
                 if done or at_cap or next_cp is None:
@@ -349,7 +373,8 @@ def _drive(
                         converged=done,
                         variant=variant,
                     )
-            state = advance(state, gen)
+            reads.leave(state.n)
+            state = advance(state, reads)
     except BhmcError as exc:
         if isinstance(exc, (ConfigError, InvalidBlock)):
             raise
@@ -373,7 +398,7 @@ def solve_mip(gen: BlockGenerator, opts: SolverOptions | None = None) -> Approxi
     """
     opts = opts if opts is not None else SolverOptions()
 
-    def checkpoint(state: RecursionState):
+    def checkpoint(state: RecursionState, gen: BlockGenerator):
         sel = _select_at(state, gen)
         res = residual_q_norm(state, sel.pivot)
         record = CheckpointRecord(state.n, sel.pivot, sel.ratio, res)
@@ -402,7 +427,7 @@ def solve_mip_drift(
     opts = opts if opts is not None else SolverOptions()
     prev: tuple[RecursionState, np.ndarray] | None = None
 
-    def checkpoint(state: RecursionState):
+    def checkpoint(state: RecursionState, gen: BlockGenerator):
         nonlocal prev
         sel = select_pivot_drift(state, gen, cert)
         res = residual_q_norm(state, sel.pivot)
@@ -434,7 +459,7 @@ def solve_fixed_direction(
     opts = opts if opts is not None else SolverOptions()
     varpi = direction.varpi
 
-    def checkpoint(state: RecursionState):
+    def checkpoint(state: RecursionState, _gen: BlockGenerator):
         if state.u_star.shape[0] != varpi.shape[0]:
             raise PhaseMismatch(
                 f"direction has {varpi.shape[0]} phases but level "

@@ -10,7 +10,9 @@ and ``drift_blockwise`` measures the drift driver's stopping distance on
 assembled approximations.  ``lattice_block_loop`` and ``lu_inverse_getrs``
 keep the move-by-move lattice blocks and the ``getrs`` inverse that the
 package replaced, and ``family_blocks_mp`` is the 40-digit reference for
-the sojourn family.
+the sojourn family.  ``incoming_support_loop``, ``outgoing_support_loop``
+and ``select_pivot_loop`` are the set-by-set pivot selection that the
+array form replaced.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from bhmc import (
     sojourn_matrix,
     tv_distance,
 )
+from bhmc.errors import EmptyCandidateSet, SingularBlock
+from bhmc.lfp import TAU_REL, PivotSelection
 from bhmc.recursions import lu_inverse
 from bhmc.solver import _pivot_blocks
 
@@ -328,3 +332,53 @@ def drift_blockwise(gen, cert, opts):
         if (steps[-1] is not None and steps[-1] < opts.epsilon) or state.n >= opts.max_level:
             break
     return steps, blocks, diffs
+
+
+def incoming_support_loop(gen, n: int) -> frozenset[int]:
+    """Phases of level ``n`` with a positive column sum in ``block(n+1, n)``, one by one."""
+    col_sums = gen.block_array(n + 1, n).sum(axis=0)
+    return frozenset(int(j) for j in np.nonzero(col_sums > 0.0)[0])
+
+
+def outgoing_support_loop(state, gen) -> frozenset[int]:
+    """Phases whose ``U_star @ block(n, n-1) @ e`` entry exceeds ``TAU_REL`` times the largest."""
+    if state.n == 0:
+        raise IndexOutOfRange("outgoing support is undefined at level 0")
+    w = state.U_star @ gen.block_array(state.n, state.n - 1).sum(axis=1)
+    top = w.max()
+    if top <= 0.0:
+        return frozenset()
+    return frozenset(int(i) for i in np.nonzero(w > TAU_REL * top)[0])
+
+
+def select_pivot_loop(state, I, O) -> PivotSelection:
+    """Ratio-maximizing pivot with the argmax set gathered candidate by candidate."""
+    if state.u_star_K is None:
+        raise IndexOutOfRange(
+            f"u_star_K unavailable: level {state.n} below max(K_set)"
+        )
+    candidates = sorted(I & O)
+    if not candidates:
+        raise EmptyCandidateSet(f"no candidate phase at level {state.n}")
+    ratios = state.u_star_K[candidates] / state.u_star[candidates]
+    if not np.all(np.isfinite(ratios)):
+        raise SingularBlock(
+            f"non-finite occupancy ratio at level {state.n}; u_star or "
+            "u_star_K has left double range"
+        )
+    best = float(ratios.max())
+    if not best > 0.0:
+        raise EmptyCandidateSet(
+            f"all candidate ratios vanish at level {state.n}"
+        )
+    j_star = tuple(
+        j for j, r in zip(candidates, ratios) if r >= best * (1.0 - TAU_REL)
+    )
+    pivot = j_star[0]
+    return PivotSelection(
+        I_plus=frozenset(I),
+        O_plus=frozenset(O),
+        J_star=j_star,
+        pivot=pivot,
+        ratio=float(state.u_star_K[pivot] / state.u_star[pivot]),
+    )

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,9 @@ from bhmc import (
     BlockGenerator,
     CheckpointSchedule,
     ConfigError,
+    DriftCertificate,
     EmptyCandidateSet,
+    FixedDirection,
     InvalidBlock,
     SingularBlock,
     SolverOptions,
@@ -168,11 +171,45 @@ def test_numerical_failure_on_valid_blocks_keeps_its_class():
         solve_mip(stuck, SolverOptions(epsilon=1e-8))
 
 
-def test_benchmark_hooks_resolve():
-    # the benchmark's tracer wraps these names; a missing one goes unmeasured
+def _bench_hooks() -> tuple:
+    """``HOOKS`` of the benchmark's tracer, read from its file."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for kind, module, name in tracing.HOOKS:
+    return tracing.HOOKS
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark's tracer wraps these names; a missing one goes unmeasured
+    for kind, module, name in _bench_hooks():
         assert callable(getattr(importlib.import_module(module), name, None)), kind
+
+
+def _counted(calls: Counter, key, fn):
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_benchmark_hooks_are_the_names_callers_read(tmp_path, monkeypatch, capsys):
+    # a layer whose caller stopped reading the hooked name would trace as empty
+    hooks = [(module, name) for _kind, module, name in _bench_hooks()]
+    calls: Counter = Counter()
+    for module, name in hooks:
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, name, _counted(calls, (module, name), getattr(mod, name)))
+    gen, opts = make_mm1(1.0, 2.0), SolverOptions(epsilon=1e-6)
+    cert = DriftCertificate(lambda l: np.full(1, 1.0 + l), b=1.0)
+    bhmc.solver.solve_mip_drift(gen, cert, opts)
+    bhmc.solver.solve_fixed_direction(gen, FixedDirection(np.ones(1)), opts)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\n"
+        "compare: [lbcl_direct, bright_taylor, brute_force]\n"
+        f"output: {{distribution: {tmp_path / 'd.csv'}, report: {tmp_path / 'r.yaml'}}}\n"
+    )
+    assert bhmc.cli.main(["run", str(cfg)]) == 0
+    assert [hook for hook in hooks if not calls[hook]] == []

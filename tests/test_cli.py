@@ -87,6 +87,16 @@ def test_run_overflow_exits_1(tmp_path, capsys):
     assert "error: u_star overflowed at level 1023" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c, shown", [("2.5", "2.5"), (".inf", "inf"), (".nan", "nan")])
+def test_run_mmc_with_non_integral_server_count_exits_1(tmp_path, capsys, c, shown):
+    cfg = tmp_path / "mmc.yaml"
+    cfg.write_text(f"model:\n  name: mmc\n  params: {{lam: 1.0, mu: 1.0, c: {c}}}\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: server count must be an integer >= 1, got {shown}" in err
+    assert "Traceback" not in err
+
+
 def test_heavy_tail_with_compare(tmp_path):
     cfg = tmp_path / "heavy.yaml"
     dist = tmp_path / "dist.csv"

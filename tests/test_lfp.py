@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from bhmc import (
     BlockGenerator,
     DriftCertificate,
@@ -23,6 +24,8 @@ from bhmc import (
     sojourn_matrix,
     solve_mip_drift,
 )
+from bhmc.lfp import TAU_REL
+from bhmc.recursions import RecursionState
 from conftest import drive_to, random_banded, two_phase_ldqbd
 
 
@@ -170,6 +173,63 @@ def test_select_pivot_optimality_random_feasible(seed, n):
         alpha[support] = rng.dirichlet(np.ones(len(support)))
         r = (alpha @ state.u_star_K) / (alpha @ state.u_star)
         assert r <= sel.ratio + 1e-12
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the class and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def selection_cases(draw):
+    """A level-3 state and its two support blocks, crowded with ties at the TAU_REL cut.
+
+    The ratios are drawn from the best ratio, its cut ``best * (1 - TAU_REL)``
+    and a few ulps to either side of both, and ``u_star`` from a short pool,
+    so exact ties and ties one rounding apart are common.  ``U_star`` is the
+    identity and ``block(3, 2)`` has one nonzero column, so the outgoing
+    weights are the drawn values exactly, again placed around the cut.
+    """
+    m = draw(st.integers(1, 6))
+    best = draw(st.floats(1e-6, 1.0))
+    cut = best * (1.0 - TAU_REL)
+    near = [best, cut, *np.nextafter([best, cut], 0.0), *np.nextafter([best, cut], 2.0)]
+    ratios = draw(st.lists(st.sampled_from(near + [0.5 * best, 0.0]), min_size=m, max_size=m))
+    u_star = draw(st.lists(st.sampled_from([1.0, 0.7, 3.0, 12.5]), min_size=m, max_size=m))
+    u_star = np.array(u_star)
+    state = RecursionState(
+        n=3, W=np.eye(m), phases=(m,), factors=None, u_star=u_star,
+        u_K=np.array(ratios) * u_star, K_set=frozenset({0}), q_diag_n=-np.ones(m),
+    )
+    top = draw(st.floats(1e-3, 1e3))
+    tail = top * TAU_REL
+    weights = [top, tail, *np.nextafter([tail, top], 0.0), *np.nextafter([tail, top], 2.0), 0.0]
+    down = np.zeros((m, m))
+    down[:, 0] = draw(st.lists(st.sampled_from(weights), min_size=m, max_size=m))
+    up = np.array(draw(st.lists(st.sampled_from([0.0, 5e-324, 0.25, 1.0]), min_size=m * m,
+                                max_size=m * m))).reshape(m, m)
+    blocks = {(3, 2): down, (4, 3): up}
+    gen = BlockGenerator(lambda k: m, lambda k, l: blocks.get((k, l), np.zeros((m, m))),
+                         bandwidth=1)
+    subsets = st.frozensets(st.integers(0, m - 1))
+    return gen, state, draw(subsets), draw(subsets)
+
+
+@given(selection_cases())
+@settings(max_examples=300, deadline=None)
+def test_array_selection_matches_set_oracle(case):
+    """Supports and pivots equal the set-by-set reference bit for bit, errors included."""
+    gen, state, I, O = case
+    inc = incoming_support(gen, 3)
+    out = outgoing_support(state, gen)
+    assert inc == oracles.incoming_support_loop(gen, 3)
+    assert out == oracles.outgoing_support_loop(state, gen)
+    for pair in ((inc, out), (I, O), (I, frozenset(range(state.u_star.size)))):
+        got = _outcome(select_pivot, state, *pair)
+        assert got == _outcome(oracles.select_pivot_loop, state, *pair)
 
 
 def test_select_pivot_drift_mm1_hand_value(mm1):

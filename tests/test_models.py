@@ -55,6 +55,18 @@ def test_mmc_unstable():
         make_mmc(3.0, 1.0, 2)
 
 
+@pytest.mark.parametrize("c", [2.5, float("inf"), float("nan"), 0, -3.0])
+def test_mmc_server_count_must_be_a_positive_integer(c):
+    # int(c) would solve a 2-server queue for c = 2.5 and raise a bare
+    # OverflowError or ValueError for an infinite or NaN count
+    with pytest.raises(BadRates, match=rf"server count must be an integer >= 1, got {c!r}"):
+        make_mmc(1.0, 1.0, c)
+
+
+def test_mmc_integral_float_server_count(mmc):
+    assert np.array_equal(make_mmc(1.0, 1.0, 2.0).block(5, 4), mmc.block(5, 4))
+
+
 def test_mmc_matches_erlang_oracle(mmc):
     approx = solve_mip(mmc, SolverOptions(epsilon=1e-9))
     pi = oracles.mmc_pi(1.0, 1.0, 2, approx.n)

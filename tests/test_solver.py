@@ -1,4 +1,7 @@
-"""Drivers, residuals, stopping, schedules, and distance utilities."""
+"""Drivers, residuals, stopping, schedules, block reads, and distance utilities."""
+
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import oracles
 from oracles import drift_blockwise, residual_q_norm_direct
 from bhmc import (
     Approximation,
+    BlockGenerator,
     CheckpointSchedule,
     ConfigError,
     DriftCertificate,
@@ -21,6 +25,7 @@ from bhmc import (
     make_heavy_tail_mg1,
     make_ld_qbd_birth_death,
     make_mm1,
+    principal_submatrix,
     residual_q_norm,
     solve,
     solve_fixed_direction,
@@ -28,6 +33,7 @@ from bhmc import (
     solve_mip_drift,
     sojourn_matrix,
     tv_distance,
+    validate_proper_q,
 )
 from conftest import (
     QBD_VARPI,
@@ -446,3 +452,81 @@ def test_solve_mip_drift_matches_oracles_on_random_chains(bandwidth, phases, see
     alpha = np.zeros(phases)
     alpha[approx.pivot_trace[-1].pivot] = 1.0
     assert tv_distance(approx.flatten(), lbcl_direct(gen, approx.n, alpha)) < 1e-10
+
+
+# ---------------------------------------------------------------- block reads
+
+READ_MODELS = {
+    "mm1": lambda: make_mm1(1.0, 2.0),
+    "two_phase_ldqbd": two_phase_ldqbd,
+    "random_banded(2, 2)": lambda: random_banded(2, 2, 3),
+    "heavy_tail": lambda: make_heavy_tail_mg1(3.0, 1.0),
+}
+
+
+def _drivers(gen: BlockGenerator, opts: SolverOptions) -> dict:
+    """Every driver that takes ``gen``, by name; the drift rule needs a finite band."""
+    m = gen.phase_count(0)
+    direction = FixedDirection(np.full(m, 1.0 / m))
+    drivers = {
+        "solve_mip": lambda g: solve_mip(g, opts),
+        "solve_fixed_direction": lambda g: solve_fixed_direction(g, direction, opts),
+    }
+    if gen.bandwidth is not None:
+        cert = DriftCertificate(lambda l: np.arange(1.0, m + 1.0) + l, b=1.0)
+        drivers["solve_mip_drift"] = lambda g: solve_mip_drift(g, cert, opts)
+    return drivers
+
+
+def _with_block(gen, wrap):
+    """``gen`` with ``wrap`` applied to every block and stacked column its callbacks return."""
+    cols = gen.column_blocks
+    return replace(
+        gen,
+        block=lambda k, l: wrap((k, l), gen.block(k, l)),
+        column_blocks=None if cols is None else lambda j, lo, hi: wrap((j, lo, hi), cols(j, lo, hi)),
+    )
+
+
+@pytest.mark.parametrize("model", sorted(READ_MODELS))
+def test_a_solve_fetches_each_block_once(model):
+    gen = READ_MODELS[model]()
+    for name, run in _drivers(gen, SolverOptions(epsilon=1e-6)).items():
+        fetched = Counter()
+
+        def count(key, b):
+            fetched[key] += 1
+            return b
+
+        assert run(_with_block(gen, count)).converged, name
+        again = sorted(key for key, calls in fetched.items() if calls > 1)
+        assert fetched and not again, f"{name} fetched {again} more than once"
+
+
+def _read_only(_key, b):
+    b = np.array(b, dtype=float)
+    b.flags.writeable = False
+    return b
+
+
+def _same_approximation(a, b) -> bool:
+    return (
+        a.n == b.n
+        and a.converged == b.converged
+        and a.pivot_trace == b.pivot_trace
+        and all(x.tobytes() == y.tobytes() for x, y in zip(a.blocks, b.blocks))
+    )
+
+
+@pytest.mark.parametrize("model", sorted(READ_MODELS))
+def test_read_only_blocks_give_identical_results(model):
+    """Nothing writes into a block the provider hands out, so sharing one is safe."""
+    gen = READ_MODELS[model]()
+    frozen = _with_block(gen, _read_only)
+    # the capped run stops unconverged, which re-checks every block read
+    for opts in (SolverOptions(epsilon=1e-6), SolverOptions(epsilon=1e-12, max_level=6)):
+        for name, run in _drivers(gen, opts).items():
+            assert _same_approximation(run(gen), run(frozen)), name
+    assert validate_proper_q(frozen, 12) == validate_proper_q(gen, 12)
+    sub, ro = principal_submatrix(gen, 12), principal_submatrix(frozen, 12)
+    assert sub.data.toarray().tobytes() == ro.data.toarray().tobytes()

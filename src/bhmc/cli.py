@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -25,10 +26,11 @@ import yaml
 
 from . import baseline
 from .errors import BhmcError, ConfigError
-from .generator import BlockGenerator, check_blocks, lbcl_augment, principal_submatrix, validate_proper_q
+from .generator import BlockGenerator, _checked_columns, _level_offsets, lbcl_augment
+from .generator import principal_submatrix, validate_proper_q
 from .lfp import DriftCertificate
 from .models import build_model
-from .recursions import advance, init_state
+from .recursions import _as_number, advance, init_state
 from .solver import (
     VARIANTS,
     Approximation,
@@ -76,12 +78,18 @@ def _mapping(node: Any, where: str, allowed: set[str] | None = None) -> dict:
 
 
 def _number(value: Any, where: str, kind: type = float):
-    """``kind(value)``, or a ConfigError naming the config key ``where``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where} must be {what}, got {value!r}") from exc
+    """``value`` as a ``kind`` under the library's rule, text parsed first.
+
+    Integer text is read by ``int`` first, so it is not rounded through a float.
+    """
+    if isinstance(value, str):
+        for parse in (int, float) if kind is int else (float,):
+            try:
+                value = parse(value)
+                break
+            except ValueError:
+                pass  # the rule refuses the text itself, naming ``where``
+    return _as_number(value, where, kind)
 
 
 def _int_list(value: Any, where: str) -> list[int]:
@@ -126,10 +134,7 @@ def _inline_generator(node: Any) -> BlockGenerator:
         table = _mapping(table, where)
         out = {}
         for key, value in table.items():
-            try:
-                offset = int(key)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{where}: offset {key!r} is not an integer")
+            offset = _number(key, f"{where}: offset", int)
             if offset < -1 or offset > bandwidth:
                 raise ConfigError(
                     f"{where}: offset {offset} outside -1..{bandwidth}"
@@ -160,7 +165,7 @@ def _inline_generator(node: Any) -> BlockGenerator:
         return b
 
     gen = BlockGenerator(phase_count, block, bandwidth=bandwidth)
-    check_blocks(gen, explicit + bandwidth)  # shapes across the seam, and signs
+    deque(_checked_columns(gen, _level_offsets(gen, explicit + bandwidth)), 0)  # shapes, signs
     return gen
 
 

@@ -11,11 +11,11 @@ have different phase counts and all shapes are derived from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from .errors import BadDistribution, IndexOutOfRange, InvalidBlock, MissingTailInfo
+from .errors import BadDistribution, ConfigError, IndexOutOfRange, InvalidBlock, MissingTailInfo
 
 if TYPE_CHECKING:  # scipy.sparse is imported where it is used, to keep import light
     import scipy.sparse
@@ -60,6 +60,11 @@ class BlockGenerator:
         lets a provider build a whole block column in one expression,
         which is what the infinite-band recursion reads at every level.
         Without it, ``block_column`` stacks single ``block`` calls.
+
+    ``block_array`` checks shapes.  One checked column walk, the one
+    :func:`principal_submatrix` assembles, checks signs and finiteness; the
+    validator, the baselines, the load of inline tables and the solver's
+    check after a failure all read the blocks through it.
     """
 
     phase_count: Callable[[int], int]
@@ -152,50 +157,17 @@ def _check_block_signs(k: int, l: int, b: np.ndarray) -> None:
         raise InvalidBlock(f"block({k},{l}) has a negative entry")
 
 
-def check_blocks(gen: BlockGenerator, n: int) -> np.ndarray:
-    """Check the blocks among levels ``0..n`` and return their row sums.
-
-    Checks signs and finiteness column by column.  Each column's blocks
-    ``block(l, j)``, ``l = lo..min(j + 1, n)``, are read in one
-    ``block_column`` call and tested at once: the diagonal of
-    ``block(j, j)`` must be nonpositive and every other entry nonnegative.
-    Only a column that fails, or has the wrong shape, is split into blocks
-    to raise InvalidBlock naming the culprit.  Returns the row sums
-    ``sum_{l <= n} block(k, l) @ e`` of levels ``k = 0..n``, flat.
-    """
-    counts = [gen.phase_count(k) for k in range(n + 1)]
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    sums = np.zeros(offsets[-1])
-    for j in range(n + 1):
-        lo = 0 if gen.bandwidth is None else max(0, j - gen.bandwidth)
-        hi = min(j + 1, n)
-        col = gen.block_column(j, lo, hi)
-        if col.shape == (offsets[hi + 1] - offsets[lo], counts[j]):
-            # flip the sign of block(j, j)'s diagonal so one test covers all
-            d = np.arange(counts[j])
-            signed = col.copy()
-            signed[offsets[j] - offsets[lo] + d, d] *= -1.0
-            if np.all(np.isfinite(signed) & (signed >= 0.0)):
-                sums[offsets[lo] : offsets[hi + 1]] += col.sum(axis=1)
-                continue
-        for k in range(lo, hi + 1):
-            _check_block_signs(k, j, gen.block_array(k, j))
-        raise InvalidBlock(
-            f"block column {j} over levels {lo}..{hi} disagrees with its blocks"
-        )
-    return sums
-
-
 def validate_proper_q(
     gen: BlockGenerator, levels: int, tol: float = 1e-12
 ) -> ValidationReport:
     """Check conservativity over the first ``levels + 1`` levels.
 
     Every state ``(k, i)`` with ``k <= levels`` must have a row sum of
-    magnitude at most ``tol``.  The row sums come from :func:`check_blocks`,
-    which checks signs and finiteness as it reads the blocks: over the band
+    magnitude at most ``tol``.  The rows are added up batch by batch from
+    the checked column walk (see :func:`principal_submatrix`): over the band
     when there is one, otherwise through ``levels`` plus the exact
-    ``tail_column`` beyond it.
+    ``tail_column`` beyond it.  A negative ``levels`` raises
+    IndexOutOfRange, and a negative or non-finite ``tol`` ConfigError.
 
     Raises
     ------
@@ -205,12 +177,20 @@ def validate_proper_q(
         On a negative off-diagonal entry, a positive diagonal entry, a
         non-finite block entry, or a misshapen block or tail column.
     """
+    if levels < 0:
+        raise IndexOutOfRange(f"levels must be nonnegative, got {levels}")
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"tol must be finite and nonnegative, got {tol}")
     if gen.bandwidth is None and gen.tail_column is None:
         raise MissingTailInfo(
             "cannot check row sums: generator has no bandwidth and no tail_column"
         )
-    offsets = np.cumsum([0] + [gen.phase_count(k) for k in range(levels + 1)])
-    rows = check_blocks(gen, levels + (gen.bandwidth or 0))[: offsets[-1]]
+    offsets = _level_offsets(gen, levels + (gen.bandwidth or 0))
+    rows = np.zeros(offsets[-1])
+    for r, _, v in _checked_columns(gen, offsets):
+        np.add.at(rows, r, v)
+    offsets = offsets[: levels + 2]
+    rows = rows[: offsets[-1]]
     if gen.bandwidth is None:
         tail = np.asarray(gen.tail_column(levels, 0, levels), dtype=float)
         if tail.shape != rows.shape:
@@ -226,36 +206,74 @@ def validate_proper_q(
     return ValidationReport(levels, tol, violations)
 
 
-def principal_submatrix(gen: BlockGenerator, n: int) -> PrincipalSubmatrix:
-    """Assemble the sparse generator restriction to levels ``0..n``.
+def _level_offsets(gen: BlockGenerator, n: int) -> np.ndarray:
+    """The first flat index of each level ``0..n``, then the dimension."""
+    if n < 0:
+        raise IndexOutOfRange(f"level must be nonnegative, got {n}")
+    return np.concatenate(([0], np.cumsum([gen.phase_count(k) for k in range(n + 1)])))
 
-    Block row ``k`` spans the contiguous columns of levels ``k - 1`` to
-    ``k + bandwidth`` (to ``n`` without a band), so its blocks are stacked
-    side by side and its nonzeros found in one pass.
+
+_BATCH = 32  # columns tested at once; a check holds no more than these
+
+
+def _checked_columns(gen: BlockGenerator, offsets: np.ndarray) -> Iterator[tuple]:
+    """Yield the nonzeros ``(rows, cols, vals)`` of levels ``0..n``, in column batches.
+
+    ``offsets`` is ``_level_offsets(gen, n)``.  Each batch is tested once:
+    diagonals of the blocks ``block(j, j)`` nonpositive, all other entries
+    nonnegative, all finite.  Only the first column that fails or is
+    misshapen is split into blocks, to raise InvalidBlock naming the
+    culprit; an error reading a column is re-raised once the columns
+    before it pass.
+    """
+    n = len(offsets) - 2
+    band = n if gen.bandwidth is None else gen.bandwidth
+    spans = [(max(0, j - band), min(j + 1, n)) for j in range(n + 1)]
+
+    def name_bad_block(j: int) -> None:
+        lo, hi = spans[j]
+        for k in range(lo, hi + 1):
+            _check_block_signs(k, j, gen.block_array(k, j))
+        raise InvalidBlock(f"block column {j} over levels {lo}..{hi} disagrees with its blocks")
+
+    def tested(batch: list) -> tuple:
+        rows, cols, vals = map(np.concatenate, zip(*batch)) if batch else np.zeros((3, 0))
+        s = np.where(rows == cols, -vals, vals)  # the diagonal flipped, one sign covers all
+        ok = (s >= 0.0) & (s < np.inf)
+        if not ok.all():
+            name_bad_block(int(np.searchsorted(offsets, cols[ok.argmin()], side="right")) - 1)
+        return rows, cols, vals
+
+    batch = []
+    for j, (lo, hi) in enumerate(spans):
+        try:
+            col = gen.block_column(j, lo, hi)
+        except Exception:
+            tested(batch)  # an earlier bad column is named first
+            raise
+        width = offsets[j + 1] - offsets[j]
+        if width < 1 or col.shape != (offsets[hi + 1] - offsets[lo], width):
+            tested(batch)
+            name_bad_block(j)
+        r, c = np.nonzero(col)
+        batch.append((r + offsets[lo], c + offsets[j], col[r, c]))
+        if len(batch) == _BATCH or j == n:
+            yield tested(batch)
+            batch = []
+
+
+def principal_submatrix(gen: BlockGenerator, n: int) -> PrincipalSubmatrix:
+    """Assemble the blocks among levels ``0..n`` sparse, read by the checked column walk.
+
+    Column ``j`` is one ``block_column`` call over the levels that reach
+    it; a bad block raises InvalidBlock, the first in column order first.
     """
     import scipy.sparse
 
-    if n < 0:
-        raise IndexOutOfRange(f"level must be nonnegative, got {n}")
-    counts = [gen.phase_count(k) for k in range(n + 1)]
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    dim = int(offsets[-1])
-    rows, cols, vals = [], [], []
-    for k in range(n + 1):
-        lo = max(0, k - 1)
-        hi = n if gen.bandwidth is None else min(n, k + gen.bandwidth)
-        strip = np.concatenate(
-            [gen.block_array(k, l) for l in range(lo, hi + 1)], axis=1
-        )
-        r, c = np.nonzero(strip)
-        rows.append(r + offsets[k])
-        cols.append(c + offsets[lo])
-        vals.append(strip[r, c])
-    # np.nonzero lists entries row by row, columns ascending: already CSR order
-    indptr = np.searchsorted(np.concatenate(rows), np.arange(dim + 1))
-    data = scipy.sparse.csr_array(
-        (np.concatenate(vals), np.concatenate(cols), indptr), shape=(dim, dim)
-    )
+    offsets = _level_offsets(gen, n)
+    rows, cols, vals = map(np.concatenate, zip(*_checked_columns(gen, offsets)))
+    # collected column by column, the entries convert to canonical CSR
+    data = scipy.sparse.coo_array((vals, (rows, cols)), shape=(offsets[-1], offsets[-1])).tocsr()
     return PrincipalSubmatrix(n, offsets, data)
 
 

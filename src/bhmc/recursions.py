@@ -23,6 +23,7 @@ infinite band keeps no factors; its ``W`` grows by one member per level.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -109,11 +110,29 @@ class RecursionState:
         return self.u_K if self.n >= max(self.K_set) else None
 
 
+def _as_number(value, where: str, kind: type = float):
+    """``value`` as a float, or as an int when ``kind`` is ``int``.
+
+    A number is any real but a bool, an integer an integral one (``1.0e+4``
+    is 10000).  Anything else, text included, is a ConfigError naming ``where``.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if kind is not int:
+                return float(value)
+            if isinstance(value, numbers.Integral) or float(value).is_integer():
+                return int(value)
+        except OverflowError:
+            pass  # an int past double range is no float
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{where} must be {what}, got {value!r}")
+
+
 def _normalize_k_set(K_set) -> frozenset[int]:
-    """``K_set`` as a frozenset of levels; it must be nonempty and nonnegative."""
+    """``K_set`` as a frozenset of integer levels; it must be nonempty and nonnegative."""
     try:
-        ks = frozenset(int(k) for k in K_set)
-    except (TypeError, ValueError) as exc:
+        ks = frozenset(_as_number(k, "each level in K_set", int) for k in K_set)
+    except TypeError as exc:
         raise ConfigError(f"K_set must be a set of integer levels, got {K_set!r}") from exc
     if not ks or min(ks) < 0:
         raise ConfigError(f"K_set must be nonempty and nonnegative, got {sorted(ks)}")

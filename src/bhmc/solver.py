@@ -21,7 +21,6 @@ once the run stops.
 
 from __future__ import annotations
 
-import numbers
 from collections import deque
 from dataclasses import dataclass, field, fields
 from itertools import count, islice
@@ -37,7 +36,7 @@ from .errors import (
     PhaseMismatch,
     SingularBlock,
 )
-from .generator import BlockGenerator, check_blocks
+from .generator import BlockGenerator, _checked_columns, _level_offsets
 from .lfp import (
     DriftCertificate,
     PivotSelection,
@@ -48,6 +47,7 @@ from .lfp import (
 )
 from .recursions import (
     RecursionState,
+    _as_number,
     _chain,
     _normalize_k_set,
     advance,
@@ -72,18 +72,6 @@ __all__ = [
 
 TRACE_LIMIT = 1024  # checkpoints retained per run
 VARIANTS = ("mip_new", "mip_drift", "fixed_direction")
-
-
-def _as_number(value, where: str, kind: type = float):
-    """``kind(value)`` for a real (``float``) or integral (``int``) number.
-
-    Anything else, a numeric string included, is a ConfigError naming the
-    option ``where``; parsing text is the CLI's job.
-    """
-    if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where} must be {what}, got {value!r}")
-    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -346,9 +334,10 @@ def _drive(
     when the rule holds, at ``max_level``, or at the last level of an
     explicit schedule; ``converged`` says whether the rule held there.  A
     numerical failure, or a stop without convergence, is first traced back
-    to the blocks, read afresh from ``gen``: a block with a wrong sign or a
-    non-finite entry is reported as ``InvalidBlock``, caused by the
-    original error if there was one.
+    to the blocks up to level ``n + 1``, read afresh from ``gen`` by the
+    checked column walk, which holds one batch of columns at a time: a
+    block with a wrong sign or a non-finite entry is reported as
+    ``InvalidBlock``, caused by the original error if there was one.
     """
     reads = _ReadOnce(*(getattr(gen, f.name) for f in fields(BlockGenerator)))
     state = init_state(reads, opts.K_set)
@@ -363,8 +352,8 @@ def _drive(
                 trace.append(record)
                 next_cp = next(schedule, None)
                 if done or at_cap or next_cp is None:
-                    if not done:
-                        check_blocks(gen, state.n + 1)
+                    if not done:  # each checked batch is dropped at once
+                        deque(_checked_columns(gen, _level_offsets(gen, state.n + 1)), 0)
                     return Approximation(
                         n=state.n,
                         blocks=blocks(),
@@ -379,7 +368,7 @@ def _drive(
         if isinstance(exc, (ConfigError, InvalidBlock)):
             raise
         try:
-            check_blocks(gen, state.n + 1)
+            deque(_checked_columns(gen, _level_offsets(gen, state.n + 1)), 0)
         except InvalidBlock as bad:
             raise bad from exc
         raise

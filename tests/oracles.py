@@ -12,7 +12,8 @@ keep the move-by-move lattice blocks and the ``getrs`` inverse that the
 package replaced, and ``family_blocks_mp`` is the 40-digit reference for
 the sojourn family.  ``incoming_support_loop``, ``outgoing_support_loop``
 and ``select_pivot_loop`` are the set-by-set pivot selection that the
-array form replaced.
+array form replaced, and ``principal_submatrix_rows`` is the unchecked
+row-by-row assembly that the checked column walk replaced.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ import mpmath
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
+import scipy.sparse
 
 from bhmc import (
     IndexOutOfRange,
+    PrincipalSubmatrix,
     advance,
     brute_force_stationary,
     init_state,
@@ -382,3 +385,31 @@ def select_pivot_loop(state, I, O) -> PivotSelection:
         pivot=pivot,
         ratio=float(state.u_star_K[pivot] / state.u_star[pivot]),
     )
+
+
+def principal_submatrix_rows(gen, n: int) -> PrincipalSubmatrix:
+    """The truncation to levels ``0..n`` assembled block row by block row, unchecked.
+
+    Block row ``k`` spans the contiguous columns of levels ``k - 1`` to
+    ``k + bandwidth`` (to ``n`` without a band), read one ``block`` call
+    per block, so its blocks are stacked side by side and its nonzeros
+    found in one pass.
+    """
+    counts = [gen.phase_count(k) for k in range(n + 1)]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    dim = int(offsets[-1])
+    rows, cols, vals = [], [], []
+    for k in range(n + 1):
+        lo = max(0, k - 1)
+        hi = n if gen.bandwidth is None else min(n, k + gen.bandwidth)
+        strip = np.concatenate([gen.block_array(k, l) for l in range(lo, hi + 1)], axis=1)
+        r, c = np.nonzero(strip)
+        rows.append(r + offsets[k])
+        cols.append(c + offsets[lo])
+        vals.append(strip[r, c])
+    # np.nonzero lists entries row by row, columns ascending: already CSR order
+    indptr = np.searchsorted(np.concatenate(rows), np.arange(dim + 1))
+    data = scipy.sparse.csr_array(
+        (np.concatenate(vals), np.concatenate(cols), indptr), shape=(dim, dim)
+    )
+    return PrincipalSubmatrix(n, offsets, data)

@@ -112,12 +112,35 @@ def test_invalid_argument_is_bhmc_error(call):
         (lambda: SolverOptions(checkpoint_schedule="every"), "checkpoint_schedule"),
         (lambda: SolverOptions(K_set={50}, max_level=10), "K_set"),
         (lambda: CheckpointSchedule(kind="geometric", factor=np.inf), "factor"),
+        (lambda: SolverOptions(K_set={0.7, 2.2}), "K_set"),
+        (lambda: SolverOptions(K_set={0, np.nan}), "K_set"),
+        (lambda: SolverOptions(max_level=7.9), "max_level"),
+        (lambda: SolverOptions(max_level=True), "max_level"),
+        (lambda: CheckpointSchedule(kind="arithmetic", stride=np.inf), "stride"),
+        (lambda: SolverOptions(epsilon=10**400), "epsilon"),
     ],
-    ids=["schedule_levels_int", "options_schedule_str", "k_set_above_cap", "factor_inf"],
+    ids=[
+        "schedule_levels_int",
+        "options_schedule_str",
+        "k_set_above_cap",
+        "factor_inf",
+        "k_set_fractional",
+        "k_set_nan",
+        "max_level_fractional",
+        "max_level_bool",
+        "stride_inf",
+        "epsilon_overflow",
+    ],
 )
 def test_malformed_option_is_config_error_naming_field(call, field):
     with pytest.raises(ConfigError, match=field):
         call()
+
+
+def test_integral_reals_are_integers():
+    opts = SolverOptions(K_set={0.0, 2.0}, max_level=1.0e4)
+    assert opts.K_set == {0, 2} and opts.max_level == 10000
+    assert all(type(k) is int for k in opts.K_set) and type(opts.max_level) is int
 
 
 def _edited_mm1(edit) -> BlockGenerator:

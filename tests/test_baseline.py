@@ -1,5 +1,7 @@
 """Reference solvers: direct solve, R-matrix recursion, sparse null vector."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -16,6 +18,7 @@ from bhmc import (
     lbcl_augment,
     lbcl_direct,
     make_heavy_tail_mg1,
+    make_mm1,
     principal_submatrix,
     sojourn_matrix,
     solve_mip,
@@ -148,6 +151,26 @@ def test_brute_force_nearly_reducible_trips_pivot_guard():
 def test_principal_submatrix_negative_level_is_index_error(mm1):
     with pytest.raises(IndexOutOfRange):
         principal_submatrix(mm1, -1)
+
+
+def _spoiled_mm1(at, value):
+    base = make_mm1(1.0, 2.0)
+    return replace(base, block=lambda k, l: np.array([[value]]) if (k, l) == at else base.block(k, l))
+
+
+@pytest.mark.parametrize(
+    "at, value, message",
+    [
+        ((3, 4), -0.5, r"^block\(3,4\) has a negative entry$"),
+        ((2, 2), np.nan, r"^block\(2,2\) contains non-finite entries$"),
+    ],
+)
+def test_baselines_refuse_bad_blocks(at, value, message):
+    gen, n, alpha = _spoiled_mm1(at, value), 6, np.array([1.0])
+    with pytest.raises(InvalidBlock, match=message):
+        lbcl_direct(gen, n, alpha)
+    with pytest.raises(InvalidBlock, match=message):
+        brute_force_stationary(lbcl_augment(principal_submatrix(gen, n), alpha))
 
 
 def test_brute_force_agrees_with_lbcl_direct(mmc):

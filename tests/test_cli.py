@@ -1,12 +1,15 @@
 """Config parsing, outputs, determinism, exit codes, and overrides."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
 import oracles
 from bhmc import ConfigError, InvalidBlock, tv_distance
-from bhmc.cli import REPORT_WIDTH, load_config, main
+from bhmc.cli import REPORT_WIDTH, _number, load_config, main
 
 MM1_CONFIG = """
 model:
@@ -138,6 +141,23 @@ def test_validate_verb(tmp_path, capsys):
     cfg, _, _ = write_config(tmp_path)
     assert main(["validate", str(cfg)]) == 0
     assert "OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ("validate: {levels: -3}", "levels must be nonnegative, got -3"),
+        ("validate: {levels: -1}", "levels must be nonnegative, got -1"),
+        ("validate: {tol: -1}", "tol must be finite and nonnegative, got -1.0"),
+        ("validate: {tol: .nan}", "tol must be finite and nonnegative, got nan"),
+    ],
+)
+def test_validate_out_of_range_exits_1(tmp_path, capsys, section, message):
+    cfg = tmp_path / "validate.yaml"
+    cfg.write_text(f"model: {{name: mm1, params: {{lam: 1.0, mu: 2.0}}}}\n{section}\n")
+    assert main(["validate", str(cfg)]) == 1
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
 
 
 def test_validate_flags_leaky_inline_model(tmp_path, capsys):
@@ -297,19 +317,65 @@ def test_config_error_messages(tmp_path):
         ("validate: {levels: x}", "validate.levels"),
         ("solver: {variant: fixed_direction, varpi: abc}", "solver.varpi"),
         ("solver: {variant: mip_drift, drift: {v: {vectors: [abc]}}}", "solver.drift.v.vectors"),
+        ("solver: {max_level: 7.9}", "solver.max_level"),
+        ("solver: {max_level: yes}", "solver.max_level"),
+        ("solver: {max_level: .nan}", "solver.max_level"),
+        ("solver: {schedule: {kind: arithmetic, stride: 2.5}}", "solver.schedule.stride"),
+        ("solver: {schedule: {kind: explicit, levels: [3.2]}}", "solver.schedule.levels"),
+        ("solver: {k_set: [0.7]}", "solver.k_set"),
+        ("validate: {levels: 3.5}", "validate.levels"),
+        ("model: {inline: {bandwidth: 1.5, levels: [{'0': [[-1.0]]}]}}", "model.inline.bandwidth"),
     ],
 )
 def test_malformed_number_is_config_error(tmp_path, capsys, section, key):
     bad = tmp_path / "bad.yaml"
-    bad.write_text(f"model: {{name: mm1, params: {{lam: 1.0, mu: 2.0}}}}\n{section}\n")
+    mm1 = "" if section.startswith("model:") else "model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\n"
+    bad.write_text(f"{mm1}{section}\n")
     with pytest.raises(ConfigError, match=key):
         load_config(bad)
     assert main(["run", str(bad)]) == 1
     assert f"error: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, shown", [("1.5", "1.5"), ("x", "'x'")])
+def test_inline_offset_must_be_an_integer(tmp_path, key, shown):
+    cfg = tmp_path / "inline.yaml"
+    cfg.write_text(f"model: {{inline: {{bandwidth: 1, levels: [{{0: [[-1.0]], {key}: [[1.0]]}}]}}}}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value) == f"model.inline.levels[0]: offset must be an integer, got {shown}"
+
+
+def test_integral_real_loads_as_integer(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\n"
+        "solver: {max_level: 1.0e+4, k_set: [0, 2.0]}\n"
+    )
+    opts = load_config(cfg).options
+    assert opts.max_level == 10000 and type(opts.max_level) is int
+    assert opts.K_set == {0, 2}
+
+
 @pytest.mark.parametrize(
-    "flag, value", [("--epsilon", "abc"), ("--max-level", "2.5"), ("--level", "abc")]
+    "text, want",
+    [("9007199254740993", 9007199254740993), ("1e4", 10000), ("1.0e+4", 10000), (" 7 ", 7)],
+)
+def test_integer_text_is_read_exactly(text, want):
+    """Integer text is not rounded through a float; integral float text still loads."""
+    got = _number(text, "--max-level", int)
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--epsilon", "abc"),
+        ("--max-level", "2.5"),
+        ("--max-level", "1e400"),
+        ("--k-set", "0,0.7"),
+        ("--level", "abc"),
+    ],
 )
 def test_malformed_flag_is_config_error(tmp_path, capsys, flag, value):
     cfg, _, _ = write_config(tmp_path)
@@ -386,3 +452,16 @@ output:
     payload = yaml.safe_load(report.read_text())
     assert payload["result"]["variant"] == "fixed_direction"
     assert payload["result"]["pivot_trace"][-1]["pivot"] is None
+
+
+def test_readme_yaml_examples_load(tmp_path):
+    """Each YAML example in the README loads; snippets without a model get mm1."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(examples) >= 4  # the complete config, inline tables, drift, varpi
+    for i, text in enumerate(examples):
+        if "model" not in yaml.safe_load(text):
+            text = "model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\n" + text
+        cfg = tmp_path / f"readme_{i}.yaml"
+        cfg.write_text(text)
+        load_config(cfg)

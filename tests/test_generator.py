@@ -1,5 +1,6 @@
 """Block provider, assembly, augmentation, and validation checks."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ import bhmc
 from bhmc import (
     BadDistribution,
     BlockGenerator,
+    ConfigError,
+    IndexOutOfRange,
     InvalidBlock,
     MissingTailInfo,
     lbcl_augment,
@@ -21,8 +24,9 @@ from bhmc import (
     solve_mip,
     validate_proper_q,
 )
-from bhmc.generator import check_blocks
+from bhmc.generator import _BATCH
 from conftest import LATTICE_RATES, random_banded, two_phase_ldqbd
+from oracles import principal_submatrix_rows
 
 
 def test_principal_submatrix_mm1_n1(mm1):
@@ -160,6 +164,15 @@ def test_validate_rejects_negative_off_diagonal():
         validate_proper_q(gen, 3)
 
 
+def test_validate_refuses_out_of_range_arguments(mm1):
+    with pytest.raises(IndexOutOfRange, match=r"levels must be nonnegative, got -1"):
+        validate_proper_q(mm1, -1)
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match=rf"tol must be finite and nonnegative, got {tol}"):
+            validate_proper_q(mm1, 3, tol)
+    assert validate_proper_q(mm1, 0, 0.0).ok
+
+
 def test_validate_requires_tail_info():
     base = make_heavy_tail_mg1(3.0, 1.0)
     gen = BlockGenerator(base.phase_count, base.block)  # no band, no tail
@@ -222,15 +235,15 @@ def test_block_column_stacks_blocks_without_callback(mm1):
 
 def test_check_blocks_names_first_bad_block_on_infinite_band():
     heavy = make_heavy_tail_mg1(3.0, 1.0)
-    check_blocks(heavy, 40)  # a valid model passes, column by column
+    principal_submatrix(heavy, 40)  # a valid model passes, column by column
     bad = replace(
         heavy,
         block=lambda k, l: np.array([[-1.0]]) if (k, l) == (1, 3) else heavy.block(k, l),
         column_blocks=None,
     )
-    check_blocks(bad, 2)  # column 3 lies beyond levels 0..2
+    principal_submatrix(bad, 2)  # column 3 lies beyond levels 0..2
     with pytest.raises(InvalidBlock, match=r"block\(1,3\) has a negative entry"):
-        check_blocks(bad, 3)
+        principal_submatrix(bad, 3)
 
 
 def _spoiled(gen, at, entry, value):
@@ -251,13 +264,39 @@ def _spoiled(gen, at, entry, value):
         ((3, 2), (1, 0), np.nan, r"block\(3,2\) contains non-finite entries"),
         ((1, 2), (0, 0), -1.0, r"block\(1,2\) has a negative entry"),
         ((2, 2), (0, 0), np.inf, r"block\(2,2\) contains non-finite entries"),
+        ((1, 2), (1, 1), np.inf, r"block\(1,2\) contains non-finite entries"),
+        ((2, 2), (1, 1), -np.inf, r"block\(2,2\) contains non-finite entries"),
     ],
 )
 def test_check_blocks_names_bad_block_in_column(at, entry, value, message):
     gen = two_phase_ldqbd()
-    check_blocks(gen, 6)
+    principal_submatrix(gen, 6)
     with pytest.raises(InvalidBlock, match=message):
-        check_blocks(_spoiled(gen, at, entry, value), 6)
+        principal_submatrix(_spoiled(gen, at, entry, value), 6)
+
+
+def _misshapen(k, l):
+    return np.zeros((2, 3))
+
+
+def _raising(k, l):
+    raise LookupError(f"no block ({k},{l})")
+
+
+@pytest.mark.parametrize(
+    "at, fault, message",
+    [
+        ((4, 4), _misshapen, r"block\(1,2\) has a negative entry"),
+        ((1, 1), _misshapen, r"block\(1,1\) has shape \(2, 3\)"),
+        ((5, 5), _raising, r"block\(1,2\) has a negative entry"),
+    ],
+)
+def test_bad_columns_are_named_in_column_order(at, fault, message):
+    """Column 2 has a negative entry; ``fault`` spoils an earlier or a later column."""
+    base = _spoiled(two_phase_ldqbd(), (1, 2), (0, 0), -1.0)
+    gen = replace(base, block=lambda k, l: fault(k, l) if (k, l) == at else base.block(k, l))
+    with pytest.raises(InvalidBlock, match=message):
+        principal_submatrix(gen, 6)
 
 
 def test_check_blocks_reports_column_that_disagrees_with_blocks():
@@ -268,25 +307,91 @@ def test_check_blocks_reports_column_that_disagrees_with_blocks():
         return -col if j == 4 else col
 
     with pytest.raises(InvalidBlock, match=r"block column 4 over levels 0\.\.5"):
-        check_blocks(replace(heavy, column_blocks=column_blocks), 8)
+        principal_submatrix(replace(heavy, column_blocks=column_blocks), 8)
 
 
-ROW_SUM_CASES = {
+WALK_CASES = {
     "lattice": lambda: make_lattice_rw_2d(**LATTICE_RATES),
     "two_phase_ldqbd": two_phase_ldqbd,
     "heavy_tail": lambda: make_heavy_tail_mg1(3.0, 1.0),
+    "heavy_tail_by_block": lambda: replace(make_heavy_tail_mg1(3.0, 1.0), column_blocks=None),
     "random_band_1": lambda: random_banded(1, 3, 0),
     "random_band_3": lambda: random_banded(3, 2, 1),
     "random_band_inf": lambda: random_banded(None, 2, 2),
 }
+ROW_SUM_CASES = {k: v for k, v in WALK_CASES.items() if k != "heavy_tail_by_block"}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_column_walk_matches_row_walk_byte_for_byte(case):
+    gen, n = WALK_CASES[case](), 12
+    got, want = principal_submatrix(gen, n).data, principal_submatrix_rows(gen, n).data
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("case", sorted(ROW_SUM_CASES))
 def test_check_blocks_row_sums_match_submatrix(case):
-    """The row sums check_blocks reads column by column equal the assembled rows'."""
-    gen, n = ROW_SUM_CASES[case](), 12
-    q = principal_submatrix(gen, n).data
-    sums = check_blocks(gen, n)
-    assert sums.shape == (q.shape[0],)
-    scale = abs(q).sum(axis=1)
-    assert np.all(np.abs(sums - q.sum(axis=1)) <= 1e-15 * scale)
+    """The row sums validate_proper_q adds up batch by batch equal the dense rows'.
+
+    Each diagonal block is doubled, so every row leaks and is reported.
+    """
+    base, n = ROW_SUM_CASES[case](), 12
+    tail_column = base.tail_column
+    if base.bandwidth is None and tail_column is None:  # any tail will do: both sides add it
+        tail_column = lambda L, lo, hi: np.zeros(sum(map(base.phase_count, range(lo, hi + 1))))
+    gen = replace(
+        base,
+        block=lambda k, l: 2.0 * base.block(k, l) if k == l else base.block(k, l),
+        tail_column=tail_column,
+        column_blocks=None,
+    )
+    q = principal_submatrix_rows(gen, n + (gen.bandwidth or 0)).data.toarray()
+    offsets = principal_submatrix(gen, n).level_offsets
+    want, scale = q.sum(axis=1)[: offsets[-1]], np.abs(q).sum(axis=1)[: offsets[-1]]
+    if gen.bandwidth is None:
+        tail = gen.tail_column(n, 0, n)
+        want, scale = want + tail, scale + np.abs(tail)
+    report = validate_proper_q(gen, n, tol=0.0)
+    assert len(report.violations) == offsets[-1]
+    sums = np.array([v.value for v in report.violations])
+    assert [offsets[v.level] + v.phase for v in report.violations] == list(range(offsets[-1]))
+    assert np.all(np.abs(sums - want) <= 1e-15 * scale)
+
+
+def test_columns_are_checked_across_batches():
+    """A bad column past the first batch is named, before a later column that raises."""
+    base = make_mm1(1.0, 2.0)
+    j = _BATCH + 5
+
+    def block(k, l):
+        if (k, l) == (j, j):
+            return np.array([[1.0]])
+        if (k, l) == (j + 3, j + 3):
+            raise LookupError("unreadable")
+        return base.block(k, l)
+
+    gen = replace(base, block=block)
+    principal_submatrix(gen, j - 1)
+    with pytest.raises(InvalidBlock, match=rf"^block\({j},{j}\) has a positive diagonal entry$"):
+        principal_submatrix(gen, 2 * _BATCH + 10)
+    sub = principal_submatrix(base, 3 * _BATCH + 1)  # a last batch of one column
+    assert sub.data.nnz == 3 * (3 * _BATCH + 2) - 2
+
+
+def test_unconverged_stop_checks_blocks_in_bounded_memory():
+    """The check after an unconverged stop holds a batch of columns, not the truncation.
+
+    On an infinite band the truncation to 1001 levels has about 5e5
+    nonzeros, some 25 MB assembled; the checked walk holds about 2 MB.
+    """
+    heavy = make_heavy_tail_mg1(1.0, 1.0)
+    tracemalloc.start()
+    try:
+        approx = solve_mip(heavy, bhmc.SolverOptions(epsilon=1e-12, max_level=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not approx.converged and approx.n == 1000
+    assert peak < 8e6

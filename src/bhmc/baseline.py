@@ -22,6 +22,7 @@ from .recursions import PIVOT_RTOL, lu_inverse
 
 if TYPE_CHECKING:  # scipy.sparse is imported where it is used, to keep import light
     import scipy.sparse
+    import scipy.sparse.linalg
 
 __all__ = [
     "BrightTaylorResult",
@@ -46,19 +47,14 @@ class BrightTaylorResult:
         return np.concatenate(self.blocks)
 
 
-def _left_solve(
-    matrix: scipy.sparse.sparray, rhs: np.ndarray, what: str
-) -> np.ndarray:
-    """Solve ``x @ matrix = rhs`` by sparse LU with the shared pivot guard.
+def _guarded_splu(a: scipy.sparse.csc_array, what: str) -> scipy.sparse.linalg.SuperLU:
+    """Sparse LU of ``a`` with the shared pivot guard.
 
-    Factors ``matrix.T``; a pivot of ``U`` below ``PIVOT_RTOL`` times the
-    largest row norm of ``matrix.T``, or an exactly singular factor, is
-    reported as SingularBlock.
+    A pivot of ``U`` below ``PIVOT_RTOL`` times the largest row norm of
+    ``a``, or an exactly singular factor, is reported as SingularBlock.
     """
-    import scipy.sparse
     import scipy.sparse.linalg
 
-    a = scipy.sparse.csc_array(matrix.T)
     scale = abs(a).sum(axis=1).max()
     if scale == 0.0 or not np.isfinite(scale):
         raise SingularBlock(f"{what}: matrix is zero or non-finite")
@@ -68,7 +64,7 @@ def _left_solve(
         raise SingularBlock(f"{what}: matrix is exactly singular") from exc
     if np.abs(lu.U.diagonal()).min() < PIVOT_RTOL * scale:
         raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
-    return lu.solve(rhs)
+    return lu
 
 
 def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
@@ -79,12 +75,16 @@ def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
     last block, then normalizes.  Returns the flat probability vector over
     all states of levels ``0..n``.
     """
+    import scipy.sparse
+
     sub = principal_submatrix(gen, n)
     last = sub.level_slice(n)
     alpha = check_distribution(alpha_n, last.stop - last.start)
     rhs = np.zeros(sub.dim)
     rhs[last] = alpha
-    x = _left_solve(-sub.data, rhs, f"augmented truncation at level {n}")
+    # x @ -Q_n = rhs, solved with the transpose factored
+    what = f"augmented truncation at level {n}"
+    x = _guarded_splu(scipy.sparse.csc_array(-sub.data.T), what).solve(rhs)
     return x / x.sum()
 
 
@@ -139,7 +139,8 @@ def _null_left_vector(matrix: np.ndarray | scipy.sparse.sparray) -> np.ndarray:
     a = scipy.sparse.hstack([a[:, : m - 1], ones], format="csc")
     rhs = np.zeros(m)
     rhs[-1] = 1.0
-    return _left_solve(a, rhs, "left null vector")
+    # a is factored as assembled, in CSC, and solved transposed: x @ a = rhs
+    return _guarded_splu(a, "left null vector").solve(rhs, trans="T")
 
 
 def brute_force_stationary(

@@ -444,9 +444,9 @@ def inspect(config_path: str, level: int, args: argparse.Namespace | None = None
         return 0
     print(f"u_star_K: {_format_array(state.u_star_K)}")
     sel = _select_at(state, cfg.generator)
-    print(f"I_plus: {sorted(i + 1 for i in sel.I_plus)}")
-    print(f"O_plus: {sorted(i + 1 for i in sel.O_plus)}")
-    print(f"J_star: {[j + 1 for j in sel.J_star]}")
+    print(f"I_plus: {(np.flatnonzero(sel.I_plus) + 1).tolist()}")
+    print(f"O_plus: {(np.flatnonzero(sel.O_plus) + 1).tolist()}")
+    print(f"J_star: {(sel.J_star + 1).tolist()}")
     print(f"pivot: {sel.pivot + 1}")
     print(f"ratio: {sel.ratio:.17g}")
     print(f"residual: {residual_q_norm(state, sel.pivot):.17g}")

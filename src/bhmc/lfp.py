@@ -41,13 +41,20 @@ __all__ = [
 TAU_REL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PivotSelection:
-    """Chosen augmentation phase and the sets that produced it."""
+    """Chosen augmentation phase and the sets that produced it.
 
-    I_plus: frozenset[int]
-    O_plus: frozenset[int]
-    J_star: tuple[int, ...]
+    ``I_plus`` and ``O_plus`` are boolean masks over the phases of the
+    checkpoint level, as ``incoming_support`` and ``outgoing_support``
+    return them; ``J_star`` is the ascending index array of the candidates
+    tied with the best ratio, so ``pivot == J_star[0]``.  Holding arrays,
+    selections compare by identity.
+    """
+
+    I_plus: np.ndarray
+    O_plus: np.ndarray
+    J_star: np.ndarray
     pivot: int
     ratio: float
 
@@ -79,38 +86,36 @@ class DriftSelection:
     objective: float
 
 
-def incoming_support(gen: BlockGenerator, n: int) -> frozenset[int]:
-    """Phases of level ``n`` that receive direct transitions from level ``n+1``.
+def incoming_support(gen: BlockGenerator, n: int) -> np.ndarray:
+    """Mask of the phases of level ``n`` that receive direct transitions from level ``n+1``.
 
     Uses exact column sums of ``block(n+1, n)``: entries are model data,
-    not computed quantities, so no tolerance applies.
+    not computed quantities, so no tolerance applies.  Entry ``i`` of the
+    boolean mask is true when phase ``i`` is in the support.
     """
-    col_sums = gen.block_array(n + 1, n).sum(axis=0)
-    return frozenset((col_sums > 0.0).nonzero()[0].tolist())
+    return gen.block_array(n + 1, n).sum(axis=0) > 0.0
 
 
-def outgoing_support(state: RecursionState, gen: BlockGenerator) -> frozenset[int]:
-    """Phases of level ``n`` that start paths exiting downward before climbing.
+def outgoing_support(state: RecursionState, gen: BlockGenerator) -> np.ndarray:
+    """Mask of the phases of level ``n`` that start paths exiting downward before climbing.
 
     Identified from the row sums of ``U_star @ block(n, n-1)``; these are
     computed quantities, so a relative threshold of ``TAU_REL`` separates
-    true support from rounding noise.
+    true support from rounding noise.  The boolean mask is all false when
+    no weight is positive.
     """
     if state.n == 0:
         raise IndexOutOfRange("outgoing support is undefined at level 0")
     w = state.U_star @ gen.block_array(state.n, state.n - 1).sum(axis=1)
-    top = w.max()
-    if top <= 0.0:
-        return frozenset()
-    return frozenset((w > TAU_REL * top).nonzero()[0].tolist())
+    # false everywhere when the largest weight is not positive, or NaN
+    return w > max(TAU_REL * w.max(), 0.0)
 
 
-def select_pivot(
-    state: RecursionState, I: frozenset[int], O: frozenset[int]
-) -> PivotSelection:
-    """Maximize ``u_star_K / u_star`` over the candidate support.
+def select_pivot(state: RecursionState, I: np.ndarray, O: np.ndarray) -> PivotSelection:
+    """Maximize ``u_star_K / u_star`` over the candidate support ``I & O``.
 
-    The argmax set ``J_star`` collects every candidate within relative
+    ``I`` and ``O`` are boolean masks over the phases of level ``n``.  The
+    argmax set ``J_star`` collects every candidate within relative
     ``TAU_REL`` of the best ratio; the pivot is its smallest index, which
     keeps runs reproducible.
 
@@ -122,22 +127,23 @@ def select_pivot(
         positive ratio, however small, is a usable pivot: with
         ``K_set = {0}`` the ratio decays like the mass of level 0.
     SingularBlock
-        If a candidate ratio is not finite.
+        If a candidate ratio is NaN or infinite.
     """
     if state.u_star_K is None:
         raise IndexOutOfRange(
             f"u_star_K unavailable: level {state.n} below max(K_set)"
         )
-    candidates = np.array(sorted(I & O), dtype=int)
+    candidates = (I & O).nonzero()[0]
     if not candidates.size:
         raise EmptyCandidateSet(f"no candidate phase at level {state.n}")
     ratios = state.u_star_K[candidates] / state.u_star[candidates]
-    if not np.isfinite(ratios).all():
+    best = ratios.max()
+    # NaN makes best NaN; +inf makes best infinite and -inf the minimum
+    if not (best < np.inf and ratios.min() > -np.inf):
         raise SingularBlock(
             f"non-finite occupancy ratio at level {state.n}; u_star or "
             "u_star_K has left double range"
         )
-    best = float(ratios.max())
     if not best > 0.0:
         raise EmptyCandidateSet(
             f"all candidate ratios vanish at level {state.n}"
@@ -145,9 +151,9 @@ def select_pivot(
     ties = ratios >= best * (1.0 - TAU_REL)
     first = int(ties.argmax())  # candidates ascend, so the smallest index
     return PivotSelection(
-        I_plus=frozenset(I),
-        O_plus=frozenset(O),
-        J_star=tuple(candidates[ties].tolist()),
+        I_plus=I,
+        O_plus=O,
+        J_star=candidates[ties],
         pivot=int(candidates[first]),
         ratio=float(ratios[first]),
     )

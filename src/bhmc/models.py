@@ -143,13 +143,16 @@ def make_heavy_tail_mg1(mu: float, tail_c: float = 1.0) -> BlockGenerator:
         return _scalar(0.0)
 
     def column_blocks(j: int, lo: int, hi: int) -> np.ndarray:
-        # block(l, j) for l = lo..hi as a function of d = j - l; up_rate
-        # on a float array gives the same floats as on each integer
-        d = j - np.arange(lo, hi + 1, dtype=float)
-        col = np.where(d == -1.0, mu, 0.0)
-        up = d >= 1.0
-        col[up] = up_rate(d[up])
-        col[d == 0.0] = local_rate(j)
+        # block(l, j) for l = lo..hi: the up jumps d = j - l >= 1 fill the
+        # prefix l < j in one slice (up_rate on a float array gives the same
+        # floats as on each integer), then the diagonal and the down entry
+        col = np.zeros(hi - lo + 1)
+        up = max(min(j, hi + 1) - lo, 0)
+        col[:up] = up_rate(np.arange(j - lo, j - lo - up, -1.0))
+        if lo <= j <= hi:
+            col[j - lo] = local_rate(j)
+        if lo <= j + 1 <= hi:
+            col[j + 1 - lo] = mu
         return col[:, None]
 
     def tail_column(L: int, lo: int, hi: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetri
+from scipy.linalg.lapack import dgetrf, dgetri, dlange
 
 from .errors import ConfigError, IndexOutOfRange, InvalidBlock, PhaseMismatch, SingularBlock
 from .generator import BlockGenerator
@@ -56,15 +56,23 @@ def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     factorization, and ``getri`` is cheaper than solving ``getrs`` against
     the identity at every size (a 1x1 inverse is ``1 / pivot`` either way).
     ``getri`` gets a fixed ``64 * m`` workspace, the blocked size LAPACK's
-    own workspace query returns.  Its two tests, on the scale and on the
-    smallest pivot, are false on NaN too; an exactly zero pivot, which
-    ``getrf`` reports through ``info``, fails like any tiny one.
+    own workspace query returns.
+
+    The guard takes no numpy reduction, which on a 1x1 exit matrix would
+    cost more than the inverse.  Its scale is LAPACK ``dlange("I")``, the
+    largest absolute row sum, each row summed in column order; a scale
+    that is zero, NaN or infinite raises "matrix is zero or non-finite".
+    Every pivot of ``U`` must then reach ``PIVOT_RTOL`` times the scale, a
+    test that is false on a NaN pivot too, or "pivot below" is raised; an
+    exactly zero pivot, which ``getrf`` reports through ``info``, fails
+    like any tiny one.
     """
     m = np.asarray(matrix, dtype=float)
-    scale = np.abs(m).sum(axis=1).max() if m.size else 0.0
+    scale = dlange("I", m)  # 0.0 on an empty matrix
     if 0.0 < scale < np.inf:  # false on NaN too
         lu, piv, _ = dgetrf(m)
-        if np.abs(lu.diagonal()).min() >= PIVOT_RTOL * scale:
+        cut = PIVOT_RTOL * scale
+        if all(cut <= abs(p) for p in lu.diagonal().tolist()):  # false on a NaN pivot
             return dgetri(lu, piv, lwork=64 * m.shape[0], overwrite_lu=True)[0]
         raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
     raise SingularBlock(f"{what}: matrix is zero or non-finite")
@@ -191,7 +199,7 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     # precision at this depth.  The checks below report it, so numpy's
     # own overflow warnings are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        u_vec = u1 @ (np.ones(m1) + q_down @ state.u_star)
+        u_vec = u1 @ (1.0 + q_down @ state.u_star)
         u_k = step @ state.u_K
         if n1 in state.K_set:
             u_k += u1.sum(axis=1)

@@ -250,7 +250,7 @@ def tv_distance(h1, h2) -> float:
 def _select_at(state: RecursionState, gen: BlockGenerator) -> PivotSelection:
     inc = incoming_support(gen, state.n)
     # level 0 has no level below it, so no phase is ruled out
-    out = outgoing_support(state, gen) if state.n else frozenset(range(state.u_star.shape[0]))
+    out = outgoing_support(state, gen) if state.n else np.ones(state.u_star.shape, bool)
     return select_pivot(state, inc, out)
 
 

@@ -9,11 +9,13 @@ principal submatrix what the solver keeps in closed or recursive form,
 and ``drift_blockwise`` measures the drift driver's stopping distance on
 assembled approximations.  ``lattice_block_loop`` and ``lu_inverse_getrs``
 keep the move-by-move lattice blocks and the ``getrs`` inverse that the
-package replaced, and ``family_blocks_mp`` is the 40-digit reference for
-the sojourn family.  ``incoming_support_loop``, ``outgoing_support_loop``
-and ``select_pivot_loop`` are the set-by-set pivot selection that the
-array form replaced, and ``principal_submatrix_rows`` is the unchecked
-row-by-row assembly that the checked column walk replaced.
+package replaced, ``lu_inverse_reductions`` the numpy-reduction guard that
+the LAPACK ``dlange`` scale replaced, and ``family_blocks_mp`` is the
+40-digit reference for the sojourn family.  ``incoming_support_loop``,
+``outgoing_support_loop`` and ``select_pivot_loop`` are the set-by-set
+pivot selection that the boolean-mask form replaced, and
+``principal_submatrix_rows`` is the unchecked row-by-row assembly that the
+checked column walk replaced.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from bhmc import (
 )
 from bhmc.errors import EmptyCandidateSet, SingularBlock
 from bhmc.lfp import TAU_REL, PivotSelection
-from bhmc.recursions import lu_inverse
+from bhmc.recursions import PIVOT_RTOL, lu_inverse
 from bhmc.solver import _pivot_blocks
 
 
@@ -154,6 +156,24 @@ def lu_inverse_getrs(matrix: np.ndarray) -> np.ndarray:
     lu, piv, _ = scipy.linalg.lapack.dgetrf(np.asarray(matrix, dtype=float))
     inverse, _ = scipy.linalg.lapack.dgetrs(lu, piv, np.eye(lu.shape[0], order="F"))
     return inverse
+
+
+def lu_inverse_reductions(matrix: np.ndarray, what: str) -> np.ndarray:
+    """``lu_inverse`` with its guard taken by numpy reductions.
+
+    The route ``lu_inverse`` took before its guard moved to ``dlange`` and
+    a pivot loop: the scale is ``np.abs(m).sum(axis=1).max()``, a pairwise
+    sum, and the smallest pivot is a numpy ``min``; the inverse is the same
+    ``getrf`` and ``getri``, with the same messages.
+    """
+    m = np.asarray(matrix, dtype=float)
+    scale = np.abs(m).sum(axis=1).max() if m.size else 0.0
+    if 0.0 < scale < np.inf:  # false on NaN too
+        lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
+        if np.abs(lu.diagonal()).min() >= PIVOT_RTOL * scale:
+            return scipy.linalg.lapack.dgetri(lu, piv, lwork=64 * m.shape[0], overwrite_lu=True)[0]
+        raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
+    raise SingularBlock(f"{what}: matrix is zero or non-finite")
 
 
 def mm1_sojourn_at_zero_mc(

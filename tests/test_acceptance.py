@@ -220,7 +220,7 @@ def test_criterion_6_lfp_optimality():
         state = drive_to(gen, n)
         inc = incoming_support(gen, n)
         sel = select_pivot(state, inc, outgoing_support(state, gen))
-        support = sorted(inc)
+        support = np.flatnonzero(inc)
         for _ in range(100):
             alpha = np.zeros(state.u_star.shape[0])
             alpha[support] = rng.dirichlet(np.ones(len(support)))

@@ -131,6 +131,23 @@ def test_inspect_prints_hand_values(tmp_path, capsys):
     assert "U_star:\n[[1.]]" in capsys.readouterr().out
 
 
+INSPECT_MODELS = {
+    "mm1": "{name: mm1, params: {lam: 1.0, mu: 2.0}}",
+    "lattice": "{name: lattice_rw_2d, params: {east: 1.0, west: 1.5, north: 1.0, south: 1.5}}",
+}
+
+
+@pytest.mark.parametrize("level", [0, 2, 10])
+@pytest.mark.parametrize("model", sorted(INSPECT_MODELS))
+def test_inspect_prints_recorded_bytes(tmp_path, capsys, model, level):
+    """``inspect`` prints byte for byte what the set-by-set selection printed."""
+    cfg = tmp_path / f"{model}.yaml"
+    cfg.write_text(f"model: {INSPECT_MODELS[model]}\n")
+    assert main(["inspect", str(cfg), "--level", str(level)]) == 0
+    recorded = Path(__file__).parent / "data" / "inspect" / f"{model}_level{level}.txt"
+    assert capsys.readouterr().out.encode() == recorded.read_bytes()
+
+
 def test_inspect_level_beyond_cap(tmp_path, capsys):
     cfg, _, _ = write_config(tmp_path)
     assert main(["inspect", str(cfg), "--level", "3", "--max-level", "2"]) == 1

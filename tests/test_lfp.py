@@ -29,9 +29,23 @@ from bhmc.recursions import RecursionState
 from conftest import drive_to, random_banded, two_phase_ldqbd
 
 
+def _members(mask: np.ndarray) -> frozenset[int]:
+    """The phases a boolean support mask holds, as the set-by-set oracles list them."""
+    assert mask.dtype == bool and mask.ndim == 1
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def _mask(m: int, phases) -> np.ndarray:
+    """Boolean mask over ``m`` phases holding ``phases``."""
+    mask = np.zeros(m, dtype=bool)
+    mask[list(phases)] = True
+    return mask
+
+
 def test_incoming_support_mm1(mm1):
     for n in (0, 3, 7):
-        assert incoming_support(mm1, n) == frozenset({0})
+        inc = incoming_support(mm1, n)
+        assert _members(inc) == oracles.incoming_support_loop(mm1, n) == frozenset({0})
 
 
 def test_incoming_support_zero_column():
@@ -45,17 +59,20 @@ def test_incoming_support_zero_column():
         return np.zeros((2, 2))
 
     gen = BlockGenerator(lambda k: 2, block, bandwidth=1)
-    assert incoming_support(gen, 1) == frozenset({0})
+    inc = incoming_support(gen, 1)
+    assert _members(inc) == oracles.incoming_support_loop(gen, 1) == frozenset({0})
 
 
 def test_incoming_support_lattice(lattice):
     # every level-2 phase receives a unit step down from level 3
-    assert incoming_support(lattice, 2) == frozenset({0, 1, 2})
+    inc = incoming_support(lattice, 2)
+    assert _members(inc) == oracles.incoming_support_loop(lattice, 2) == frozenset({0, 1, 2})
 
 
 def test_outgoing_support_mm1(mm1):
     state = drive_to(mm1, 1)
-    assert outgoing_support(state, mm1) == frozenset({0})
+    out = outgoing_support(state, mm1)
+    assert _members(out) == oracles.outgoing_support_loop(state, mm1) == frozenset({0})
     with pytest.raises(IndexOutOfRange):
         outgoing_support(init_state(mm1), mm1)
 
@@ -86,34 +103,50 @@ def isolated_phase_gen() -> BlockGenerator:
 def test_outgoing_support_excludes_structurally_isolated_phase():
     gen = isolated_phase_gen()
     state = drive_to(gen, 1)
-    assert outgoing_support(state, gen) == frozenset({0})
+    out = outgoing_support(state, gen)
+    assert _members(out) == oracles.outgoing_support_loop(state, gen) == frozenset({0})
 
 
 def test_outgoing_support_full_when_all_positive():
     gen = two_phase_ldqbd()
     state = drive_to(gen, 2)
-    assert outgoing_support(state, gen) == frozenset({0, 1})
+    out = outgoing_support(state, gen)
+    assert _members(out) == oracles.outgoing_support_loop(state, gen) == frozenset({0, 1})
 
 
 def test_select_pivot_mm1_hand_values(mm1):
     state = drive_to(mm1, 2)
-    sel = select_pivot(state, frozenset({0}), frozenset({0}))
+    sel = select_pivot(state, _mask(1, {0}), _mask(1, {0}))
     assert sel.pivot == 0
-    assert sel.J_star == (0,)
+    assert sel.J_star.tolist() == [0]
     assert sel.ratio == pytest.approx(4.0 / 7.0, abs=1e-15)
     assert 0.0 < sel.ratio <= 1.0
+
+
+def _flat_state(u_star, u_K) -> RecursionState:
+    """A level-3 state whose occupancy ratios are ``u_K / u_star``."""
+    m = len(u_star)
+    return RecursionState(
+        n=3, W=np.eye(m), phases=(m,), factors=None, u_star=np.array(u_star),
+        u_K=np.array(u_K), K_set=frozenset({0}), q_diag_n=-np.ones(m),
+    )
 
 
 def test_select_pivot_empty_candidates(mm1):
     state = drive_to(mm1, 2)
     with pytest.raises(EmptyCandidateSet):
-        select_pivot(state, frozenset(), frozenset({0}))
+        select_pivot(state, _mask(1, ()), _mask(1, {0}))
+    state = _flat_state([1.0, 2.0], [0.5, 1.0])
+    with pytest.raises(EmptyCandidateSet, match="no candidate phase at level 3"):
+        select_pivot(state, _mask(2, {0}), _mask(2, {1}))
+    with pytest.raises(EmptyCandidateSet, match="all candidate ratios vanish at level 3"):
+        select_pivot(_flat_state([1.0, 2.0], [0.0, 0.0]), _mask(2, {0, 1}), _mask(2, {0, 1}))
 
 
 def test_select_pivot_needs_u_star_K(mm1):
     state = drive_to(mm1, 2, k_set=frozenset({5}))
     with pytest.raises(IndexOutOfRange):
-        select_pivot(state, frozenset({0}), frozenset({0}))
+        select_pivot(state, _mask(1, {0}), _mask(1, {0}))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -121,7 +154,22 @@ def test_select_pivot_non_finite_ratio_is_singular_block(mm1):
     inf = np.array([np.inf])
     state = replace(drive_to(mm1, 2), u_star=inf, u_K=inf)
     with pytest.raises(SingularBlock, match="level 2"):
-        select_pivot(state, frozenset({0}), frozenset({0}))
+        select_pivot(state, _mask(1, {0}), _mask(1, {0}))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1])
+def test_select_pivot_any_non_finite_candidate_ratio_is_singular_block(bad, where):
+    """One NaN or infinite ratio raises, whether or not it is the largest."""
+    u_K = [0.5, 0.25]
+    u_K[where] = bad
+    state = _flat_state([1.0, 2.0], u_K)
+    both = _mask(2, {0, 1})
+    with pytest.raises(SingularBlock, match="non-finite occupancy ratio at level 3"):
+        select_pivot(state, both, both)
+    # outside the candidates it is never read
+    sel = select_pivot(state, both, _mask(2, {1 - where}))
+    assert sel.pivot == 1 - where
 
 
 def test_select_pivot_tie_breaks_to_smallest_index():
@@ -141,8 +189,8 @@ def test_select_pivot_tie_breaks_to_smallest_index():
 
     gen = BlockGenerator(lambda k: 2, block, bandwidth=1)
     state = drive_to(gen, 3)
-    sel = select_pivot(state, frozenset({0, 1}), frozenset({0, 1}))
-    assert sel.J_star == (0, 1)
+    sel = select_pivot(state, _mask(2, {0, 1}), _mask(2, {0, 1}))
+    assert sel.J_star.tolist() == [0, 1]
     assert sel.pivot == 0
 
 
@@ -152,8 +200,9 @@ def test_zero_row_consistency_outside_outgoing_support():
     for n in (2, 4, 6):
         state = drive_to(gen, n)
         out = outgoing_support(state, gen)
+        assert _members(out) == oracles.outgoing_support_loop(state, gen)
         scale = state.u_star_K.max()
-        for i in set(range(2)) - out:
+        for i in np.flatnonzero(~out):
             assert state.u_star_K[i] <= 1e-12 * scale
 
 
@@ -169,18 +218,26 @@ def test_select_pivot_optimality_random_feasible(seed, n):
     rng = np.random.default_rng(seed)
     for _ in range(25):
         alpha = np.zeros(2)
-        support = sorted(inc)
+        support = np.flatnonzero(inc)
         alpha[support] = rng.dirichlet(np.ones(len(support)))
         r = (alpha @ state.u_star_K) / (alpha @ state.u_star)
         assert r <= sel.ratio + 1e-12
 
 
 def _outcome(fn, *args):
-    """What ``fn`` returns, or the class and message of what it raises."""
+    """What ``fn`` selects, as sets, or the class and message of what it raises.
+
+    The masks and the index array of ``select_pivot`` are read as the sets
+    and the tuple that the set-by-set oracle keeps.
+    """
     try:
-        return repr(fn(*args))
+        sel = fn(*args)
     except Exception as exc:  # compared, not swallowed
         return type(exc).__name__, str(exc)
+    fields = [sel.I_plus, sel.O_plus, sel.J_star]
+    if isinstance(sel.J_star, np.ndarray):
+        fields = [_members(sel.I_plus), _members(sel.O_plus), tuple(sel.J_star.tolist())]
+    return repr((*fields, sel.pivot, sel.ratio))
 
 
 @st.composite
@@ -223,12 +280,13 @@ def selection_cases(draw):
 def test_array_selection_matches_set_oracle(case):
     """Supports and pivots equal the set-by-set reference bit for bit, errors included."""
     gen, state, I, O = case
+    m = state.u_star.size
     inc = incoming_support(gen, 3)
     out = outgoing_support(state, gen)
-    assert inc == oracles.incoming_support_loop(gen, 3)
-    assert out == oracles.outgoing_support_loop(state, gen)
-    for pair in ((inc, out), (I, O), (I, frozenset(range(state.u_star.size)))):
-        got = _outcome(select_pivot, state, *pair)
+    assert _members(inc) == oracles.incoming_support_loop(gen, 3)
+    assert _members(out) == oracles.outgoing_support_loop(state, gen)
+    for pair in ((_members(inc), _members(out)), (I, O), (I, frozenset(range(m)))):
+        got = _outcome(select_pivot, state, *(_mask(m, s) for s in pair))
         assert got == _outcome(oracles.select_pivot_loop, state, *pair)
 
 

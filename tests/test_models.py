@@ -92,9 +92,19 @@ def test_heavy_tail_closed_form_sums():
 
 
 def test_heavy_tail_column_blocks_match_block(heavy):
-    for j, lo, hi in [(0, 0, 0), (0, 0, 3), (1, 0, 4), (26, 0, 25), (40, 5, 45), (7, 9, 12)]:
-        stacked = np.concatenate([heavy.block(l, j) for l in range(lo, hi + 1)])
-        np.testing.assert_array_equal(heavy.column_blocks(j, lo, hi), stacked)
+    """Every range ``lo..hi`` up to 45, of every column ``j`` up to 47, bit for bit.
+
+    The grid holds ``j = 0``, ranges wholly above the down entry
+    (``lo > j + 1``) and wholly in the up jumps (``hi < j - 1``), and
+    ranges holding the diagonal ``j`` and the down entry ``j + 1``.
+    """
+    for j in range(48):
+        column = np.concatenate([heavy.block(l, j) for l in range(46)])
+        for lo in range(46):
+            for hi in range(lo, 46):
+                got = heavy.column_blocks(j, lo, hi)
+                assert got.shape == (hi - lo + 1, 1), (j, lo, hi)
+                assert got.tobytes() == column[lo : hi + 1].tobytes(), (j, lo, hi)
 
 
 def test_heavy_tail_quadratic_decay_over_decades():

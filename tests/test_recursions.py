@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from bhmc import (
@@ -18,7 +20,7 @@ from bhmc import (
     sojourn_matrix,
     sojourn_rows,
 )
-from bhmc.recursions import lu_inverse
+from bhmc.recursions import PIVOT_RTOL, lu_inverse
 from bhmc.solver import _pivot_blocks
 from oracles import u_star_K_direct
 from conftest import (
@@ -115,6 +117,89 @@ def test_exactly_singular_inverse_raises_singular_block_without_warning():
         lu_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]), "rank one")
     with pytest.raises(SingularBlock, match="pivot below"):
         lu_inverse(np.array([[0.0, 0.0], [0.0, 1.0]]), "zero column")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_lu_inverse_non_finite_or_zero_matrix_raises_singular_block(bad):
+    zero_or_bad = [np.full((m, m), bad) for m in (1, 3)] + [np.zeros((0, 0))]
+    one_bad = np.eye(3)
+    one_bad[1, 2] = bad
+    for a in zero_or_bad + ([one_bad] if bad != 0.0 else []):
+        with pytest.raises(SingularBlock, match="^entry: matrix is zero or non-finite$"):
+            lu_inverse(a, "entry")
+
+
+@pytest.mark.filterwarnings("error")
+def test_lu_inverse_pivot_at_the_cut():
+    """A pivot of ``PIVOT_RTOL * scale * (1 +- 1e-6)`` is accepted above the cut, refused below."""
+    # upper triangular with its rows permuted: partial pivoting restores the
+    # order, so the pivots are the diagonal and the last is set exactly
+    a = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, 1.0], [0.0, 0.0, 0.0]])
+    scale = 4.0  # the largest absolute row sum, 3 + 1
+    for factor in (1.0 + 1e-6, 1.0 - 1e-6):
+        a[2, 2] = -PIVOT_RTOL * scale * factor
+        permuted = a[[2, 0, 1]]
+        if factor > 1.0:
+            got = lu_inverse(permuted, "cut")
+            assert got.tobytes() == oracles.lu_inverse_reductions(permuted, "cut").tobytes()
+            np.testing.assert_allclose(got @ permuted, np.eye(3), atol=1e-9)
+        else:
+            with pytest.raises(SingularBlock, match="^cut: pivot below 1e-13 \\* max row norm$"):
+                lu_inverse(permuted, "cut")
+
+
+def _guard_outcome(fn, a: np.ndarray):
+    """The inverse's bytes, or the message of the SingularBlock raised."""
+    try:
+        return fn(a, "case").tobytes()
+    except SingularBlock as exc:
+        return str(exc)
+
+
+@st.composite
+def guard_cases(draw):
+    """Square matrices for the LU guard, many with a pivot next to the cut.
+
+    Dense ones have rows long enough that a pairwise numpy row sum and
+    LAPACK's column-order sum can round apart; some carry a NaN, an
+    infinity or a zero row.  The rest are upper triangular with their rows
+    permuted, so partial pivoting restores the order, the pivots are the
+    diagonal, and the last is drawn within ``1e-6`` (relative) of the cut.
+    """
+    kind = draw(st.sampled_from(["dense", "non-finite", "zero row", "near cut", "near cut"]))
+    m = draw(st.integers(1 if kind in ("dense", "non-finite") else 2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-200, 200))
+    a = rng.uniform(-1.0, 1.0, (m, m)) * scale
+    if kind == "non-finite":
+        a[rng.integers(m), rng.integers(m)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "zero row":
+        a[rng.integers(m)] = 0.0
+    elif kind == "near cut":
+        a = np.triu(a)
+        a[np.diag_indices(m)] = np.abs(a.diagonal()) + scale
+        a[-1, -1] = 0.0
+        cut = PIVOT_RTOL * np.abs(a).sum(axis=1).max()
+        a[-1, -1] = cut * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+        a = a[rng.permutation(m)]
+    return a
+
+
+@given(guard_cases())
+@settings(max_examples=300, deadline=None)
+def test_lu_inverse_guard_matches_reduction_oracle(a):
+    """Same inverse bits and, away from the cut, the same raise-or-accept as numpy reductions."""
+    got = _guard_outcome(lu_inverse, a)
+    expected = _guard_outcome(oracles.lu_inverse_reductions, a)
+    if got == expected:
+        return
+    # only a pivot within 1e-12 (relative) of the cut may be decided apart
+    assert isinstance(got, str) != isinstance(expected, str), (got, expected)
+    scale = np.abs(a).sum(axis=1).max()
+    lu, _, _ = scipy.linalg.lapack.dgetrf(a)
+    ratio = np.abs(lu.diagonal()).min() / (PIVOT_RTOL * scale)
+    assert abs(ratio - 1.0) <= 1e-12, (ratio, got, expected)
 
 
 def test_lu_inverse_matches_getrs_oracle():

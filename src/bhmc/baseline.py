@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidBlock, NotQbd, SingularBlock
-from .generator import BlockGenerator, check_distribution, principal_submatrix
+from .generator import BlockGenerator, _as_number, check_distribution, principal_submatrix
 from .recursions import PIVOT_RTOL, lu_inverse
 
 if TYPE_CHECKING:  # scipy.sparse is imported where it is used, to keep import light
@@ -73,10 +73,12 @@ def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
     Solves ``x @ (-Q_n) = alpha_hat`` for the principal submatrix ``Q_n``
     over levels ``0..n``, with ``alpha_hat`` carrying ``alpha_n`` on the
     last block, then normalizes.  Returns the flat probability vector over
-    all states of levels ``0..n``.
+    all states of levels ``0..n``.  An ``n`` that is no integer raises
+    ConfigError, a negative one IndexOutOfRange.
     """
     import scipy.sparse
 
+    n = _as_number(n, "n", int)
     sub = principal_submatrix(gen, n)
     last = sub.level_slice(n)
     alpha = check_distribution(alpha_n, last.stop - last.start)
@@ -99,10 +101,14 @@ def bright_taylor(
     ``R_1..R_{K_star}``.  The boundary vector solves the censored balance
     equation at level 0 and the blocks ``pi_0 @ R_1 @ ... @ R_k`` are
     normalized over levels ``0..K_star``, which biases mass slightly
-    upward relative to the untruncated normalization.
+    upward relative to the untruncated normalization.  ``K_star`` and
+    ``tail_levels`` must be integers (else ConfigError) and nonnegative
+    (else IndexOutOfRange).
     """
     if gen.bandwidth != 1:
         raise NotQbd(f"bandwidth must be 1, got {gen.bandwidth}")
+    K_star = _as_number(K_star, "K_star", int)
+    tail_levels = _as_number(tail_levels, "tail_levels", int)
     if K_star < 0 or tail_levels < 0:
         raise IndexOutOfRange("K_star and tail_levels must be nonnegative")
     top = K_star + tail_levels

@@ -26,11 +26,11 @@ import yaml
 
 from . import baseline
 from .errors import BhmcError, ConfigError
-from .generator import BlockGenerator, _checked_columns, _level_offsets, lbcl_augment
-from .generator import principal_submatrix, validate_proper_q
+from .generator import BlockGenerator, _as_number, _checked_columns, _level_offsets
+from .generator import lbcl_augment, principal_submatrix, validate_proper_q
 from .lfp import DriftCertificate
 from .models import build_model
-from .recursions import _as_number, advance, init_state
+from .recursions import advance, init_state
 from .solver import (
     VARIANTS,
     Approximation,

@@ -10,6 +10,7 @@ have different phase counts and all shapes are derived from
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -29,6 +30,24 @@ __all__ = [
     "principal_submatrix",
     "lbcl_augment",
 ]
+
+
+def _as_number(value, where: str, kind: type = float):
+    """``value`` as a float, or as an int when ``kind`` is ``int``.
+
+    A number is any real but a bool, an integer an integral one (``1.0e+4``
+    is 10000).  Anything else, text included, is a ConfigError naming ``where``.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if kind is not int:
+                return float(value)
+            if isinstance(value, numbers.Integral) or float(value).is_integer():
+                return int(value)
+        except OverflowError:
+            pass  # an int past double range is no float
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{where} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +185,8 @@ def validate_proper_q(
     magnitude at most ``tol``.  The rows are added up batch by batch from
     the checked column walk (see :func:`principal_submatrix`): over the band
     when there is one, otherwise through ``levels`` plus the exact
-    ``tail_column`` beyond it.  A negative ``levels`` raises
+    ``tail_column`` beyond it.  A ``levels`` that is no integer or a
+    ``tol`` that is no number raises ConfigError, a negative ``levels``
     IndexOutOfRange, and a negative or non-finite ``tol`` ConfigError.
 
     Raises
@@ -177,6 +197,7 @@ def validate_proper_q(
         On a negative off-diagonal entry, a positive diagonal entry, a
         non-finite block entry, or a misshapen block or tail column.
     """
+    levels, tol = _as_number(levels, "levels", int), _as_number(tol, "tol")
     if levels < 0:
         raise IndexOutOfRange(f"levels must be nonnegative, got {levels}")
     if not 0.0 <= tol < np.inf:
@@ -267,9 +288,12 @@ def principal_submatrix(gen: BlockGenerator, n: int) -> PrincipalSubmatrix:
 
     Column ``j`` is one ``block_column`` call over the levels that reach
     it; a bad block raises InvalidBlock, the first in column order first.
+    An ``n`` that is no integer raises ConfigError, a negative one
+    IndexOutOfRange.
     """
     import scipy.sparse
 
+    n = _as_number(n, "n", int)
     offsets = _level_offsets(gen, n)
     rows, cols, vals = map(np.concatenate, zip(*_checked_columns(gen, offsets)))
     # collected column by column, the entries convert to canonical CSR

@@ -23,7 +23,6 @@ infinite band keeps no factors; its ``W`` grows by one member per level.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -32,7 +31,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetri, dlange
 
 from .errors import ConfigError, IndexOutOfRange, InvalidBlock, PhaseMismatch, SingularBlock
-from .generator import BlockGenerator
+from .generator import BlockGenerator, _as_number
 
 __all__ = [
     "RecursionState",
@@ -45,37 +44,73 @@ __all__ = [
 # LU pivots below PIVOT_RTOL times the max row norm are treated as singular;
 # ergodicity guarantees nonsingular exit matrices, so this is diagnostic.
 PIVOT_RTOL = 1e-13
+# lu_inverse splits a matrix of more rows than this into halves, where the
+# halves measured faster than one getri; no smaller matrix changes path.
+SPLIT = 64
 
 
 def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Invert by LU with partial pivoting; tiny pivots raise SingularBlock.
+    """Invert a nonsingular M-matrix; tiny pivots raise SingularBlock.
 
-    Calls LAPACK ``getrf`` and then ``getri``, which inverts in place from
-    the factors: on the small exit matrices the wrapper overhead of
-    ``scipy.linalg.lu_factor``/``lu_solve`` costs more than the
-    factorization, and ``getri`` is cheaper than solving ``getrs`` against
-    the identity at every size (a 1x1 inverse is ``1 / pivot`` either way).
+    Every matrix the library inverts is a nonsingular M-matrix: the exit
+    matrices, ``-block(0, 0)`` and the cores of ``bright_taylor``.
+
+    A matrix of at most ``SPLIT`` rows is one leaf: LAPACK ``getrf`` and
+    then ``getri``, which inverts in place from the factors, without the
+    wrapper overhead of ``scipy.linalg.lu_factor`` and cheaper than
+    ``getrs`` against the identity (a 1x1 inverse is ``1 / pivot``).
     ``getri`` gets a fixed ``64 * m`` workspace, the blocked size LAPACK's
-    own workspace query returns.
+    own workspace query returns.  But ``getri`` runs at a fraction of the
+    speed of a matrix product, so a larger matrix
+    ``[[C11, C12], [C21, C22]]`` is inverted through the Schur complement
+    of its leading half: ``X = inv(C11)``, ``S = C22 - C21 X C12``,
+    ``Y = inv(S)``, and six half-size products assemble the inverse.  The
+    halves recurse until every leaf fits.  They need no pivoting between
+    them, because the leading blocks and Schur complements of a nonsingular
+    M-matrix are again nonsingular M-matrices.
 
     The guard takes no numpy reduction, which on a 1x1 exit matrix would
-    cost more than the inverse.  Its scale is LAPACK ``dlange("I")``, the
-    largest absolute row sum, each row summed in column order; a scale
-    that is zero, NaN or infinite raises "matrix is zero or non-finite".
-    Every pivot of ``U`` must then reach ``PIVOT_RTOL`` times the scale, a
-    test that is false on a NaN pivot too, or "pivot below" is raised; an
-    exactly zero pivot, which ``getrf`` reports through ``info``, fails
-    like any tiny one.
+    cost more than the inverse.  Its scale is LAPACK ``dlange("I")`` of the
+    whole matrix, the largest absolute row sum, each row summed in column
+    order; a scale that is zero, NaN or infinite raises "matrix is zero or
+    non-finite".  Every pivot of every leaf's ``U`` must then reach
+    ``PIVOT_RTOL`` times that scale, a test that is false on a NaN pivot
+    too, or "pivot below" is raised; an exactly zero pivot, which ``getrf``
+    reports through ``info``, fails like any tiny one.
     """
     m = np.asarray(matrix, dtype=float)
     scale = dlange("I", m)  # 0.0 on an empty matrix
     if 0.0 < scale < np.inf:  # false on NaN too
-        lu, piv, _ = dgetrf(m)
-        cut = PIVOT_RTOL * scale
-        if all(cut <= abs(p) for p in lu.diagonal().tolist()):  # false on a NaN pivot
-            return dgetri(lu, piv, lwork=64 * m.shape[0], overwrite_lu=True)[0]
-        raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
+        return _inverse(m, PIVOT_RTOL * scale, what)
     raise SingularBlock(f"{what}: matrix is zero or non-finite")
+
+
+def _inverse(m: np.ndarray, cut: float, what: str) -> np.ndarray:
+    """``lu_inverse`` below its scale check, every leaf pivot held to ``cut``."""
+    size = m.shape[0]
+    if size <= SPLIT:
+        lu, piv, _ = dgetrf(m)
+        if all(cut <= abs(p) for p in lu.diagonal().tolist()):  # false on a NaN pivot
+            return dgetri(lu, piv, lwork=64 * size, overwrite_lu=True)[0]
+        raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
+    h = size // 2
+    x = _inverse(m[:h, :h], cut, what)
+    # negated in place, so that each block of the inverse is one product
+    # written where it belongs
+    neg_x_c12 = x @ m[:h, h:]
+    neg_x_c12 *= -1.0
+    neg_c21_x = m[h:, :h] @ x
+    neg_c21_x *= -1.0
+    schur = m[h:, :h] @ neg_x_c12
+    schur += m[h:, h:]
+    y = _inverse(schur, cut, what)
+    out = np.empty((size, size))
+    np.matmul(y, neg_c21_x, out=out[h:, :h])
+    np.matmul(neg_x_c12, y, out=out[:h, h:])
+    np.matmul(neg_x_c12, out[h:, :h], out=out[:h, :h])
+    out[:h, :h] += x
+    out[h:, h:] = y
+    return out
 
 
 @dataclass
@@ -116,24 +151,6 @@ class RecursionState:
     @property
     def u_star_K(self) -> np.ndarray | None:
         return self.u_K if self.n >= max(self.K_set) else None
-
-
-def _as_number(value, where: str, kind: type = float):
-    """``value`` as a float, or as an int when ``kind`` is ``int``.
-
-    A number is any real but a bool, an integer an integral one (``1.0e+4``
-    is 10000).  Anything else, text included, is a ConfigError naming ``where``.
-    """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if kind is not int:
-                return float(value)
-            if isinstance(value, numbers.Integral) or float(value).is_integer():
-                return int(value)
-        except OverflowError:
-            pass  # an int past double range is no float
-    what = "an integer" if kind is int else "a number"
-    raise ConfigError(f"{where} must be {what}, got {value!r}")
 
 
 def _normalize_k_set(K_set) -> frozenset[int]:

@@ -36,7 +36,7 @@ from .errors import (
     PhaseMismatch,
     SingularBlock,
 )
-from .generator import BlockGenerator, _checked_columns, _level_offsets
+from .generator import BlockGenerator, _as_number, _checked_columns, _level_offsets
 from .lfp import (
     DriftCertificate,
     PivotSelection,
@@ -47,7 +47,6 @@ from .lfp import (
 )
 from .recursions import (
     RecursionState,
-    _as_number,
     _chain,
     _normalize_k_set,
     advance,

@@ -10,7 +10,9 @@ and ``drift_blockwise`` measures the drift driver's stopping distance on
 assembled approximations.  ``lattice_block_loop`` and ``lu_inverse_getrs``
 keep the move-by-move lattice blocks and the ``getrs`` inverse that the
 package replaced, ``lu_inverse_reductions`` the numpy-reduction guard that
-the LAPACK ``dlange`` scale replaced, and ``family_blocks_mp`` is the
+the LAPACK ``dlange`` scale replaced, ``lu_inverse_getri`` the
+whole-matrix ``getri`` that inversion by halves replaced above the split
+size, and ``family_blocks_mp`` is the
 40-digit reference for the sojourn family.  ``incoming_support_loop``,
 ``outgoing_support_loop`` and ``select_pivot_loop`` are the set-by-set
 pivot selection that the boolean-mask form replaced, and
@@ -156,6 +158,22 @@ def lu_inverse_getrs(matrix: np.ndarray) -> np.ndarray:
     lu, piv, _ = scipy.linalg.lapack.dgetrf(np.asarray(matrix, dtype=float))
     inverse, _ = scipy.linalg.lapack.dgetrs(lu, piv, np.eye(lu.shape[0], order="F"))
     return inverse
+
+
+def lu_inverse_getri(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Inverse by one whole-matrix LAPACK ``getrf`` and ``getri``.
+
+    The route ``lu_inverse`` took at every size before it inverted a large
+    matrix by halves, with the same ``dlange`` guard and messages.
+    """
+    m = np.asarray(matrix, dtype=float)
+    scale = scipy.linalg.lapack.dlange("I", m)
+    if 0.0 < scale < np.inf:  # false on NaN too
+        lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
+        if all(PIVOT_RTOL * scale <= abs(p) for p in lu.diagonal().tolist()):
+            return scipy.linalg.lapack.dgetri(lu, piv, lwork=64 * m.shape[0], overwrite_lu=True)[0]
+        raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
+    raise SingularBlock(f"{what}: matrix is zero or non-finite")
 
 
 def lu_inverse_reductions(matrix: np.ndarray, what: str) -> np.ndarray:

@@ -33,6 +33,7 @@ from bhmc import (
     make_mm1,
     principal_submatrix,
     solve_mip,
+    validate_proper_q,
 )
 
 MODULES = sorted(
@@ -118,6 +119,14 @@ def test_invalid_argument_is_bhmc_error(call):
         (lambda: SolverOptions(max_level=True), "max_level"),
         (lambda: CheckpointSchedule(kind="arithmetic", stride=np.inf), "stride"),
         (lambda: SolverOptions(epsilon=10**400), "epsilon"),
+        (lambda: bright_taylor(make_mm1(1.0, 2.0), 2.5), "K_star"),
+        (lambda: bright_taylor(make_mm1(1.0, 2.0), True), "K_star"),
+        (lambda: bright_taylor(make_mm1(1.0, 2.0), 3, 1.5), "tail_levels"),
+        (lambda: lbcl_direct(make_mm1(1.0, 2.0), 2.5, np.array([1.0])), "^n must be"),
+        (lambda: principal_submatrix(make_mm1(1.0, 2.0), 2.5), "^n must be"),
+        (lambda: principal_submatrix(make_mm1(1.0, 2.0), "3"), "^n must be"),
+        (lambda: validate_proper_q(make_mm1(1.0, 2.0), 2.5), "levels"),
+        (lambda: validate_proper_q(make_mm1(1.0, 2.0), 2, "tight"), "tol"),
     ],
     ids=[
         "schedule_levels_int",
@@ -130,6 +139,14 @@ def test_invalid_argument_is_bhmc_error(call):
         "max_level_bool",
         "stride_inf",
         "epsilon_overflow",
+        "bright_taylor_k_star_fractional",
+        "bright_taylor_k_star_bool",
+        "bright_taylor_tail_levels_fractional",
+        "lbcl_direct_n_fractional",
+        "principal_submatrix_n_fractional",
+        "principal_submatrix_n_str",
+        "validate_levels_fractional",
+        "validate_tol_str",
     ],
 )
 def test_malformed_option_is_config_error_naming_field(call, field):
@@ -141,6 +158,12 @@ def test_integral_reals_are_integers():
     opts = SolverOptions(K_set={0.0, 2.0}, max_level=1.0e4)
     assert opts.K_set == {0, 2} and opts.max_level == 10000
     assert all(type(k) is int for k in opts.K_set) and type(opts.max_level) is int
+    mm1 = make_mm1(1.0, 2.0)
+    assert type(principal_submatrix(mm1, 3.0).n) is int
+    assert type(validate_proper_q(mm1, 3.0).levels) is int
+    one = np.array([1.0])
+    assert lbcl_direct(mm1, 3.0, one).tobytes() == lbcl_direct(mm1, 3, one).tobytes()
+    assert len(bright_taylor(mm1, 3.0, 2.0).R) == 3
 
 
 def _edited_mm1(edit) -> BlockGenerator:

@@ -15,12 +15,14 @@ from bhmc import (
     PhaseMismatch,
     SingularBlock,
     advance,
+    bright_taylor,
     init_state,
     lbcl_direct,
     sojourn_matrix,
     sojourn_rows,
 )
-from bhmc.recursions import PIVOT_RTOL, lu_inverse
+from bhmc import baseline, recursions
+from bhmc.recursions import PIVOT_RTOL, SPLIT, lu_inverse
 from bhmc.solver import _pivot_blocks
 from oracles import u_star_K_direct
 from conftest import (
@@ -202,8 +204,17 @@ def test_lu_inverse_guard_matches_reduction_oracle(a):
     assert abs(ratio - 1.0) <= 1e-12, (ratio, got, expected)
 
 
+def _assert_inverts_like_getri(a: np.ndarray, got: np.ndarray) -> None:
+    """Bit for bit the whole-matrix ``getri`` up to ``SPLIT`` rows, to 1e-13 relative above."""
+    expected = oracles.lu_inverse_getri(a, "oracle")
+    if a.shape[0] <= SPLIT:
+        assert got.tobytes() == expected.tobytes(), a.shape
+    else:
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), a.shape
+
+
 def test_lu_inverse_matches_getrs_oracle():
-    """``getri`` inverts like ``getrs`` on the identity, and exactly at 1x1."""
+    """Inverses like ``getrs`` on the identity and like the whole-matrix ``getri``; exact at 1x1."""
     rng = np.random.default_rng(5)
     for m in range(1, 301):
         a = rng.uniform(-1.0, 1.0, (m, m))
@@ -211,14 +222,37 @@ def test_lu_inverse_matches_getrs_oracle():
         expected = oracles.lu_inverse_getrs(a)
         got = lu_inverse(a, "dominant")
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), m
+        _assert_inverts_like_getri(a, got)
     # the scalar-phase chains' digests rest on bit-identical 1x1 inverses
     for value in [*rng.uniform(-10.0, 10.0, 200), 3.0, -1.0 / 3.0, 1e-300, -7e299]:
         a = np.array([[value]])
         assert lu_inverse(a, "scalar").tobytes() == oracles.lu_inverse_getrs(a).tobytes()
 
 
+def test_lu_inverse_by_halves_matches_getri_oracle_on_m_matrices(monkeypatch, lattice):
+    """The nonsingular M-matrices a lattice solve and its R recursion invert at levels 60..200.
+
+    They have 61 to 201 phases, so most are inverted by halves.
+    """
+    captured = {}
+
+    def spy(matrix, what):
+        captured[what] = matrix
+        return lu_inverse(matrix, what)
+
+    monkeypatch.setattr(recursions, "lu_inverse", spy)
+    monkeypatch.setattr(baseline, "lu_inverse", spy)
+    drive_to(lattice, 200)
+    bright_taylor(lattice, 200)
+    monkeypatch.undo()
+    for k in range(60, 201):
+        for what in (f"level {k} exit matrix", f"R recursion at level {k}"):
+            a = captured[what]
+            _assert_inverts_like_getri(a, lu_inverse(a, what))
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("m", [2, 7, 60])
+@pytest.mark.parametrize("m", [2, 7, 60, 65, 130, 257])
 def test_nearly_singular_inverse_raises_singular_block(m):
     rng = np.random.default_rng(m)
     a = rng.uniform(0.0, 1.0, (m, m))

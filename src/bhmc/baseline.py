@@ -5,8 +5,9 @@ share no code with the sequential recursion: a direct linear solve of the
 augmented truncation, the classical backward R-matrix recursion for
 block-tridiagonal chains, and a left-null-vector solve of a finite
 generator.  The two linear solves factor a ``scipy.sparse`` matrix with
-sparse LU (``splu``), under the same relative pivot guard as the
-recursion's dense LU.
+sparse LU (``splu``).  The left null vector is held to the recursion's
+relative pivot guard; the augmented truncation's answer is checked
+instead (see ``lbcl_direct``).
 """
 
 from __future__ import annotations
@@ -47,11 +48,19 @@ class BrightTaylorResult:
         return np.concatenate(self.blocks)
 
 
-def _guarded_splu(a: scipy.sparse.csc_array, what: str) -> scipy.sparse.linalg.SuperLU:
-    """Sparse LU of ``a`` with the shared pivot guard.
+# lbcl_direct's answer checks, set by measurement over about 6000
+# truncations (random chains of 1-4 phases on bands of width 1, 2, 3 and
+# infinite, at levels up to 400, and the catalog): the relative backward
+# error never passed 0.4 eps, the most negative entry -21 eps of the largest.
+BACKWARD_RTOL = 1e-14
+NEGATIVE_RTOL = 256 * np.finfo(float).eps
 
-    A pivot of ``U`` below ``PIVOT_RTOL`` times the largest row norm of
-    ``a``, or an exactly singular factor, is reported as SingularBlock.
+
+def _splu(a: scipy.sparse.csc_array, what: str) -> tuple[scipy.sparse.linalg.SuperLU, float]:
+    """Sparse LU of ``a`` and its largest row norm.
+
+    A zero or non-finite ``a``, or an exactly singular factor, is reported
+    as SingularBlock.
     """
     import scipy.sparse.linalg
 
@@ -59,12 +68,9 @@ def _guarded_splu(a: scipy.sparse.csc_array, what: str) -> scipy.sparse.linalg.S
     if scale == 0.0 or not np.isfinite(scale):
         raise SingularBlock(f"{what}: matrix is zero or non-finite")
     try:
-        lu = scipy.sparse.linalg.splu(a)
+        return scipy.sparse.linalg.splu(a), scale
     except RuntimeError as exc:  # splu: "Factor is exactly singular"
         raise SingularBlock(f"{what}: matrix is exactly singular") from exc
-    if np.abs(lu.U.diagonal()).min() < PIVOT_RTOL * scale:
-        raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
-    return lu
 
 
 def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
@@ -75,6 +81,13 @@ def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
     last block, then normalizes.  Returns the flat probability vector over
     all states of levels ``0..n``.  An ``n`` that is no integer raises
     ConfigError, a negative one IndexOutOfRange.
+
+    The answer is checked, not the pivots: the truncation's LU pivots
+    shrink with depth while the solve stays accurate.  SingularBlock is
+    raised when the relative backward error
+    ``|x @ (-Q_n) - alpha_hat| / (|Q_n| |x| + |alpha_hat|)``, in max norms,
+    exceeds ``BACKWARD_RTOL``, or when an entry of the normalized vector is
+    below ``-NEGATIVE_RTOL`` times its largest.
     """
     import scipy.sparse
 
@@ -86,8 +99,20 @@ def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
     rhs[last] = alpha
     # x @ -Q_n = rhs, solved with the transpose factored
     what = f"augmented truncation at level {n}"
-    x = _guarded_splu(scipy.sparse.csc_array(-sub.data.T), what).solve(rhs)
-    return x / x.sum()
+    a = scipy.sparse.csc_array(-sub.data.T)
+    lu, scale = _splu(a, what)
+    x = lu.solve(rhs)
+    backward = np.abs(a @ x - rhs).max() / (scale * np.abs(x).max() + alpha.max())
+    if not backward <= BACKWARD_RTOL:  # true on NaN too
+        raise SingularBlock(
+            f"{what}: relative backward error {backward:.1e} exceeds {BACKWARD_RTOL}"
+        )
+    pi = x / x.sum()
+    if not pi.min() >= -NEGATIVE_RTOL * pi.max():
+        raise SingularBlock(
+            f"{what}: entry {pi.min():.1e} is negative beyond {NEGATIVE_RTOL:.1e} of the largest"
+        )
+    return pi
 
 
 def bright_taylor(
@@ -146,7 +171,10 @@ def _null_left_vector(matrix: np.ndarray | scipy.sparse.sparray) -> np.ndarray:
     rhs = np.zeros(m)
     rhs[-1] = 1.0
     # a is factored as assembled, in CSC, and solved transposed: x @ a = rhs
-    return _guarded_splu(a, "left null vector").solve(rhs, trans="T")
+    lu, scale = _splu(a, "left null vector")
+    if np.abs(lu.U.diagonal()).min() < PIVOT_RTOL * scale:
+        raise SingularBlock(f"left null vector: pivot below {PIVOT_RTOL} * max row norm")
+    return lu.solve(rhs, trans="T")
 
 
 def brute_force_stationary(

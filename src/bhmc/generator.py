@@ -78,7 +78,9 @@ class BlockGenerator:
         ``(M_lo + ... + M_hi, M_j)``.  It must agree with ``block``; it
         lets a provider build a whole block column in one expression,
         which is what the infinite-band recursion reads at every level.
-        Without it, ``block_column`` stacks single ``block`` calls.
+        Without it, ``block_column`` stacks single ``block`` calls.  It may
+        return a read-only view of an array the provider keeps, since a
+        solve writes into no block.
 
     ``block_array`` checks shapes.  One checked column walk, the one
     :func:`principal_submatrix` assembles, checks signs and finiteness; the

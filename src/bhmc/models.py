@@ -117,6 +117,12 @@ def make_heavy_tail_mg1(mu: float, tail_c: float = 1.0) -> BlockGenerator:
     the local rate absorbs the rest.  Stable when ``mu > tail_c / 2``.
     The stationary tail decays quadratically, which is what makes this
     model a stress case for truncation-based solvers.
+
+    The jump rates are evaluated once, into one read-only array built at
+    the first ``column_blocks`` call and rebuilt at twice its size when a
+    column reaches past it, so a solve to level ``n`` keeps ``O(n)``
+    floats.  The column of up jumps only, the one each recursion level
+    reads, is a view of that array.
     """
     _require_positive(mu=mu, tail_c=tail_c)
     up_mean = tail_c / 2.0
@@ -142,13 +148,28 @@ def make_heavy_tail_mg1(mu: float, tail_c: float = 1.0) -> BlockGenerator:
             return _scalar(up_rate(l - k))
         return _scalar(0.0)
 
+    # the jump kernel, reversed: rev[i] = up_rate(len(rev) - i), so the up
+    # jumps d = j - l of a column, l = lo..min(hi, j - 1), are the run of
+    # rev from len(rev) - (j - lo) on; read-only, it is served as views
+    rev = np.empty(0)
+
     def column_blocks(j: int, lo: int, hi: int) -> np.ndarray:
-        # block(l, j) for l = lo..hi: the up jumps d = j - l >= 1 fill the
-        # prefix l < j in one slice (up_rate on a float array gives the same
-        # floats as on each integer), then the diagonal and the down entry
-        col = np.zeros(hi - lo + 1)
+        # block(l, j) for l = lo..hi: the up jumps fill the prefix l < j
+        # (up_rate on a float array gives the same floats as on each
+        # integer), then the diagonal and the down entry
+        nonlocal rev
         up = max(min(j, hi + 1) - lo, 0)
-        col[:up] = up_rate(np.arange(j - lo, j - lo - up, -1.0))
+        if up and len(rev) < j - lo:
+            size = max(len(rev), 64)
+            while size < j - lo:
+                size *= 2
+            rev = up_rate(np.arange(size, 0, -1.0))
+            rev.flags.writeable = False
+        start = len(rev) - (j - lo)
+        if lo <= hi < j:  # up jumps only: a view of the kernel
+            return rev[start : start + up, None]
+        col = np.zeros(hi - lo + 1)
+        col[:up] = rev[start : start + up]
         if lo <= j <= hi:
             col[j - lo] = local_rate(j)
         if lo <= j + 1 <= hi:

@@ -239,9 +239,15 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     # once the window spans the band, level lo leaves it
     drop = int(finite and len(state.phases) == gen.bandwidth)
     kept = state.W[:, sum(state.phases[:drop]) :]
+    w = u1
+    if kept.size:  # the new family, written once into one array
+        k = kept.shape[1]
+        w = np.empty((m1, k + m1))
+        np.matmul(step, kept, out=w[:, :k])
+        w[:, k:] = u1
     return RecursionState(
         n=n1,
-        W=np.concatenate([step @ kept, u1], axis=1) if kept.size else u1,
+        W=w,
         phases=state.phases[drop:] + (m1,),
         factors=(q_down @ state.U_star, state.factors) if finite else None,
         u_star=u_vec,
@@ -290,7 +296,8 @@ def sojourn_rows(state: RecursionState, seed: np.ndarray) -> tuple[np.ndarray, .
     seed, m = np.asarray(seed), state.phases[-1]
     if seed.shape != (m,):
         raise PhaseMismatch(f"seed has shape {seed.shape}, but level {state.n} has {m} phases")
-    rows = np.split(seed @ state.W, np.cumsum(state.phases[:-1]))
+    row, ends = seed @ state.W, np.cumsum(state.phases).tolist()
+    rows = [row[a:b] for a, b in zip([0, *ends], ends)]
     below, x = [], rows[0]
     for factor in islice(_chain(state.factors), len(state.phases) - 1, None):
         x = x @ factor

@@ -17,7 +17,9 @@ size, and ``family_blocks_mp`` is the
 ``outgoing_support_loop`` and ``select_pivot_loop`` are the set-by-set
 pivot selection that the boolean-mask form replaced, and
 ``principal_submatrix_rows`` is the unchecked row-by-row assembly that the
-checked column walk replaced.
+checked column walk replaced.  ``heavy_tail_column_sliced`` builds each
+heavy-tail block column afresh by slice, as before the model kept its jump
+kernel.
 """
 
 from __future__ import annotations
@@ -451,3 +453,26 @@ def principal_submatrix_rows(gen, n: int) -> PrincipalSubmatrix:
         (np.concatenate(vals), np.concatenate(cols), indptr), shape=(dim, dim)
     )
     return PrincipalSubmatrix(n, offsets, data)
+
+
+def heavy_tail_column_sliced(mu: float, tail_c: float = 1.0):
+    """``make_heavy_tail_mg1(mu, tail_c).column_blocks``, each column built afresh.
+
+    The up jumps ``d = j - l`` of the rows ``l = lo..min(hi, j - 1)`` are
+    one kernel evaluation on a float range, then the diagonal and the down
+    entry are set; every call allocates its column and shares nothing.
+    """
+    a0 = -(mu + tail_c / 4.0)
+
+    def column_blocks(j: int, lo: int, hi: int) -> np.ndarray:
+        col = np.zeros(hi - lo + 1)
+        up = max(min(j, hi + 1) - lo, 0)
+        d = np.arange(j - lo, j - lo - up, -1.0)
+        col[:up] = tail_c / (d * (d + 1.0) * (d + 2.0))
+        if lo <= j <= hi:
+            col[j - lo] = a0 + mu if j == 0 else a0
+        if lo <= j + 1 <= hi:
+            col[j + 1 - lo] = mu
+        return col[:, None]
+
+    return column_blocks

@@ -13,6 +13,7 @@ from bhmc import (
     NotQbd,
     SingularBlock,
     SolverOptions,
+    baseline,
     bright_taylor,
     brute_force_stationary,
     lbcl_augment,
@@ -101,6 +102,26 @@ def test_lbcl_direct_matches_dense_oracle(catalog):
         sparse = lbcl_direct(gen, n, alpha)
         dense = oracles.lbcl_direct_dense(gen, n, alpha)
         assert tv_distance(sparse, dense) < 1e-13, name
+
+
+@pytest.mark.parametrize("seed, n", [(1, 64), (1, 100), (1, 150), (1, 200), (524, 57)])
+def test_lbcl_direct_deep_truncations_match_dense_oracle(seed, n):
+    # splu's smallest pivot here is below 1e-13 of the largest row norm,
+    # yet the answer is accurate: lbcl_direct checks the answer, not the pivots
+    gen = random_banded(2, 1, seed)
+    one = np.array([1.0])
+    assert tv_distance(lbcl_direct(gen, n, one), oracles.lbcl_direct_dense(gen, n, one)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "bound, message",
+    [("BACKWARD_RTOL", "relative backward error"), ("NEGATIVE_RTOL", "is negative beyond")],
+)
+def test_lbcl_direct_checks_its_answer(monkeypatch, bound, message):
+    # at level 200 the vector has an entry of -1.2e-15, below a zero bound
+    monkeypatch.setattr(baseline, bound, 0.0)
+    with pytest.raises(SingularBlock, match=f"^augmented truncation at level 200: .*{message}"):
+        lbcl_direct(random_banded(None, 1, 25), 200, np.array([1.0]))
 
 
 def test_brute_force_same_for_dense_and_sparse_input(catalog):

@@ -1,5 +1,7 @@
 """Catalog model construction, stability guards, and oracle agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,66 @@ def test_heavy_tail_column_blocks_match_block(heavy):
                 got = heavy.column_blocks(j, lo, hi)
                 assert got.shape == (hi - lo + 1, 1), (j, lo, hi)
                 assert got.tobytes() == column[lo : hi + 1].tobytes(), (j, lo, hi)
+
+
+# columns around the kernel's growth from 64 to 128 to 256 entries, and one
+# that needs 2048 at once
+GROWTH_COLUMNS = (63, 64, 65, 128, 129, 1025)
+
+
+def _growth_ranges(j: int):
+    """Ranges ``lo..hi`` of column ``j``: ``lo`` at both ends, ``hi`` below, at and above ``j``."""
+    for lo in (0, 1, j - 1, j, j + 1):
+        for hi in (j - 2, j - 1, j, j + 1, j + 5):
+            if lo <= hi:
+                yield lo, hi
+
+
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "growing"])
+def test_heavy_tail_column_blocks_across_kernel_growth(fresh):
+    """Each growth column, read first by a fresh generator or in order by one, bit for bit."""
+    mu, tail_c = 3.0, 1.0
+    oracle = oracles.heavy_tail_column_sliced(mu, tail_c)
+    heavy = make_heavy_tail_mg1(mu, tail_c)
+    for j in GROWTH_COLUMNS:
+        if fresh:
+            heavy = make_heavy_tail_mg1(mu, tail_c)
+        column = np.concatenate([heavy.block(l, j) for l in range(j + 6)])
+        for lo, hi in _growth_ranges(j):
+            got = heavy.column_blocks(j, lo, hi)
+            assert got.shape == (hi - lo + 1, 1), (j, lo, hi)
+            assert got.tobytes() == column[lo : hi + 1].tobytes(), (j, lo, hi)
+            assert got.tobytes() == oracle(j, lo, hi).tobytes(), (j, lo, hi)
+
+
+def test_heavy_tail_columns_are_read_only(heavy):
+    want = oracles.heavy_tail_column_sliced(3.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        heavy.column_blocks(70, 0, 69)[0, 0] = 1.0  # up jumps only: a view of the kernel
+    heavy.column_blocks(70, 3, 71)[0, 0] = 1.0  # with the diagonal: the caller's copy
+    for j, lo, hi in [(70, 0, 69), (70, 3, 71), (71, 0, 70), (300, 0, 299)]:
+        assert heavy.column_blocks(j, lo, hi).tobytes() == want(j, lo, hi).tobytes()
+
+
+def test_heavy_tail_generators_share_no_kernel():
+    small, large = make_heavy_tail_mg1(3.0, 1.0), make_heavy_tail_mg1(3.0, 2.0)
+    small.column_blocks(100, 0, 99)
+    large.column_blocks(500, 0, 499)  # grows its own kernel past the other's
+    for gen, tail_c in ((small, 1.0), (large, 2.0)):
+        want = oracles.heavy_tail_column_sliced(3.0, tail_c)
+        for j in (100, 500):
+            assert gen.column_blocks(j, 0, j - 1).tobytes() == want(j, 0, j - 1).tobytes()
+
+
+def test_heavy_tail_solve_same_with_sliced_columns(heavy):
+    sliced = replace(heavy, column_blocks=oracles.heavy_tail_column_sliced(3.0, 1.0))
+    opts = SolverOptions(epsilon=1e-7)
+    got, want = solve_mip(heavy, opts), solve_mip(sliced, opts)
+    assert got.n == want.n > 1024  # past two growths of the kernel
+    assert b"".join(b.tobytes() for b in got.blocks) == b"".join(
+        b.tobytes() for b in want.blocks
+    )
+    assert repr(got.pivot_trace) == repr(want.pivot_trace)
 
 
 def test_heavy_tail_quadratic_decay_over_decades():

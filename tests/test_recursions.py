@@ -399,6 +399,19 @@ def test_wide_update_leaves_earlier_states_valid(heavy):
             assert state.factors is None
 
 
+def test_wide_update_matches_concatenated_family():
+    gen = random_banded(None, 2, seed=13)
+    state = init_state(gen)
+    for n in range(1, 12):
+        before = state.W.copy()
+        new = advance(state, gen)
+        step = new.U_star @ gen.block_array(n, n - 1)
+        want = np.concatenate([step @ state.W, new.U_star], axis=1)
+        assert new.W.tobytes() == want.tobytes(), n
+        assert state.W.tobytes() == before.tobytes(), n
+        state = new
+
+
 def _family_chains(catalog):
     """The catalog plus multi-phase, banded and infinite-band test chains."""
     return dict(

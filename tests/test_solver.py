@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from oracles import drift_blockwise, residual_q_norm_direct
@@ -440,12 +440,14 @@ def test_solve_mip_matches_lbcl_direct_on_random_chains(bandwidth, phases, seed)
     # precision runs out before two consecutive ones agree
     kind=st.sampled_from(["every", "arithmetic"]),
 )
+# stops at level 57, where a pivot guard on lbcl_direct's LU refused the
+# truncation although its answer is accurate
+@example(bandwidth=2, phases=1, seed=524, kind="arithmetic")
 @settings(max_examples=30, deadline=None)
 def test_solve_mip_drift_matches_oracles_on_random_chains(bandwidth, phases, seed, kind):
     gen = random_banded(bandwidth, phases, seed)
     cert = DriftCertificate(v_blocks=lambda l: np.full(phases, float(l + 1)), b=1.0)
-    # 1e-8 keeps the stop level below about 50, past which lbcl_direct's
-    # pivot guard starts to refuse these truncations
+    # 1e-8 keeps the stop level near 50, so the Hypothesis budget stays small
     opts = SolverOptions(epsilon=1e-8, checkpoint_schedule=SCHEDULES[kind])
     approx, _ = _assert_drift_matches_blockwise(gen, cert, opts)
     assert approx.converged

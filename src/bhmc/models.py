@@ -156,20 +156,22 @@ def make_heavy_tail_mg1(mu: float, tail_c: float = 1.0) -> BlockGenerator:
     def column_blocks(j: int, lo: int, hi: int) -> np.ndarray:
         # block(l, j) for l = lo..hi: the up jumps fill the prefix l < j
         # (up_rate on a float array gives the same floats as on each
-        # integer), then the diagonal and the down entry
+        # integer), then the diagonal and the down entry.  One call reads
+        # one kernel, so a concurrent rebuild cannot mix two.
         nonlocal rev
-        up = max(min(j, hi + 1) - lo, 0)
-        if up and len(rev) < j - lo:
-            size = max(len(rev), 64)
+        kernel, up = rev, max(min(j, hi + 1) - lo, 0)
+        if up and len(kernel) < j - lo:
+            size = max(len(kernel), 64)
             while size < j - lo:
                 size *= 2
-            rev = up_rate(np.arange(size, 0, -1.0))
-            rev.flags.writeable = False
-        start = len(rev) - (j - lo)
+            kernel = up_rate(np.arange(size, 0, -1.0))
+            kernel.flags.writeable = False
+            rev = kernel
+        start = len(kernel) - (j - lo)
         if lo <= hi < j:  # up jumps only: a view of the kernel
-            return rev[start : start + up, None]
+            return kernel[start : start + up, None]
         col = np.zeros(hi - lo + 1)
-        col[:up] = rev[start : start + up]
+        col[:up] = kernel[start : start + up]
         if lo <= j <= hi:
             col[j - lo] = local_rate(j)
         if lo <= j + 1 <= hi:

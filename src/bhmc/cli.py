@@ -19,7 +19,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import yaml
@@ -32,11 +32,11 @@ from .lfp import DriftCertificate
 from .models import build_model
 from .recursions import advance, init_state
 from .solver import (
-    VARIANTS,
     Approximation,
     CheckpointSchedule,
     FixedDirection,
     SolverOptions,
+    _check_variant,
     _select_at,
     residual_q_norm,
     solve,
@@ -92,10 +92,10 @@ def _number(value: Any, where: str, kind: type = float):
     return _as_number(value, where, kind)
 
 
-def _int_list(value: Any, where: str) -> list[int]:
+def _int_list(value: Any, name: Callable[[str], str], key: str) -> list[int]:
     if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list of integers, got {value!r}")
-    return [_number(x, f"{where}[{i}]", int) for i, x in enumerate(value)]
+        raise ConfigError(f"{name(key)} must be a list of integers, got {value!r}")
+    return [_number(x, name(f"{key}[{i}]"), int) for i, x in enumerate(value)]
 
 
 def _array(node: Any, where: str) -> np.ndarray:
@@ -181,18 +181,30 @@ def _build_generator(node: Any) -> BlockGenerator:
     return build_model(node["name"], {k: _number(v, f"model.params.{k}") for k, v in params.items()})
 
 
-def _build_schedule(node: Any, where: str = "solver.schedule") -> CheckpointSchedule:
-    if node is None:
-        return CheckpointSchedule()
-    node = _mapping(node, where, {"kind", "stride", "factor", "levels"})
+def _build_schedule(node: Any, name: Callable[[str], str]) -> CheckpointSchedule:
+    node = _mapping(node, name("schedule"), {"kind", "stride", "factor", "levels"})
     kwargs: dict[str, Any] = {"kind": node.get("kind", "every")}
     if "stride" in node:
-        kwargs["stride"] = _number(node["stride"], f"{where}.stride", int)
+        kwargs["stride"] = _number(node["stride"], name("schedule.stride"), int)
     if "factor" in node:
-        kwargs["factor"] = _number(node["factor"], f"{where}.factor")
+        kwargs["factor"] = _number(node["factor"], name("schedule.factor"))
     if "levels" in node:
-        kwargs["levels"] = tuple(_int_list(node["levels"], f"{where}.levels"))
+        kwargs["levels"] = tuple(_int_list(node["levels"], name, "schedule.levels"))
     return CheckpointSchedule(**kwargs)
+
+
+def _options(base: SolverOptions, node: dict, name: Callable[[str], str]) -> SolverOptions:
+    """``base`` with the settings of ``node``, a ``solver:`` mapping; errors name ``name(key)``."""
+    kwargs: dict[str, Any] = {}
+    if "epsilon" in node:
+        kwargs["epsilon"] = _number(node["epsilon"], name("epsilon"))
+    if "k_set" in node:
+        kwargs["K_set"] = frozenset(_int_list(node["k_set"], name, "k_set"))
+    if "max_level" in node:
+        kwargs["max_level"] = _number(node["max_level"], name("max_level"), int)
+    if node.get("schedule") is not None:
+        kwargs["checkpoint_schedule"] = _build_schedule(node["schedule"], name)
+    return replace(base, **kwargs)
 
 
 def _build_cert(node: Any, gen: BlockGenerator) -> DriftCertificate:
@@ -234,7 +246,7 @@ def _build_cert(node: Any, gen: BlockGenerator) -> DriftCertificate:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate one YAML run configuration."""
+    """Parse and check one YAML run configuration, variant included, before any solve."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -253,27 +265,13 @@ def load_config(path: str | Path) -> RunConfig:
         "solver",
         {"variant", "epsilon", "k_set", "max_level", "schedule", "drift", "varpi"},
     )
+    options = _options(SolverOptions(), sol, "solver.{}".format)
     variant = sol.get("variant", "mip_new")
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    kwargs: dict[str, Any] = {}
-    if "epsilon" in sol:
-        kwargs["epsilon"] = _number(sol["epsilon"], "solver.epsilon")
-    if "k_set" in sol:
-        kwargs["K_set"] = frozenset(_int_list(sol["k_set"], "solver.k_set"))
-    if "max_level" in sol:
-        kwargs["max_level"] = _number(sol["max_level"], "solver.max_level", int)
-    kwargs["checkpoint_schedule"] = _build_schedule(sol.get("schedule"))
-    options = SolverOptions(**kwargs)
-
     cert = _build_cert(sol["drift"], gen) if "drift" in sol else None
-    if variant == "mip_drift" and cert is None:
-        raise ConfigError("variant mip_drift needs a solver.drift section")
     direction = None
     if "varpi" in sol:
         direction = FixedDirection(_array(sol["varpi"], "solver.varpi"))
-    if variant == "fixed_direction" and direction is None:
-        raise ConfigError("variant fixed_direction needs solver.varpi")
+    _check_variant(variant, cert, direction)
 
     compare = raw.get("compare", [])
     if not isinstance(compare, list):
@@ -285,6 +283,9 @@ def load_config(path: str | Path) -> RunConfig:
             )
 
     out = _mapping(raw.get("output", {}), "output", {"distribution", "report"})
+    for key, value in out.items():
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"output.{key} must be a path, got {value!r}")
     val = _mapping(raw.get("validate", {}), "validate", {"levels", "tol"})
 
     return RunConfig(
@@ -302,30 +303,26 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    kwargs: dict[str, Any] = {}
-    if args.epsilon is not None:
-        kwargs["epsilon"] = _number(args.epsilon, "--epsilon")
-    if args.k_set is not None:
-        kwargs["K_set"] = frozenset(
-            _number(x, "--k-set", int) for x in args.k_set.split(",")
-        )
-    if args.max_level is not None:
-        kwargs["max_level"] = _number(args.max_level, "--max-level", int)
-    if args.schedule is not None:
-        kwargs["checkpoint_schedule"] = _parse_schedule_flag(args.schedule)
-    cfg.options = replace(cfg.options, **kwargs)
+def _apply_overrides(cfg: RunConfig, args: argparse.Namespace | None) -> RunConfig:
+    """``cfg`` with the flags in ``args`` read by ``_options``, as the keys they override."""
+    node = {k: getattr(args, k, None) for k in ("epsilon", "k_set", "max_level", "schedule")}
+    if node["k_set"] is not None:
+        node["k_set"] = node["k_set"].split(",")
+    if node["schedule"] is not None:
+        node["schedule"] = _parse_schedule_flag(node["schedule"])
+    node = {k: v for k, v in node.items() if v is not None}
+    cfg.options = _options(cfg.options, node, lambda k: "--" + k.split("[")[0].replace("_", "-"))
     return cfg
 
 
-def _parse_schedule_flag(text: str) -> CheckpointSchedule:
-    """``KIND:ARG``, where ARG is the stride, the factor or comma-separated levels."""
+def _parse_schedule_flag(text: str) -> dict[str, Any]:
+    """``KIND:ARG`` as a ``solver.schedule`` mapping; ARG is the stride, the factor or levels."""
     kind, _, arg = text.partition(":")
     node: dict[str, Any] = {"kind": kind}
     key = {"arithmetic": "stride", "geometric": "factor", "explicit": "levels"}.get(kind)
     if key is not None:
         node[key] = arg.split(",") if kind == "explicit" else arg
-    return _build_schedule(node, "--schedule")
+    return node
 
 
 def _write(path: str, text: str, where: str) -> None:
@@ -383,9 +380,7 @@ def _comparisons(cfg: RunConfig, approx: Approximation) -> dict[str, dict]:
 
 def run(config_path: str, args: argparse.Namespace | None = None) -> int:
     """Execute the configured solve; write distribution, report, comparisons."""
-    cfg = load_config(config_path)
-    if args is not None:
-        cfg = _apply_overrides(cfg, args)
+    cfg = _apply_overrides(load_config(config_path), args)
     started = time.perf_counter()
     approx = solve(cfg.generator, cfg.options, cfg.variant, cfg.cert, cfg.direction)
     elapsed = time.perf_counter() - started
@@ -428,9 +423,7 @@ def _format_array(a: np.ndarray) -> str:
 
 def inspect(config_path: str, level: int, args: argparse.Namespace | None = None) -> int:
     """Print the full checkpoint state at one level."""
-    cfg = load_config(config_path)
-    if args is not None:
-        cfg = _apply_overrides(cfg, args)
+    cfg = _apply_overrides(load_config(config_path), args)
     if level < 0 or level > cfg.options.max_level:
         raise ConfigError(f"level {level} outside 0..max_level={cfg.options.max_level}")
     state = init_state(cfg.generator, cfg.options.K_set)
@@ -463,7 +456,7 @@ def validate(config_path: str) -> int:
         )
         return 0
     for v in report.violations:
-        print(f"{v.kind}: level {v.level} phase {v.phase + 1} value {v.value:.6g}")
+        print(f"conservativity: level {v.level} phase {v.phase + 1} value {v.value:.6g}")
     print(f"{len(report.violations)} violation(s)")
     return 1
 

@@ -122,9 +122,8 @@ class BlockGenerator:
 
 @dataclass(frozen=True)
 class Violation:
-    """One proper-Q-matrix violation at state ``(level, phase)``."""
+    """A row sum of state ``(level, phase)`` off zero; bad signs and non-finite entries raise."""
 
-    kind: str  # "conservativity"; bad signs and non-finite entries raise instead
     level: int
     phase: int
     value: float
@@ -223,7 +222,7 @@ def validate_proper_q(
     bad = np.nonzero(~(np.abs(rows) <= tol))[0]
     level = np.searchsorted(offsets, bad, side="right") - 1
     violations = tuple(
-        Violation("conservativity", int(k), int(i - offsets[k]), float(rows[i]))
+        Violation(int(k), int(i - offsets[k]), float(rows[i]))
         for k, i in zip(level, bad)
     )
     return ValidationReport(levels, tol, violations)

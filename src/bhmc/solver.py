@@ -471,15 +471,22 @@ def solve(
     cert: DriftCertificate | None = None,
     direction: FixedDirection | None = None,
 ) -> Approximation:
-    """Run the driver named by ``variant``, one of ``VARIANTS``."""
-    if variant == "mip_new":
-        return solve_mip(gen, opts)
+    """Run ``variant``'s driver: ``mip_drift`` needs ``cert``, ``fixed_direction`` ``direction``."""
+    _check_variant(variant, cert, direction)
     if variant == "mip_drift":
-        if cert is None:
-            raise ConfigError("variant mip_drift needs a drift certificate")
         return solve_mip_drift(gen, cert, opts)
     if variant == "fixed_direction":
-        if direction is None:
-            raise ConfigError("variant fixed_direction needs a direction vector")
         return solve_fixed_direction(gen, direction, opts)
-    raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return solve_mip(gen, opts)
+
+
+def _check_variant(
+    variant: str, cert: DriftCertificate | None, direction: FixedDirection | None
+) -> None:
+    """Refuse a ``variant`` not in ``VARIANTS``, or one missing its required input."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant == "mip_drift" and cert is None:
+        raise ConfigError("variant mip_drift needs a drift certificate (solver.drift)")
+    if variant == "fixed_direction" and direction is None:
+        raise ConfigError("variant fixed_direction needs a direction vector (solver.varpi)")

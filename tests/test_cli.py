@@ -8,8 +8,8 @@ import pytest
 import yaml
 
 import oracles
-from bhmc import ConfigError, InvalidBlock, tv_distance
-from bhmc.cli import REPORT_WIDTH, _number, load_config, main
+from bhmc import ConfigError, InvalidBlock, SolverOptions, make_mm1, solve, tv_distance
+from bhmc.cli import REPORT_WIDTH, _apply_overrides, _build_parser, _number, load_config, main
 
 MM1_CONFIG = """
 model:
@@ -305,6 +305,51 @@ def test_schedule_and_kset_overrides(tmp_path):
     assert levels == list(range(levels[0], levels[-1] + 1, 6))
 
 
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--epsilon", "1e-7", "epsilon: 1.0e-7"),
+        ("--k-set", "0,2", "k_set: [0, 2]"),
+        ("--max-level", "500", "max_level: 500"),
+        ("--schedule", "every", "schedule: {kind: every}"),
+        ("--schedule", "arithmetic:3", "schedule: {kind: arithmetic, stride: 3}"),
+        ("--schedule", "geometric:2.5", "schedule: {kind: geometric, factor: 2.5}"),
+        ("--schedule", "explicit:4,9", "schedule: {kind: explicit, levels: [4, 9]}"),
+    ],
+)
+def test_flag_reads_as_its_solver_key(tmp_path, flag, value, key):
+    """A flag over a config gives the options of that config with the key set instead."""
+    base = {
+        "model": {"name": "mm1", "params": {"lam": 1.0, "mu": 2.0}},
+        "solver": {
+            "epsilon": 0.01, "k_set": [1], "max_level": 900, "schedule": {"kind": "geometric"}
+        },
+    }
+    plain, keyed = tmp_path / "plain.yaml", tmp_path / "keyed.yaml"
+    plain.write_text(yaml.safe_dump(base))
+    base["solver"].update(yaml.safe_load(f"{{{key}}}"))
+    keyed.write_text(yaml.safe_dump(base))
+    args = _build_parser().parse_args(["run", str(plain), flag, value])
+    flagged = _apply_overrides(load_config(plain), args).options
+    assert flagged == load_config(keyed).options != load_config(plain).options
+
+
+@pytest.mark.parametrize("variant", ["mip_drift", "fixed_direction", "x"])
+def test_variant_check_is_the_solvers(tmp_path, capsys, variant):
+    """A config missing its variant's input fails at load with ``solve``'s message."""
+    with pytest.raises(ConfigError) as err:
+        solve(make_mm1(1.0, 2.0), SolverOptions(), variant)
+    cfg = tmp_path / "variant.yaml"
+    cfg.write_text(
+        f"model: {{name: mm1, params: {{lam: 1.0, mu: 2.0}}}}\nsolver: {{variant: {variant}}}\n"
+    )
+    with pytest.raises(ConfigError, match=re.escape(str(err.value))):
+        load_config(cfg)
+    for command in (["run"], ["inspect", "--level", "1"], ["validate"]):
+        assert main([command[0], str(cfg), *command[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
 def test_config_error_messages(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("model: {name: nope}\n")
@@ -342,6 +387,10 @@ def test_config_error_messages(tmp_path):
         ("solver: {k_set: [0.7]}", "solver.k_set"),
         ("validate: {levels: 3.5}", "validate.levels"),
         ("model: {inline: {bandwidth: 1.5, levels: [{'0': [[-1.0]]}]}}", "model.inline.bandwidth"),
+        ("output: {distribution: 5}", "output.distribution"),
+        ("output: {distribution: [x]}", "output.distribution"),
+        ("output: {report: 5}", "output.report"),
+        ("output: {report: [x]}", "output.report"),
     ],
 )
 def test_malformed_number_is_config_error(tmp_path, capsys, section, key):

@@ -181,9 +181,19 @@ def _build_generator(node: Any) -> BlockGenerator:
     return build_model(node["name"], {k: _number(v, f"model.params.{k}") for k, v in params.items()})
 
 
+# the one argument each schedule kind reads
+SCHEDULE_ARGS = {"every": None, "arithmetic": "stride", "geometric": "factor", "explicit": "levels"}
+
+
 def _build_schedule(node: Any, name: Callable[[str], str]) -> CheckpointSchedule:
     node = _mapping(node, name("schedule"), {"kind", "stride", "factor", "levels"})
-    kwargs: dict[str, Any] = {"kind": node.get("kind", "every")}
+    kind = node.get("kind", "every")
+    if isinstance(kind, str) and kind in SCHEDULE_ARGS:  # CheckpointSchedule names others
+        unread = sorted(node.keys() - {"kind", SCHEDULE_ARGS[kind]})
+        if unread:
+            key = name("schedule." + unread[0])
+            raise ConfigError(f"{key} is not read by schedule kind {kind}")
+    kwargs: dict[str, Any] = {"kind": kind}
     if "stride" in node:
         kwargs["stride"] = _number(node["stride"], name("schedule.stride"), int)
     if "factor" in node:
@@ -317,9 +327,10 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace | None) -> RunConf
 
 def _parse_schedule_flag(text: str) -> dict[str, Any]:
     """``KIND:ARG`` as a ``solver.schedule`` mapping; ARG is the stride, the factor or levels."""
-    kind, _, arg = text.partition(":")
+    kind, colon, arg = text.partition(":")
     node: dict[str, Any] = {"kind": kind}
-    key = {"arithmetic": "stride", "geometric": "factor", "explicit": "levels"}.get(kind)
+    # every:ARG reads as a stride, which _build_schedule refuses by name
+    key = "stride" if kind == "every" and colon else SCHEDULE_ARGS.get(kind)
     if key is not None:
         node[key] = arg.split(",") if kind == "explicit" else arg
     return node

@@ -13,8 +13,10 @@ next exit correction reads sit side by side in one wide array ``W``: on a
 band of width ``b`` those are the window levels ``lo..n`` with
 ``lo = max(0, n + 1 - b)``, on an infinite band all levels ``0..n``.  A
 step reads the stacked block column over the window and costs one
-exit-matrix inversion, one product for the correction and one for the
-update.  On a finite band the members below the window are kept in
+exit-matrix inversion.  A finite band reads the correction, the update
+and the new step factor from one product ``block(n+1, n) @ W``; an
+infinite band, whose ``W`` grows, passes over ``W`` twice (see
+``advance``).  On a finite band the members below the window are kept in
 product form, as the step factors ``T_j = block(j, j-1) @ U_star(j-1)``:
 member ``k < lo`` is the window's lowest member times
 ``T_lo @ ... @ T_{k+1}``, and memory grows by one factor per level.  An
@@ -90,7 +92,8 @@ def _inverse(m: np.ndarray, cut: float, what: str) -> np.ndarray:
     size = m.shape[0]
     if size <= SPLIT:
         lu, piv, _ = dgetrf(m)
-        if all(cut <= abs(p) for p in lu.diagonal().tolist()):  # false on a NaN pivot
+        # cut <= nan is false, so a NaN pivot fails; the maps run in C
+        if all(map(cut.__le__, map(abs, lu.diagonal().tolist()))):
             return dgetri(lu, piv, lwork=64 * size, overwrite_lu=True)[0]
         raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
     h = size // 2
@@ -186,15 +189,22 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     """Advance the rolling state from level ``n`` to ``n + 1``.
 
     The new ``U_star`` inverts the local exit matrix at level ``n + 1``.
-    Its correction sum ``sum_l sojourn_matrix(state, l) @ block(l, n+1)``
-    runs over the window levels ``l = lo..n``, the levels the band reaches,
-    and is the single product ``W @ block_column(n+1, lo, n)``.  The new
+    Its correction sum ``sum_l block(n+1, n) @ sojourn_matrix(state, l) @
+    block(l, n+1)`` runs over the window levels ``l = lo..n``, the levels
+    the band reaches, against ``col = block_column(n+1, lo, n)``.  The new
     ``W`` is ``U_star(n+1) @ block(n+1, n) @ W``, less the member of level
     ``lo`` once that level leaves the band, with ``U_star(n+1)`` appended.
-    On a finite band the step factor ``block(n+1, n) @ U_star(n)`` joins
-    ``factors``.  The partial row-sum vector updates by a single left
-    product with ``U_star(n+1) @ block(n+1, n)``.  The new row sums pass
-    one test; only a failing step runs the checks that name the loss.
+
+    A finite band forms ``S = block(n+1, n) @ W`` once: the correction is
+    ``S @ col``, the new ``W`` is ``U_star(n+1) @ S`` past the leaving
+    member, and the step factor ``T_{n+1} = block(n+1, n) @ U_star(n)``
+    that joins ``factors`` is the last member of ``S``, copied when ``S``
+    holds more.  An infinite band, whose ``W`` grows with ``n``, computes
+    ``block(n+1, n) @ (W @ col)`` and ``(U_star(n+1) @ block(n+1, n)) @ W``,
+    two passes over ``W`` where ``S`` would make three.  The partial
+    row sums update by the same left factor, ``U_star(n+1) @ block(n+1, n)``,
+    which a finite band applies as two vector products.  The new row sums
+    pass one test; only a failing step runs the checks that name the loss.
     """
     n, n1 = state.n, state.n + 1
     lo = n1 - len(state.phases)
@@ -207,17 +217,22 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
             f"block column {n1} over levels {lo}..{n} has shape {col.shape}, "
             f"expected {(state.W.shape[1], m1)}"
         )
-    correction = state.W @ col
-    u1 = lu_inverse(-q_next - q_down @ correction, f"level {n1} exit matrix")
+    finite = gen.bandwidth is not None
+    if finite:
+        s = q_down @ state.W
+        correction = s @ col
+    else:  # W grows with n: s would be a third pass over it
+        correction = q_down @ (state.W @ col)
+    u1 = lu_inverse(-q_next - correction, f"level {n1} exit matrix")
+    step = None if finite else u1 @ q_down  # an infinite band's update of W
 
-    step = u1 @ q_down
     # Positivity and finiteness are guaranteed in exact arithmetic; losing
     # them means overflow or accumulated rounding has exhausted double
     # precision at this depth.  The checks below report it, so numpy's
     # own overflow warnings are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         u_vec = u1 @ (1.0 + q_down @ state.u_star)
-        u_k = step @ state.u_K
+        u_k = u1 @ (q_down @ state.u_K) if finite else step @ state.u_K
         if n1 in state.K_set:
             u_k += u1.sum(axis=1)
     k_top = u_k.max()  # one test, false on NaN too; its body only names the failure
@@ -235,21 +250,23 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
             )
         raise SingularBlock(f"positivity of u_star_K lost at level {n1}")
 
-    finite = gen.bandwidth is not None
     # once the window spans the band, level lo leaves it
     drop = int(finite and len(state.phases) == gen.bandwidth)
-    kept = state.W[:, sum(state.phases[:drop]) :]
+    factors, kept = None, state.W
+    if finite:  # T_{n+1} is the last member of s, copied so that it keeps no more
+        t = s if len(state.phases) == 1 else s[:, -state.phases[-1] :].copy()
+        factors, kept = (t, state.factors), s[:, sum(state.phases[:drop]) :]
     w = u1
     if kept.size:  # the new family, written once into one array
         k = kept.shape[1]
         w = np.empty((m1, k + m1))
-        np.matmul(step, kept, out=w[:, :k])
+        np.matmul(u1 if finite else step, kept, out=w[:, :k])
         w[:, k:] = u1
     return RecursionState(
         n=n1,
         W=w,
         phases=state.phases[drop:] + (m1,),
-        factors=(q_down @ state.U_star, state.factors) if finite else None,
+        factors=factors,
         u_star=u_vec,
         u_K=u_k,
         K_set=state.K_set,

@@ -80,7 +80,9 @@ class CheckpointSchedule:
     ``every`` checks each level from the start level on; ``arithmetic``
     steps by ``stride``; ``geometric`` multiplies by ``factor`` (always
     advancing by at least one); ``explicit`` uses ``levels`` as given, and
-    its last level caps the run like ``max_level``.
+    its last level caps the run like ``max_level``.  A field the kind does
+    not read is ignored, since a default cannot be told apart from a value
+    given; the CLI refuses such a key or flag argument by name.
     """
 
     kind: str = "every"

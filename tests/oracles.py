@@ -230,11 +230,13 @@ def mm1_sojourn_at_zero_mc(
 def family_blocks(gen, n: int, K_set=(0,)):
     """Whole sojourn family at level ``n`` by the full-family recursion.
 
-    Keeps every member ``F[0..n]`` and multiplies each by
-    ``U_j @ block(j, j-1)`` at every level ``j``, with blocks read straight
-    from the callback.  It inverts with the package's ``lu_inverse``, so the
-    comparison with the product form checks the form and not which LAPACK
-    routine rounds the inverses; ``family_blocks_mp`` checks the rounding.
+    Keeps every member ``F[0..n]`` and multiplies each by ``block(j, j-1)``
+    and then by ``U_j`` at every level ``j``, with blocks read straight from
+    the callback; the correction reads the same products
+    ``block(j, j-1) @ F[l]``, so its rounding is that of a finite band's
+    step.  It inverts with the package's ``lu_inverse``, so the comparison
+    with the product form checks the form and not which LAPACK routine
+    rounds the inverses; ``family_blocks_mp`` checks the rounding.
     Returns the family, the row sums ``u_star`` carried by their own
     recursion, and the partial row sums over the levels of ``K_set`` up to
     ``n``, summed directly from the family.
@@ -248,10 +250,10 @@ def family_blocks(gen, n: int, K_set=(0,)):
     for j in range(1, n + 1):
         q_down = blk(j, j - 1)
         lo = 0 if gen.bandwidth is None else max(0, j - gen.bandwidth)
-        correction = sum(family[l] @ blk(l, j) for l in range(lo, j))
-        u_j = lu_inverse(-blk(j, j) - q_down @ correction, f"oracle level {j}")
-        step = u_j @ q_down
-        family = [step @ f for f in family] + [u_j]
+        down = [q_down @ f for f in family]
+        correction = sum(down[l] @ blk(l, j) for l in range(lo, j))
+        u_j = lu_inverse(-blk(j, j) - correction, f"oracle level {j}")
+        family = [u_j @ f for f in down] + [u_j]
         u_star = u_j @ (1.0 + q_down @ u_star)
     u_star_K = sum(family[l].sum(axis=1) for l in K_set if l <= n)
     return family, u_star, u_star_K

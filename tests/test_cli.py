@@ -334,6 +334,30 @@ def test_flag_reads_as_its_solver_key(tmp_path, flag, value, key):
     assert flagged == load_config(keyed).options != load_config(plain).options
 
 
+@pytest.mark.parametrize(
+    "flag, section, key",
+    [
+        ("every:5", None, "--schedule.stride"),
+        ("every:", None, "--schedule.stride"),
+        (None, "schedule: {kind: every, stride: 5}", "solver.schedule.stride"),
+        (None, "schedule: {stride: 5}", "solver.schedule.stride"),
+        (None, "schedule: {kind: arithmetic, stride: 2, factor: 2.0}", "solver.schedule.factor"),
+        (None, "schedule: {kind: geometric, levels: [3]}", "solver.schedule.levels"),
+        (None, "schedule: {kind: explicit, levels: [3], stride: 2}", "solver.schedule.stride"),
+    ],
+)
+def test_unread_schedule_argument_is_config_error(tmp_path, capsys, flag, section, key):
+    """A schedule argument its kind does not read is named, not dropped."""
+    cfg = tmp_path / "run.yaml"
+    solver = f"solver: {{{section}}}\n" if section else ""
+    cfg.write_text(f"model: {{name: mm1, params: {{lam: 1.0, mu: 2.0}}}}\n{solver}")
+    flags = ["--schedule", flag] if flag else []
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} is not read by schedule kind "):
+        _apply_overrides(load_config(cfg), _build_parser().parse_args(["run", str(cfg), *flags]))
+    assert main(["run", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} is not read")
+
+
 @pytest.mark.parametrize("variant", ["mip_drift", "fixed_direction", "x"])
 def test_variant_check_is_the_solvers(tmp_path, capsys, variant):
     """A config missing its variant's input fails at load with ``solve``'s message."""

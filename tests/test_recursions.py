@@ -264,6 +264,19 @@ def test_nearly_singular_inverse_raises_singular_block(m):
         lu_inverse(a, "nearly dependent rows")
 
 
+@pytest.mark.filterwarnings("error")
+def test_tiny_pivot_late_in_second_leaf_raises_singular_block():
+    """Every pivot of every leaf meets the cut, not just the first leaf's or the first one."""
+    m = 100  # leaves a[:50, :50] and, as a is upper triangular, a[50:, 50:]
+    assert m > SPLIT >= m // 2
+    a = np.triu(np.full((m, m), -0.01))
+    np.fill_diagonal(a, 1.0)
+    np.testing.assert_allclose(lu_inverse(a, "whole") @ a, np.eye(m), atol=1e-12)
+    a[m - 10, m - 10] = 1e-20  # the 41st pivot of the second leaf
+    with pytest.raises(SingularBlock, match="^late: pivot below 1e-13 \\* max row norm$"):
+        lu_inverse(a, "late")
+
+
 def test_u_star_K_recursive_equals_direct(mm1):
     state = drive_to(mm1, 2)
     np.testing.assert_allclose(state.u_star_K, [4.0])
@@ -410,6 +423,25 @@ def test_wide_update_matches_concatenated_family():
         assert new.W.tobytes() == want.tobytes(), n
         assert state.W.tobytes() == before.tobytes(), n
         state = new
+
+
+def test_finite_band_update_reads_one_down_product(lattice):
+    """``W`` and the new step factor come from ``block(n+1, n) @ W``, computed once."""
+    for gen in (lattice, random_banded(2, 2, seed=7), random_banded(3, 3, seed=11)):
+        state = init_state(gen)
+        for n in range(1, 12):
+            before = state.W.copy()
+            new = advance(state, gen)
+            down = gen.block_array(n, n - 1) @ state.W
+            cut = sum(state.phases[: int(len(state.phases) == gen.bandwidth)])
+            u1 = new.U_star.copy()
+            want = np.concatenate([u1 @ down[:, cut:], u1], axis=1)
+            assert new.W.tobytes() == want.tobytes(), (gen.bandwidth, n)
+            factor = new.factors[0]
+            assert factor.tobytes() == down[:, -state.phases[-1] :].tobytes(), (gen.bandwidth, n)
+            assert factor.base is None and new.factors[1] is state.factors
+            assert state.W.tobytes() == before.tobytes(), (gen.bandwidth, n)
+            state = new
 
 
 def _family_chains(catalog):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -26,7 +25,7 @@ import yaml
 
 from . import baseline
 from .errors import BhmcError, ConfigError
-from .generator import BlockGenerator, _as_number, _checked_columns, _level_offsets
+from .generator import BlockGenerator, _as_number, _check_levels
 from .generator import lbcl_augment, principal_submatrix, validate_proper_q
 from .lfp import DriftCertificate
 from .models import build_model
@@ -165,7 +164,7 @@ def _inline_generator(node: Any) -> BlockGenerator:
         return b
 
     gen = BlockGenerator(phase_count, block, bandwidth=bandwidth)
-    deque(_checked_columns(gen, _level_offsets(gen, explicit + bandwidth)), 0)  # shapes, signs
+    _check_levels(gen, explicit + bandwidth)  # shapes, signs
     return gen
 
 
@@ -291,6 +290,8 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(
                 f"unknown baseline {name!r}; expected one of {BASELINE_NAMES}"
             )
+    if "bright_taylor" in compare and gen.bandwidth != 1:
+        raise ConfigError(f"compare: bright_taylor needs bandwidth 1, got {gen.bandwidth}")
 
     out = _mapping(raw.get("output", {}), "output", {"distribution", "report"})
     for key, value in out.items():

@@ -14,7 +14,10 @@ class MissingTailInfo(BhmcError):
 
 
 class BadDistribution(BhmcError):
-    """A probability vector is negative, mis-sized, or does not sum to one."""
+    """A probability vector is mis-sized, has a negative entry, or does not sum to one.
+
+    A fixed direction must also be strictly positive.
+    """
 
 
 class UnstableModel(BhmcError):

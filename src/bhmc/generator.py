@@ -11,6 +11,7 @@ have different phase counts and all shapes are derived from
 from __future__ import annotations
 
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -235,6 +236,11 @@ def _level_offsets(gen: BlockGenerator, n: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum([gen.phase_count(k) for k in range(n + 1)])))
 
 
+def _lowest_reaching(gen: BlockGenerator, j: int) -> int:
+    """The lowest level whose blocks reach block column ``j``; 0 on an infinite band."""
+    return 0 if gen.bandwidth is None else max(0, j - gen.bandwidth)
+
+
 _BATCH = 32  # columns tested at once; a check holds no more than these
 
 
@@ -249,8 +255,7 @@ def _checked_columns(gen: BlockGenerator, offsets: np.ndarray) -> Iterator[tuple
     before it pass.
     """
     n = len(offsets) - 2
-    band = n if gen.bandwidth is None else gen.bandwidth
-    spans = [(max(0, j - band), min(j + 1, n)) for j in range(n + 1)]
+    spans = [(_lowest_reaching(gen, j), min(j + 1, n)) for j in range(n + 1)]
 
     def name_bad_block(j: int) -> None:
         lo, hi = spans[j]
@@ -284,6 +289,11 @@ def _checked_columns(gen: BlockGenerator, offsets: np.ndarray) -> Iterator[tuple
             batch = []
 
 
+def _check_levels(gen: BlockGenerator, n: int) -> None:
+    """Check the blocks among levels ``0..n`` by the checked column walk, one batch at a time."""
+    deque(_checked_columns(gen, _level_offsets(gen, n)), 0)
+
+
 def principal_submatrix(gen: BlockGenerator, n: int) -> PrincipalSubmatrix:
     """Assemble the blocks among levels ``0..n`` sparse, read by the checked column walk.
 
@@ -302,15 +312,17 @@ def principal_submatrix(gen: BlockGenerator, n: int) -> PrincipalSubmatrix:
     return PrincipalSubmatrix(n, offsets, data)
 
 
-def check_distribution(alpha: np.ndarray, size: int, tol: float = 1e-12) -> np.ndarray:
-    """Validate a probability row vector of the given length."""
+def check_distribution(
+    alpha: np.ndarray, size: int, tol: float = 1e-12, what: str = "distribution"
+) -> np.ndarray:
+    """Validate a probability row vector of the given length; errors name it ``what``."""
     a = np.asarray(alpha, dtype=float).ravel()
     if a.shape != (size,):
-        raise BadDistribution(f"distribution has length {a.size}, expected {size}")
+        raise BadDistribution(f"{what} has length {a.size}, expected {size}")
     if np.any(a < 0.0) or not np.all(np.isfinite(a)):
-        raise BadDistribution("distribution entries must be finite and nonnegative")
+        raise BadDistribution(f"{what} entries must be finite and nonnegative")
     if abs(a.sum() - 1.0) > tol:
-        raise BadDistribution(f"distribution sums to {a.sum()!r}, expected 1")
+        raise BadDistribution(f"{what} sums to {float(a.sum())!r}, expected 1")
     return a
 
 

@@ -24,7 +24,7 @@ from .errors import (
     SingularBlock,
     UnsupportedInfiniteBand,
 )
-from .generator import BlockGenerator
+from .generator import BlockGenerator, _lowest_reaching
 from .recursions import RecursionState
 
 __all__ = [
@@ -178,7 +178,7 @@ def select_pivot_drift(
         raise UnsupportedInfiniteBand(
             "drift-based selection needs a finite upper bandwidth"
         )
-    n, lo, top = state.n, state.n + 1 - len(state.phases), state.n + gen.bandwidth
+    n, lo, top = state.n, _lowest_reaching(gen, state.n + 1), state.n + gen.bandwidth
     v = {l: cert.v(l) for l in range(n, top + 1)}  # v_n is read first
     for l, vec in v.items():
         if vec.shape != (gen.phase_count(l),):

@@ -1,8 +1,8 @@
 """Rolling first-exit recursion state for upper block-Hessenberg chains.
 
 At level ``n`` the recursion defines the sojourn family: the matrices
-``sojourn_matrix(state, k)``, ``k = 0..n``, whose ``(i, j)`` entry is the
-expected total sojourn time in ``(k, j)`` before the chain first climbs
+``sojourn_matrix(state, gen, k)``, ``k = 0..n``, whose ``(i, j)`` entry is
+the expected total sojourn time in ``(k, j)`` before the chain first climbs
 above level ``n`` when started in ``(n, i)``.  Member ``n`` is ``U_star``,
 the inverse of the local exit matrix.  The state also carries the row-sum
 vector ``u_star`` over the whole family and the partial row-sum vector
@@ -26,14 +26,14 @@ infinite band keeps no factors; its ``W`` grows by one member per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice, pairwise
 from typing import Iterator
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetri, dlange
 
 from .errors import ConfigError, IndexOutOfRange, InvalidBlock, PhaseMismatch, SingularBlock
-from .generator import BlockGenerator, _as_number
+from .generator import BlockGenerator, _as_number, _lowest_reaching
 
 __all__ = [
     "RecursionState",
@@ -121,8 +121,8 @@ class RecursionState:
     """First-exit quantities at the current level ``n``.
 
     ``W`` holds the sojourn matrices of the window levels ``lo..n`` side by
-    side and ``phases`` their phase counts, so ``lo = n + 1 - len(phases)``
-    and the last member is ``U_star``, the sojourn matrix of level ``n``.
+    side, at widths read from the generator; the last, ``W.shape[0]`` wide,
+    is ``U_star``.  ``lo`` is the lowest level that reaches column ``n + 1``.
     On a finite band, ``factors`` links the step factors
     ``T_j = block(j, j-1) @ U_star(j-1)`` from the top down, as nested pairs
     ``(T_n, (T_{n-1}, ... (T_1, None)))``; the factors of window levels wait
@@ -140,7 +140,6 @@ class RecursionState:
 
     n: int
     W: np.ndarray
-    phases: tuple[int, ...]
     factors: tuple | None
     u_star: np.ndarray
     u_K: np.ndarray
@@ -149,7 +148,7 @@ class RecursionState:
 
     @property
     def U_star(self) -> np.ndarray:
-        return self.W[:, self.W.shape[1] - self.phases[-1] :]
+        return self.W[:, self.W.shape[1] - self.W.shape[0] :]
 
     @property
     def u_star_K(self) -> np.ndarray | None:
@@ -176,7 +175,6 @@ def init_state(gen: BlockGenerator, K_set=frozenset({0})) -> RecursionState:
     return RecursionState(
         n=0,
         W=u0,
-        phases=(u0.shape[0],),
         factors=None,
         u_star=u_vec,
         u_K=u_vec.copy() if 0 in ks else np.zeros_like(u_vec),
@@ -189,11 +187,11 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     """Advance the rolling state from level ``n`` to ``n + 1``.
 
     The new ``U_star`` inverts the local exit matrix at level ``n + 1``.
-    Its correction sum ``sum_l block(n+1, n) @ sojourn_matrix(state, l) @
-    block(l, n+1)`` runs over the window levels ``l = lo..n``, the levels
-    the band reaches, against ``col = block_column(n+1, lo, n)``.  The new
-    ``W`` is ``U_star(n+1) @ block(n+1, n) @ W``, less the member of level
-    ``lo`` once that level leaves the band, with ``U_star(n+1)`` appended.
+    Its correction sum ``sum_l block(n+1, n) @ sojourn_matrix(state, gen, l)
+    @ block(l, n+1)`` runs over the window levels ``l = lo..n``, the levels
+    that reach column ``n + 1``, against ``col = block_column(n+1, lo, n)``.
+    The new ``W`` is ``U_star(n+1) @ block(n+1, n) @ W``, less the member of
+    level ``lo`` once it leaves the band, with ``U_star(n+1)`` appended.
 
     A finite band forms ``S = block(n+1, n) @ W`` once: the correction is
     ``S @ col``, the new ``W`` is ``U_star(n+1) @ S`` past the leaving
@@ -207,7 +205,7 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     pass one test; only a failing step runs the checks that name the loss.
     """
     n, n1 = state.n, state.n + 1
-    lo = n1 - len(state.phases)
+    lo = _lowest_reaching(gen, n1)
     q_next = gen.block_array(n1, n1)
     q_down = gen.block_array(n1, n)
     m1 = q_next.shape[0]
@@ -250,12 +248,11 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
             )
         raise SingularBlock(f"positivity of u_star_K lost at level {n1}")
 
-    # once the window spans the band, level lo leaves it
-    drop = int(finite and len(state.phases) == gen.bandwidth)
     factors, kept = None, state.W
     if finite:  # T_{n+1} is the last member of s, copied so that it keeps no more
-        t = s if len(state.phases) == 1 else s[:, -state.phases[-1] :].copy()
-        factors, kept = (t, state.factors), s[:, sum(state.phases[:drop]) :]
+        t = s if s.shape[1] == state.W.shape[0] else s[:, -state.W.shape[0] :].copy()
+        cut = gen.phase_count(lo) if lo < _lowest_reaching(gen, n1 + 1) else 0  # lo leaves
+        factors, kept = (t, state.factors), s[:, cut:]
     w = u1
     if kept.size:  # the new family, written once into one array
         k = kept.shape[1]
@@ -265,7 +262,6 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     return RecursionState(
         n=n1,
         W=w,
-        phases=state.phases[drop:] + (m1,),
         factors=factors,
         u_star=u_vec,
         u_K=u_k,
@@ -281,7 +277,7 @@ def _chain(node: tuple | None) -> Iterator[np.ndarray]:
         yield factor
 
 
-def sojourn_matrix(state: RecursionState, k: int) -> np.ndarray:
+def sojourn_matrix(state: RecursionState, gen: BlockGenerator, k: int) -> np.ndarray:
     """Expected-sojourn matrix for level ``k``.
 
     Entry ``(i, j)`` is the expected total time spent in ``(k, j)`` before
@@ -291,32 +287,32 @@ def sojourn_matrix(state: RecursionState, k: int) -> np.ndarray:
     """
     if not 0 <= k <= state.n:
         raise IndexOutOfRange(f"level {k} outside 0..{state.n}")
-    lo = state.n + 1 - len(state.phases)
+    lo = _lowest_reaching(gen, state.n + 1)
     if k >= lo:
-        start = sum(state.phases[: k - lo])
-        return state.W[:, start : start + state.phases[k - lo]]
+        start = sum(map(gen.phase_count, range(lo, k)))
+        return state.W[:, start : start + gen.phase_count(k)]
     # the chain starts at T_n; the factors of the window levels are skipped
-    product = state.W[:, : state.phases[0]]
+    product = state.W[:, : gen.phase_count(lo)]
     for factor in islice(_chain(state.factors), state.n - lo, state.n - k):
         product = product @ factor
     return product
 
 
-def sojourn_rows(state: RecursionState, seed: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rows ``seed @ sojourn_matrix(state, k)`` for ``k = 0..n``.
+def sojourn_rows(
+    state: RecursionState, gen: BlockGenerator, seed: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Rows ``seed @ sojourn_matrix(state, gen, k)`` for ``k = 0..n``.
 
     The window's rows are ``seed @ W``, split by level.  Below the window
     one backward sweep continues from the lowest of them,
     ``x_{k-1} = x_k @ T_k``, so each lower level costs one row-matrix
     product.  A seed with ``seed @ u_star = 1`` gives rows summing to one.
     """
-    seed, m = np.asarray(seed), state.phases[-1]
+    seed, m, lo = np.asarray(seed), state.W.shape[0], _lowest_reaching(gen, state.n + 1)
     if seed.shape != (m,):
         raise PhaseMismatch(f"seed has shape {seed.shape}, but level {state.n} has {m} phases")
-    row, ends = seed @ state.W, np.cumsum(state.phases).tolist()
-    rows = [row[a:b] for a, b in zip([0, *ends], ends)]
-    below, x = [], rows[0]
-    for factor in islice(_chain(state.factors), len(state.phases) - 1, None):
-        x = x @ factor
-        below.append(x)
+    row, widths = seed @ state.W, map(gen.phase_count, range(lo, state.n + 1))
+    rows = [row[a:b] for a, b in pairwise(accumulate(widths, initial=0))]
+    factors = islice(_chain(state.factors), state.n - lo, None)
+    below = list(accumulate(factors, np.matmul, initial=rows[0]))[1:]
     return (*below[::-1], *rows)

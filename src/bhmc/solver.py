@@ -29,6 +29,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import (
+    BadDistribution,
     BhmcError,
     ConfigError,
     IndexOutOfRange,
@@ -36,7 +37,7 @@ from .errors import (
     PhaseMismatch,
     SingularBlock,
 )
-from .generator import BlockGenerator, _as_number, _checked_columns, _level_offsets
+from .generator import BlockGenerator, _as_number, _check_levels, check_distribution
 from .lfp import (
     DriftCertificate,
     PivotSelection,
@@ -204,10 +205,9 @@ class FixedDirection:
 
     def __post_init__(self):
         w = np.asarray(self.varpi, dtype=float).ravel()
-        if w.size == 0 or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-            raise PhaseMismatch("direction must be strictly positive and finite")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise PhaseMismatch(f"direction sums to {w.sum()!r}, expected 1")
+        check_distribution(w, w.size, tol=1e-9, what="direction")
+        if np.any(w <= 0.0):
+            raise BadDistribution("direction must be strictly positive")
         object.__setattr__(self, "varpi", w)
 
 
@@ -261,8 +261,8 @@ def _pivot_seed(state: RecursionState, pivot: int) -> np.ndarray:
     return seed
 
 
-def _pivot_blocks(state: RecursionState, pivot: int) -> tuple[np.ndarray, ...]:
-    return sojourn_rows(state, _pivot_seed(state, pivot))
+def _pivot_blocks(state: RecursionState, gen: BlockGenerator, pivot: int) -> tuple[np.ndarray, ...]:
+    return sojourn_rows(state, gen, _pivot_seed(state, pivot))
 
 
 def _step_distance(
@@ -276,7 +276,7 @@ def _step_distance(
 
     ``prev`` is an earlier state at level ``p`` of the same run and
     ``state`` the current one at level ``n``.  On the levels ``0..p`` the
-    current approximation is ``c @ sojourn_matrix(prev, k)`` with
+    current approximation is ``c @ sojourn_matrix(prev, gen, k)`` with
     ``c = s @ U_star(n) @ T_n @ ... @ T_{p+2} @ block(p+1, p)``, so there
     the two differ by the rows seeded by ``d = a - c``; the levels above
     ``p`` hold the rest of the current mass, ``1 - c @ u_star(p)``.  The
@@ -293,7 +293,7 @@ def _step_distance(
     tail = 1.0 - float(c @ prev.u_star)
     if np.all(d >= 0.0) or np.all(d <= 0.0):
         return abs(float(d @ prev.u_star)) + tail
-    return float(np.abs(np.concatenate(sojourn_rows(prev, d))).sum()) + tail
+    return float(np.abs(np.concatenate(sojourn_rows(prev, gen, d))).sum()) + tail
 
 
 @dataclass(frozen=True)
@@ -353,8 +353,8 @@ def _drive(
                 trace.append(record)
                 next_cp = next(schedule, None)
                 if done or at_cap or next_cp is None:
-                    if not done:  # each checked batch is dropped at once
-                        deque(_checked_columns(gen, _level_offsets(gen, state.n + 1)), 0)
+                    if not done:
+                        _check_levels(gen, state.n + 1)
                     return Approximation(
                         n=state.n,
                         blocks=blocks(),
@@ -369,7 +369,7 @@ def _drive(
         if isinstance(exc, (ConfigError, InvalidBlock)):
             raise
         try:
-            deque(_checked_columns(gen, _level_offsets(gen, state.n + 1)), 0)
+            _check_levels(gen, state.n + 1)
         except InvalidBlock as bad:
             raise bad from exc
         raise
@@ -392,7 +392,7 @@ def solve_mip(gen: BlockGenerator, opts: SolverOptions | None = None) -> Approxi
         sel = _select_at(state, gen)
         res = residual_q_norm(state, sel.pivot)
         record = CheckpointRecord(state.n, sel.pivot, sel.ratio, res)
-        return record, res < opts.epsilon, lambda: _pivot_blocks(state, sel.pivot)
+        return record, res < opts.epsilon, lambda: _pivot_blocks(state, gen, sel.pivot)
 
     return _drive(gen, opts, "mip_new", checkpoint)
 
@@ -426,7 +426,7 @@ def solve_mip_drift(
         prev = state, seed
         record = CheckpointRecord(state.n, sel.pivot, sel.objective, res, step)
         done = step is not None and step < opts.epsilon
-        return record, done, lambda: _pivot_blocks(state, sel.pivot)
+        return record, done, lambda: _pivot_blocks(state, gen, sel.pivot)
 
     return _drive(gen, opts, "mip_drift", checkpoint)
 
@@ -449,7 +449,7 @@ def solve_fixed_direction(
     opts = opts if opts is not None else SolverOptions()
     varpi = direction.varpi
 
-    def checkpoint(state: RecursionState, _gen: BlockGenerator):
+    def checkpoint(state: RecursionState, gen: BlockGenerator):
         if state.u_star.shape[0] != varpi.shape[0]:
             raise PhaseMismatch(
                 f"direction has {varpi.shape[0]} phases but level "
@@ -459,7 +459,7 @@ def solve_fixed_direction(
 
         def blocks():
             seed = np.linalg.solve(state.U_star.T, varpi)
-            return sojourn_rows(state, seed / (seed @ state.u_star))
+            return sojourn_rows(state, gen, seed / (seed @ state.u_star))
 
         return CheckpointRecord(state.n, None, None, res), res < opts.epsilon, blocks
 

@@ -293,7 +293,7 @@ def family_blocks_mp(gen, n: int):
         return [to_float(f) for f in family], to_float(u_star)[:, 0]
 
 
-def u_star_K_direct(state) -> np.ndarray:
+def u_star_K_direct(state, gen) -> np.ndarray:
     """Partial row sums over ``K_set`` straight from the sojourn family.
 
     Cross-check for the recursive ``u_star_K``; both must agree.
@@ -302,7 +302,7 @@ def u_star_K_direct(state) -> np.ndarray:
         raise IndexOutOfRange(
             f"level {state.n} below max(K_set) = {max(state.K_set)}"
         )
-    return sum(sojourn_matrix(state, l).sum(axis=1) for l in state.K_set)
+    return sum(sojourn_matrix(state, gen, l).sum(axis=1) for l in state.K_set)
 
 
 def residual_q_norm_direct(gen, approx) -> float:
@@ -363,7 +363,7 @@ def drift_blockwise(gen, cert, opts):
         while state.n < min(level, opts.max_level):
             state = advance(state, gen)
         pivot = select_pivot_drift(state, gen, cert).pivot
-        blocks = _pivot_blocks(state, pivot)
+        blocks = _pivot_blocks(state, gen, pivot)
         seed = np.zeros(state.u_star.shape[0])
         seed[pivot] = 1.0 / state.u_star[pivot]
         if prev is None:

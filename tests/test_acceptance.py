@@ -67,7 +67,7 @@ def test_criterion_1_geometric_exactness():
     # hand-verifiable waypoints
     state = drive_to(gen, 2)
     ok &= np.allclose(
-        np.concatenate(_pivot_blocks(state, 0)), [4 / 7, 2 / 7, 1 / 7], atol=1e-15
+        np.concatenate(_pivot_blocks(state, gen, 0)), [4 / 7, 2 / 7, 1 / 7], atol=1e-15
     )
     for n in (1, 2, 5, 9):
         st = drive_to(gen, n)
@@ -108,7 +108,7 @@ def test_criterion_2_residual_identity():
             sel = _select_at(state, gen)
             closed = residual_q_norm(state, sel.pivot)
             approx = Approximation(
-                state.n, _pivot_blocks(state, sel.pivot), (), closed, True, "mip_new"
+                state.n, _pivot_blocks(state, gen, sel.pivot), (), closed, True, "mip_new"
             )
             direct = residual_q_norm_direct(gen, approx)
             rel = abs(direct - closed) / closed
@@ -142,7 +142,7 @@ def test_criterion_3_oracle_triangle():
         )
         recursion = np.concatenate(
             [
-                sojourn_matrix(state, k)[sel.pivot, :] / state.u_star[sel.pivot]
+                sojourn_matrix(state, gen, k)[sel.pivot, :] / state.u_star[sel.pivot]
                 for k in range(n + 1)
             ]
         )
@@ -267,8 +267,9 @@ def test_criterion_8_sojourn_semantics():
         1.0, 2.0, start=2, top=3, paths=100_000, seed=20240817
     )
     elapsed = time.perf_counter() - started
-    state = drive_to(make_mm1(1.0, 2.0), 2)
-    recursion_value = sojourn_matrix(state, 0).item()
+    gen = make_mm1(1.0, 2.0)
+    state = drive_to(gen, 2)
+    recursion_value = sojourn_matrix(state, gen, 0).item()
     deviation = abs(mean - recursion_value) / sem
     ok = recursion_value == pytest.approx(4.0) and deviation <= 3.0 and elapsed < 30.0
     _report(

@@ -251,7 +251,7 @@ def test_oracle_triangle_matched_alpha(catalog):
         )
         recursion = np.concatenate(
             [
-                sojourn_matrix(state, k)[sel.pivot, :] / state.u_star[sel.pivot]
+                sojourn_matrix(state, gen, k)[sel.pivot, :] / state.u_star[sel.pivot]
                 for k in range(n + 1)
             ]
         )
@@ -278,7 +278,7 @@ def test_deep_truncation_reference_error_decreases(mm1):
         )
         approx = np.concatenate(
             [
-                sojourn_matrix(state, k)[sel.pivot, :] / state.u_star[sel.pivot]
+                sojourn_matrix(state, mm1, k)[sel.pivot, :] / state.u_star[sel.pivot]
                 for k in range(n + 1)
             ]
         )

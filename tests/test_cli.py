@@ -119,6 +119,30 @@ output:
     assert dist.exists()
 
 
+def test_bright_taylor_compare_off_bandwidth_1_is_refused_at_load(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "heavy.yaml"
+    dist = tmp_path / "dist.csv"
+    cfg.write_text(
+        f"""
+model:
+  name: heavy_tail_mg1
+  params: {{mu: 3.0, tail_c: 1.0}}
+solver:
+  epsilon: 1.0e-4
+compare: [lbcl_direct, bright_taylor]
+output:
+  distribution: {dist}
+"""
+    )
+    message = "compare: bright_taylor needs bandwidth 1, got None"
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg)
+    monkeypatch.setattr("bhmc.cli.solve", lambda *a: pytest.fail("solved a refused config"))
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not dist.exists()
+
+
 def test_inspect_prints_hand_values(tmp_path, capsys):
     cfg, _, _ = write_config(tmp_path)
     assert main(["inspect", str(cfg), "--level", "2"]) == 0

@@ -127,7 +127,7 @@ def _flat_state(u_star, u_K) -> RecursionState:
     """A level-3 state whose occupancy ratios are ``u_K / u_star``."""
     m = len(u_star)
     return RecursionState(
-        n=3, W=np.eye(m), phases=(m,), factors=None, u_star=np.array(u_star),
+        n=3, W=np.eye(m), factors=None, u_star=np.array(u_star),
         u_K=np.array(u_K), K_set=frozenset({0}), q_diag_n=-np.ones(m),
     )
 
@@ -258,7 +258,7 @@ def selection_cases(draw):
     u_star = draw(st.lists(st.sampled_from([1.0, 0.7, 3.0, 12.5]), min_size=m, max_size=m))
     u_star = np.array(u_star)
     state = RecursionState(
-        n=3, W=np.eye(m), phases=(m,), factors=None, u_star=u_star,
+        n=3, W=np.eye(m), factors=None, u_star=u_star,
         u_K=np.array(ratios) * u_star, K_set=frozenset({0}), q_diag_n=-np.ones(m),
     )
     top = draw(st.floats(1e-3, 1e3))
@@ -321,7 +321,7 @@ def test_select_pivot_drift_matches_blockwise_sum(bandwidth, n):
     y = cert.v(n).copy()
     for k in range(max(0, n - bandwidth + 1), n + 1):
         for l in range(n + 1, k + bandwidth + 1):
-            y += sojourn_matrix(state, k) @ gen.block(k, l) @ cert.v(l)
+            y += sojourn_matrix(state, gen, k) @ gen.block(k, l) @ cert.v(l)
     objective = y / state.u_star
     sel = select_pivot_drift(state, gen, cert)
     assert sel.pivot == int(np.argmin(objective))

@@ -18,6 +18,7 @@ from bhmc import (
     bright_taylor,
     init_state,
     lbcl_direct,
+    principal_submatrix,
     sojourn_matrix,
     sojourn_rows,
 )
@@ -81,12 +82,12 @@ def test_init_state_singular_block():
 def test_advance_mm1_hand_values(mm1):
     state = advance(init_state(mm1, {0}), mm1)
     np.testing.assert_allclose(state.U_star, [[1.0]])
-    np.testing.assert_allclose(sojourn_matrix(state, 0), [[2.0]])
+    np.testing.assert_allclose(sojourn_matrix(state, mm1, 0), [[2.0]])
     np.testing.assert_allclose(state.u_star, [3.0])
     state = advance(state, mm1)
     np.testing.assert_allclose(state.U_star, [[1.0]])
-    np.testing.assert_allclose(sojourn_matrix(state, 0), [[4.0]])
-    np.testing.assert_allclose(sojourn_matrix(state, 1), [[2.0]])
+    np.testing.assert_allclose(sojourn_matrix(state, mm1, 0), [[4.0]])
+    np.testing.assert_allclose(sojourn_matrix(state, mm1, 1), [[2.0]])
     np.testing.assert_allclose(state.u_star, [7.0])
     # pattern u_n* = 2^(n+1) - 1
     for n in range(3, 10):
@@ -280,13 +281,13 @@ def test_tiny_pivot_late_in_second_leaf_raises_singular_block():
 def test_u_star_K_recursive_equals_direct(mm1):
     state = drive_to(mm1, 2)
     np.testing.assert_allclose(state.u_star_K, [4.0])
-    np.testing.assert_allclose(u_star_K_direct(state), state.u_star_K)
+    np.testing.assert_allclose(u_star_K_direct(state, mm1), state.u_star_K)
 
 
 def test_u_star_K_full_index_set_is_u_star(mm1):
     n = 6
     state = drive_to(mm1, n, k_set=frozenset(range(n + 1)))
-    np.testing.assert_allclose(u_star_K_direct(state), state.u_star)
+    np.testing.assert_allclose(u_star_K_direct(state, mm1), state.u_star)
     np.testing.assert_allclose(state.u_star_K, state.u_star, rtol=1e-12)
 
 
@@ -294,21 +295,21 @@ def test_u_star_K_before_max_K_raises(mm1):
     state = drive_to(mm1, 2, k_set=frozenset({4}))
     assert state.u_star_K is None
     with pytest.raises(IndexOutOfRange):
-        u_star_K_direct(state)
+        u_star_K_direct(state, mm1)
 
 
 def test_sojourn_matrix_accessors(mm1):
     state = drive_to(mm1, 2)
-    np.testing.assert_array_equal(sojourn_matrix(state, 2), state.U_star)
-    np.testing.assert_allclose(sojourn_matrix(state, 0), [[4.0]])
+    np.testing.assert_array_equal(sojourn_matrix(state, mm1, 2), state.U_star)
+    np.testing.assert_allclose(sojourn_matrix(state, mm1, 0), [[4.0]])
     with pytest.raises(IndexOutOfRange):
-        sojourn_matrix(state, 3)
+        sojourn_matrix(state, mm1, 3)
     with pytest.raises(IndexOutOfRange):
-        sojourn_matrix(state, -1)
+        sojourn_matrix(state, mm1, -1)
     with pytest.raises(PhaseMismatch, match=r"shape \(2,\), but level 2 has 1 phases"):
-        sojourn_rows(state, np.ones(2))
+        sojourn_rows(state, mm1, np.ones(2))
     with pytest.raises(PhaseMismatch, match=r"shape \(1, 1\)"):
-        sojourn_rows(state, np.ones((1, 1)))
+        sojourn_rows(state, mm1, np.ones((1, 1)))
 
 
 def test_family_nonnegative_and_u_star_consistency():
@@ -317,7 +318,7 @@ def test_family_nonnegative_and_u_star_consistency():
     for _ in range(12):
         state = advance(state, gen)
         assert np.all(np.diag(state.U_star) > 0.0)
-        family = [sojourn_matrix(state, k) for k in range(state.n + 1)]
+        family = [sojourn_matrix(state, gen, k) for k in range(state.n + 1)]
         for f in family:
             assert f.min() >= -1e-14
         total = sum(f.sum(axis=1) for f in family)
@@ -325,7 +326,7 @@ def test_family_nonnegative_and_u_star_consistency():
         if state.u_star_K is not None:
             assert np.all(state.u_star_K <= state.u_star + 1e-12)
             np.testing.assert_allclose(
-                state.u_star_K, u_star_K_direct(state), rtol=1e-10
+                state.u_star_K, u_star_K_direct(state, gen), rtol=1e-10
             )
 
 
@@ -343,7 +344,7 @@ def test_alternative_product_formula():
                 prod = prod @ (gen.block_array(m + 1, m) @ u_stars[m])
             expected = state.U_star @ prod
             np.testing.assert_allclose(
-                sojourn_matrix(state, k),
+                sojourn_matrix(state, gen, k),
                 expected,
                 rtol=1e-10,
                 atol=1e-12 * max(1.0, expected.max()),
@@ -404,10 +405,10 @@ def test_column_shape_mismatch_is_invalid_block(heavy):
 def test_wide_update_leaves_earlier_states_valid(heavy):
     for gen in (heavy, random_banded(2, 2, seed=7)):
         state = drive_to(gen, 10)
-        before = [sojourn_matrix(state, k).copy() for k in range(11)]
+        before = [sojourn_matrix(state, gen, k).copy() for k in range(11)]
         advance(advance(state, gen), gen)
         for k in range(11):
-            np.testing.assert_array_equal(sojourn_matrix(state, k), before[k])
+            np.testing.assert_array_equal(sojourn_matrix(state, gen, k), before[k])
         if gen.bandwidth is None:
             assert state.factors is None
 
@@ -433,15 +434,37 @@ def test_finite_band_update_reads_one_down_product(lattice):
             before = state.W.copy()
             new = advance(state, gen)
             down = gen.block_array(n, n - 1) @ state.W
-            cut = sum(state.phases[: int(len(state.phases) == gen.bandwidth)])
+            # level n - b leaves the window: it does not reach column n + 1
+            cut = gen.phase_count(n - gen.bandwidth) if n >= gen.bandwidth else 0
             u1 = new.U_star.copy()
             want = np.concatenate([u1 @ down[:, cut:], u1], axis=1)
             assert new.W.tobytes() == want.tobytes(), (gen.bandwidth, n)
             factor = new.factors[0]
-            assert factor.tobytes() == down[:, -state.phases[-1] :].tobytes(), (gen.bandwidth, n)
+            assert factor.tobytes() == down[:, -state.W.shape[0] :].tobytes(), (gen.bandwidth, n)
             assert factor.base is None and new.factors[1] is state.factors
             assert state.W.tobytes() == before.tobytes(), (gen.bandwidth, n)
             state = new
+
+
+@pytest.mark.parametrize("bandwidth", [None, 1, 2, 3])
+def test_advance_reads_the_window_of_the_checked_walk(bandwidth):
+    """For each column ``n + 1``, ``advance`` reads the levels ``principal_submatrix`` reads below it."""
+    for base in (random_banded(bandwidth, 2, seed=5), random_varying(23, bandwidth)):
+        reads = []
+
+        def column_blocks(j, lo, hi):
+            reads.append((j, lo, hi))
+            return np.concatenate([base.block_array(l, j) for l in range(lo, hi + 1)])
+
+        gen = replace(base, column_blocks=column_blocks)
+        principal_submatrix(gen, 10)
+        walk = {j: range(lo, j) for j, lo, _ in reads}
+        reads.clear()
+        state = init_state(gen)
+        for _ in range(9):  # levels 0..8 step to columns 1..9
+            state = advance(state, gen)
+        stepped = {j: range(lo, hi + 1) for j, lo, hi in reads}
+        assert stepped == {j: walk[j] for j in range(1, 10)}, bandwidth
 
 
 def _family_chains(catalog):
@@ -474,17 +497,17 @@ def test_product_form_matches_family_oracle(catalog):
                 state = advance(state, gen)
             family, u_star, u_star_K = oracles.family_blocks(gen, n, k_set)
             for k in range(n + 1):
-                assert close(sojourn_matrix(state, k), family[k]), (name, n, k)
+                assert close(sojourn_matrix(state, gen, k), family[k]), (name, n, k)
             assert close(state.u_star, u_star), (name, n)
             if n >= max(k_set):
                 assert close(state.u_star_K, u_star_K), (name, n)
             for p in range(u_star.shape[0]):
-                blocks = _pivot_blocks(state, p)
+                blocks = _pivot_blocks(state, gen, p)
                 for k in range(n + 1):
                     assert close(blocks[k], family[k][p] / u_star[p]), (name, n, p, k)
             seed = rng.uniform(0.1, 1.0, u_star.shape[0])
             seed /= seed @ u_star
-            rows = sojourn_rows(state, seed)
+            rows = sojourn_rows(state, gen, seed)
             for k in range(n + 1):
                 assert close(rows[k], seed @ family[k]), (name, n, k)
 
@@ -506,7 +529,7 @@ def test_recursion_error_against_mp_reference(catalog):
             bound = 4.0 * eps * u_star.max()
             scale = max(np.abs(f).max() for f in family)
             for k in range(n + 1):
-                err = np.abs(sojourn_matrix(state, k) - family[k]).max()
+                err = np.abs(sojourn_matrix(state, gen, k) - family[k]).max()
                 assert err <= bound * scale, (name, n, k, err / scale)
             err = np.abs(state.u_star - u_star).max()
             assert err <= bound * u_star.max(), (name, n, err / u_star.max())

@@ -11,6 +11,7 @@ import oracles
 from oracles import drift_blockwise, residual_q_norm_direct
 from bhmc import (
     Approximation,
+    BadDistribution,
     BlockGenerator,
     CheckpointSchedule,
     ConfigError,
@@ -110,7 +111,7 @@ def test_residual_direct_matches_closed_form(mm1):
     for n in (1, 2):
         state = drive_to(mm1, n)
         blocks = tuple(
-            sojourn_matrix(state, k)[0, :] / state.u_star[0] for k in range(n + 1)
+            sojourn_matrix(state, mm1, k)[0, :] / state.u_star[0] for k in range(n + 1)
         )
         approx = Approximation(n, blocks, (), 0.0, True, "mip_new")
         direct = residual_q_norm_direct(mm1, approx)
@@ -141,7 +142,7 @@ def test_residual_identity_every_checkpoint_all_models(catalog):
             sel = _select_at(state, gen)
             closed = residual_q_norm(state, sel.pivot)
             approx = Approximation(
-                state.n, _pivot_blocks(state, sel.pivot), (), closed, True, "mip_new"
+                state.n, _pivot_blocks(state, gen, sel.pivot), (), closed, True, "mip_new"
             )
             direct = residual_q_norm_direct(gen, approx)
             assert 0.0 < closed <= 1.0, name
@@ -383,9 +384,9 @@ def test_fixed_direction_two_phase_product_form():
 
 
 def test_fixed_direction_rejects_bad_direction():
-    with pytest.raises(PhaseMismatch):
+    with pytest.raises(BadDistribution, match="direction must be strictly positive"):
         FixedDirection(np.array([1.0, 0.0]))  # zero entry
-    with pytest.raises(PhaseMismatch):
+    with pytest.raises(BadDistribution, match="direction sums to 1.4, expected 1"):
         FixedDirection(np.array([0.7, 0.7]))  # not a distribution
 
 

@@ -56,8 +56,10 @@ BACKWARD_RTOL = 1e-14
 NEGATIVE_RTOL = 256 * np.finfo(float).eps
 
 
-def _splu(a: scipy.sparse.csc_array, what: str) -> tuple[scipy.sparse.linalg.SuperLU, float]:
-    """Sparse LU of ``a`` and its largest row norm.
+def _splu(
+    a: scipy.sparse.csc_array, what: str, **options
+) -> tuple[scipy.sparse.linalg.SuperLU, float]:
+    """Sparse LU of ``a`` and its largest row norm; ``options`` go to ``splu``.
 
     A zero or non-finite ``a``, or an exactly singular factor, is reported
     as SingularBlock.
@@ -68,7 +70,7 @@ def _splu(a: scipy.sparse.csc_array, what: str) -> tuple[scipy.sparse.linalg.Sup
     if scale == 0.0 or not np.isfinite(scale):
         raise SingularBlock(f"{what}: matrix is zero or non-finite")
     try:
-        return scipy.sparse.linalg.splu(a), scale
+        return scipy.sparse.linalg.splu(a, **options), scale
     except RuntimeError as exc:  # splu: "Factor is exactly singular"
         raise SingularBlock(f"{what}: matrix is exactly singular") from exc
 
@@ -97,10 +99,12 @@ def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
     alpha = check_distribution(alpha_n, last.stop - last.start)
     rhs = np.zeros(sub.dim)
     rhs[last] = alpha
-    # x @ -Q_n = rhs, solved with the transpose factored
+    # x @ -Q_n = rhs, solved with the transpose factored.  -Q_n is a
+    # nonsingular M-matrix, which needs no pivoting: a threshold of 0 keeps
+    # the diagonal pivots, where row swaps for size could hit an exact zero.
     what = f"augmented truncation at level {n}"
     a = scipy.sparse.csc_array(-sub.data.T)
-    lu, scale = _splu(a, what)
+    lu, scale = _splu(a, what, diag_pivot_thresh=0.0)
     x = lu.solve(rhs)
     backward = np.abs(a @ x - rhs).max() / (scale * np.abs(x).max() + alpha.max())
     if not backward <= BACKWARD_RTOL:  # true on NaN too

@@ -73,7 +73,9 @@ class DriftCertificate:
 
     def v(self, l: int) -> np.ndarray:
         vec = np.asarray(self.v_blocks(l), dtype=float).ravel()
-        if np.any(vec <= 0.0) or not np.all(np.isfinite(vec)):
+        # every entry in (0, inf); NaN fails, and an empty vector passes
+        if not (np.minimum.reduce(vec, initial=np.inf) > 0.0
+                and np.maximum.reduce(vec, initial=-np.inf) < np.inf):
             raise NonpositiveWeight(f"drift vector at level {l} must be strictly positive")
         return vec
 
@@ -93,7 +95,7 @@ def incoming_support(gen: BlockGenerator, n: int) -> np.ndarray:
     not computed quantities, so no tolerance applies.  Entry ``i`` of the
     boolean mask is true when phase ``i`` is in the support.
     """
-    return gen.block_array(n + 1, n).sum(axis=0) > 0.0
+    return np.add.reduce(gen.block_array(n + 1, n), 0) > 0.0
 
 
 def outgoing_support(state: RecursionState, gen: BlockGenerator) -> np.ndarray:
@@ -106,9 +108,10 @@ def outgoing_support(state: RecursionState, gen: BlockGenerator) -> np.ndarray:
     """
     if state.n == 0:
         raise IndexOutOfRange("outgoing support is undefined at level 0")
-    w = state.U_star @ gen.block_array(state.n, state.n - 1).sum(axis=1)
-    # false everywhere when the largest weight is not positive, or NaN
-    return w > max(TAU_REL * w.max(), 0.0)
+    w = state.U_star @ np.add.reduce(gen.block_array(state.n, state.n - 1), 1)
+    # false everywhere when the largest weight is not positive, or NaN (argmax
+    # finds the first NaN, as the max reduction returns it)
+    return w > max(TAU_REL * w.item(w.argmax()), 0.0)
 
 
 def select_pivot(state: RecursionState, I: np.ndarray, O: np.ndarray) -> PivotSelection:
@@ -129,17 +132,17 @@ def select_pivot(state: RecursionState, I: np.ndarray, O: np.ndarray) -> PivotSe
     SingularBlock
         If a candidate ratio is NaN or infinite.
     """
-    if state.u_star_K is None:
-        raise IndexOutOfRange(
-            f"u_star_K unavailable: level {state.n} below max(K_set)"
-        )
+    u_K = state.u_star_K
+    if u_K is None:
+        raise IndexOutOfRange(f"u_star_K unavailable: level {state.n} below max(K_set)")
     candidates = (I & O).nonzero()[0]
     if not candidates.size:
         raise EmptyCandidateSet(f"no candidate phase at level {state.n}")
-    ratios = state.u_star_K[candidates] / state.u_star[candidates]
-    best = ratios.max()
-    # NaN makes best NaN; +inf makes best infinite and -inf the minimum
-    if not (best < np.inf and ratios.min() > -np.inf):
+    ratios = u_K[candidates] / state.u_star[candidates]
+    # NaN makes best NaN (argmax and argmin find the first NaN); +inf makes
+    # best infinite and -inf the minimum
+    best = ratios.item(ratios.argmax())
+    if not (best < np.inf and ratios.item(ratios.argmin()) > -np.inf):
         raise SingularBlock(
             f"non-finite occupancy ratio at level {state.n}; u_star or "
             "u_star_K has left double range"
@@ -150,13 +153,7 @@ def select_pivot(state: RecursionState, I: np.ndarray, O: np.ndarray) -> PivotSe
         )
     ties = ratios >= best * (1.0 - TAU_REL)
     first = int(ties.argmax())  # candidates ascend, so the smallest index
-    return PivotSelection(
-        I_plus=I,
-        O_plus=O,
-        J_star=candidates[ties],
-        pivot=int(candidates[first]),
-        ratio=float(ratios[first]),
-    )
+    return PivotSelection(I, O, candidates[ties], candidates.item(first), ratios.item(first))
 
 
 def select_pivot_drift(
@@ -187,7 +184,7 @@ def select_pivot_drift(
             )
     y = v[n] + sum(state.W @ (gen.block_column(l, lo, n) @ v[l]) for l in range(n + 1, top + 1))
     objective = y / state.u_star
-    best = float(objective.min())
-    ties = np.nonzero(objective <= best * (1.0 + TAU_REL))[0]
-    pivot = int(ties.min())
-    return DriftSelection(pivot=pivot, objective=float(objective[pivot]))
+    best = float(np.minimum.reduce(objective))
+    ties = (objective <= best * (1.0 + TAU_REL)).nonzero()[0]
+    pivot = int(np.minimum.reduce(ties))
+    return DriftSelection(pivot, objective.item(pivot))

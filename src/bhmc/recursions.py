@@ -94,7 +94,7 @@ def _inverse(m: np.ndarray, cut: float, what: str) -> np.ndarray:
         lu, piv, _ = dgetrf(m)
         # cut <= nan is false, so a NaN pivot fails; the maps run in C
         if all(map(cut.__le__, map(abs, lu.diagonal().tolist()))):
-            return dgetri(lu, piv, lwork=64 * size, overwrite_lu=True)[0]
+            return dgetri(lu, piv, 64 * size, 1)[0]  # lwork, overwrite_lu
         raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
     h = size // 2
     x = _inverse(m[:h, :h], cut, what)
@@ -233,9 +233,12 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
         u_k = u1 @ (q_down @ state.u_K) if finite else step @ state.u_K
         if n1 in state.K_set:
             u_k += u1.sum(axis=1)
-    k_top = u_k.max()  # one test, false on NaN too; its body only names the failure
-    if not (0.0 < u_vec.min() and u_vec.max() < np.inf and k_top < np.inf
-            and u_k.min() >= -1e-12 * max(k_top, 0.0)):
+    # One test, false on NaN too; its body only names the failure.  An
+    # extreme is read at argmax/argmin, which land on the first NaN as the
+    # min/max reductions propagate it, at a fraction of their call cost.
+    k_top = u_k.item(u_k.argmax())
+    if not (0.0 < u_vec.item(u_vec.argmin()) and u_vec.item(u_vec.argmax()) < np.inf
+            and k_top < np.inf and u_k.item(u_k.argmin()) >= -1e-12 * max(k_top, 0.0)):
         if not (np.all(np.isfinite(u_vec)) and np.all(np.isfinite(u_k))):
             raise SingularBlock(
                 f"u_star overflowed at level {n1}; the expected sojourn times "
@@ -259,15 +262,7 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
         w = np.empty((m1, k + m1))
         np.matmul(u1 if finite else step, kept, out=w[:, :k])
         w[:, k:] = u1
-    return RecursionState(
-        n=n1,
-        W=w,
-        factors=factors,
-        u_star=u_vec,
-        u_K=u_k,
-        K_set=state.K_set,
-        q_diag_n=q_next.diagonal().copy(),
-    )
+    return RecursionState(n1, w, factors, u_vec, u_k, state.K_set, q_next.diagonal().copy())
 
 
 def _chain(node: tuple | None) -> Iterator[np.ndarray]:

@@ -10,8 +10,8 @@ once the run stops.
   ratio; stops when the q-weighted residual drops below ``epsilon``.
   The residual has the closed form ``1 / (|q(n, j; n, j)| * u_star(j))``
   at the chosen pivot ``j``, so testing it costs nothing.
-* ``solve_mip_drift`` (legacy): drift-minimizing pivot, successive-
-  iterate total-variation stopping; finite upper bandwidth only.  The
+* ``solve_mip_drift`` (legacy): drift-minimizing pivot, stopping on the
+  L1 distance between successive iterates; finite upper bandwidth only.  The
   distance between consecutive checkpoints is read off the previous
   checkpoint's state through one vector carried down the step factors,
   so the blocks are assembled only at the stop.
@@ -166,9 +166,9 @@ class SolverOptions:
 class CheckpointRecord:
     """One checkpoint: level, chosen pivot, its ratio, and the residual.
 
-    ``step_distance`` is filled only on the drift path (total variation
-    from the previous checkpoint).  Fixed-direction checkpoints have no
-    pivot or ratio.
+    ``step_distance`` is filled only on the drift path: the L1 distance
+    from the previous checkpoint's approximation, as ``tv_distance``
+    measures it.  Fixed-direction checkpoints have no pivot or ratio.
     """
 
     level: int
@@ -216,11 +216,18 @@ def residual_q_norm(state: RecursionState, pivot: int) -> float:
 
     Equals ``1 / (|block(n,n)[pivot, pivot]| * u_star[pivot])`` and always
     lies in ``(0, 1]``; it tends to zero as the level grows, which is what
-    makes it a usable stopping rule.
+    makes it a usable stopping rule.  A product ``|q| * u_star`` of zero,
+    which has no residual, or one past double range raises SingularBlock.
     """
     if not 0 <= pivot < state.u_star.shape[0]:
         raise IndexOutOfRange(f"pivot {pivot} invalid at level {state.n}")
-    value = float(1.0 / (abs(state.q_diag_n[pivot]) * state.u_star[pivot]))
+    den = abs(state.q_diag_n.item(pivot)) * state.u_star.item(pivot)
+    if den == 0.0:  # a pivot phase without an exit rate
+        raise SingularBlock(
+            f"residual undefined at level {state.n}: phase {pivot} has "
+            "|q(n, j; n, j)| * u_star(j) = 0"
+        )
+    value = 1.0 / den
     if not value > 0.0:  # u_star overflow: depth exceeds double range
         raise SingularBlock(
             f"residual underflowed at level {state.n}; u_star no longer "
@@ -230,11 +237,13 @@ def residual_q_norm(state: RecursionState, pivot: int) -> float:
 
 
 def tv_distance(h1, h2) -> float:
-    """Total-variation distance between prefix-indexed vectors.
+    """L1 distance ``sum |h1 - h2|`` between prefix-indexed vectors.
 
-    The vectors may cover index prefixes of different lengths: shared
-    indices contribute ``|h1 - h2|`` and each vector's overhang contributes
-    its own mass.
+    Between probability vectors that is twice their total variation
+    distance; the name, and the CLI report key, say ``tv`` for it.  The
+    vectors may cover index prefixes of different lengths: shared indices
+    contribute ``|h1 - h2|`` and each vector's overhang contributes its own
+    mass.
     """
     a = np.asarray(h1, dtype=float).ravel()
     b = np.asarray(h2, dtype=float).ravel()
@@ -272,7 +281,7 @@ def _step_distance(
     s: np.ndarray,
     gen: BlockGenerator,
 ) -> float:
-    """Total variation between the approximations seeded by ``a`` and ``s``.
+    """L1 distance between the approximations seeded by ``a`` and ``s``.
 
     ``prev`` is an earlier state at level ``p`` of the same run and
     ``state`` the current one at level ``n``.  On the levels ``0..p`` the
@@ -291,7 +300,9 @@ def _step_distance(
     c = c @ gen.block_array(p + 1, p)
     d = a - c
     tail = 1.0 - float(c @ prev.u_star)
-    if np.all(d >= 0.0) or np.all(d <= 0.0):
+    # d of one sign, read from its extremes; NaN fails both, an empty d passes
+    if (np.minimum.reduce(d, initial=np.inf) >= 0.0
+            or np.maximum.reduce(d, initial=-np.inf) <= 0.0):
         return abs(float(d @ prev.u_star)) + tail
     return float(np.abs(np.concatenate(sojourn_rows(prev, gen, d))).sum()) + tail
 
@@ -311,7 +322,7 @@ class _ReadOnce(BlockGenerator):
     def block_array(self, k: int, l: int) -> np.ndarray:
         b = self.memo.get((k, l))
         if b is None:
-            b = self.memo[k, l] = super().block_array(k, l)
+            b = self.memo[k, l] = BlockGenerator.block_array(self, k, l)
         return b
 
     def leave(self, n: int) -> None:
@@ -402,17 +413,17 @@ def solve_mip_drift(
 ) -> Approximation:
     """Legacy driver: drift-minimizing pivots, successive-iterate stopping.
 
-    Stops when the total variation between consecutive checkpoint
-    approximations falls below ``epsilon`` (which can in principle trigger
-    early, unlike the residual rule); the q-weighted residual is still
-    recorded at every checkpoint for diagnosis.  The distance is computed
-    from the previous checkpoint's state and seed without assembling
-    either approximation (see ``_step_distance``): on a scalar chain, or
-    whenever the seed difference has one sign, it costs one vector product
-    per level advanced; otherwise one backward sweep of the previous
-    state.  The blocks are assembled once, at the stop.  Requires a finite
-    upper bandwidth: otherwise the first checkpoint raises
-    ``UnsupportedInfiniteBand``.
+    Stops when the L1 distance (``tv_distance``) between consecutive
+    checkpoint approximations falls below ``epsilon`` (which can in
+    principle trigger early, unlike the residual rule); the q-weighted
+    residual is still recorded at every checkpoint for diagnosis.  The
+    distance is computed from the previous checkpoint's state and seed
+    without assembling either approximation (see ``_step_distance``): on a
+    scalar chain, or whenever the seed difference has one sign, it costs
+    one vector product per level advanced; otherwise one backward sweep of
+    the previous state.  The blocks are assembled once, at the stop.
+    Requires a finite upper bandwidth: otherwise the first checkpoint
+    raises ``UnsupportedInfiniteBand``.
     """
     opts = opts if opts is not None else SolverOptions()
     prev: tuple[RecursionState, np.ndarray] | None = None

@@ -19,7 +19,10 @@ pivot selection that the boolean-mask form replaced, and
 ``principal_submatrix_rows`` is the unchecked row-by-row assembly that the
 checked column walk replaced.  ``heavy_tail_column_sliced`` builds each
 heavy-tail block column afresh by slice, as before the model kept its jump
-kernel.
+kernel.  ``heavy_tail_pi`` and ``lattice_product_pi`` are exact laws:
+the heavy tail's level-crossing recursion and the default-wall lattice's
+product form.  ``advance_health_reductions`` is ``advance``'s health test
+as numpy's min and max reductions took it.
 """
 
 from __future__ import annotations
@@ -81,6 +84,41 @@ def conditional(pi: np.ndarray, n: int) -> np.ndarray:
     """Stationary law restricted to levels 0..n and renormalized."""
     head = pi[: n + 1]
     return head / head.sum()
+
+
+def heavy_tail_pi(mu: float, tail_c: float, levels: int) -> np.ndarray:
+    """Exact law of ``make_heavy_tail_mg1(mu, tail_c)`` on levels ``0..levels``.
+
+    The cut between levels ``i - 1`` and ``i`` is crossed downward at rate
+    ``mu pi_i`` and upward by every jump from a level ``l < i`` of at least
+    ``i - l``, whose rates sum to ``T(m) = tail_c / (2 m (m + 1))``,
+    ``m = i - l``.  So ``mu pi_i = sum_{l<i} pi_l T(i - l)``, and the mean
+    drift gives ``pi_0 = 1 - tail_c / (2 mu)``.  Every term is positive,
+    so the recursion subtracts nothing; it costs one dot product per level.
+    """
+    m = np.arange(levels, 0, -1.0)
+    t_rev = tail_c / (2.0 * m * (m + 1.0))  # T(levels), ..., T(1)
+    pi = np.empty(levels + 1)
+    pi[0] = 1.0 - tail_c / (2.0 * mu)
+    for i in range(1, levels + 1):
+        pi[i] = (pi[:i] @ t_rev[levels - i :]) / mu
+    return pi
+
+
+def lattice_product_pi(rates: dict[str, float], levels: int) -> np.ndarray:
+    """Exact law of the default-wall quadrant walk, in (level, phase) order.
+
+    With every wall rate at its interior value, ``x`` and ``y`` are two
+    independent single-server queues, so ``pi(x, y) = (1 - rx)(1 - ry)
+    rx^x ry^y`` with ``rx = east / west`` and ``ry = north / south``.
+    Level ``k`` holds the points ``(x, k - x)``, ``x = 0..k``.
+    """
+    rx, ry = rates["east"] / rates["west"], rates["north"] / rates["south"]
+    blocks = []
+    for k in range(levels + 1):
+        x = np.arange(k + 1)
+        blocks.append((1 - rx) * (1 - ry) * rx**x * ry ** (k - x))
+    return np.concatenate(blocks)
 
 
 def lattice_grid_pi(rates: dict[str, float], grid: int) -> np.ndarray:
@@ -194,6 +232,35 @@ def lu_inverse_reductions(matrix: np.ndarray, what: str) -> np.ndarray:
             return scipy.linalg.lapack.dgetri(lu, piv, lwork=64 * m.shape[0], overwrite_lu=True)[0]
         raise SingularBlock(f"{what}: pivot below {PIVOT_RTOL} * max row norm")
     raise SingularBlock(f"{what}: matrix is zero or non-finite")
+
+
+def advance_health_reductions(state, gen) -> str | None:
+    """The message ``advance`` raises from ``state`` on a finite band, or None.
+
+    The new row sums are formed as ``advance`` forms them, and tested as
+    the test read before it took its extremes at argmax and argmin: with
+    numpy's ``min`` and ``max`` reductions.
+    """
+    n1 = state.n + 1
+    q_next, q_down = gen.block_array(n1, n1), gen.block_array(n1, state.n)
+    col = gen.block_column(n1, max(0, n1 - gen.bandwidth), state.n)
+    u1 = lu_inverse(-q_next - (q_down @ state.W) @ col, f"level {n1} exit matrix")
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_vec = u1 @ (1.0 + q_down @ state.u_star)
+        u_k = u1 @ (q_down @ state.u_K)
+        if n1 in state.K_set:
+            u_k += u1.sum(axis=1)
+    k_top = u_k.max()
+    if (0.0 < u_vec.min() and u_vec.max() < np.inf and k_top < np.inf
+            and u_k.min() >= -1e-12 * max(k_top, 0.0)):
+        return None
+    if not (np.all(np.isfinite(u_vec)) and np.all(np.isfinite(u_k))):
+        return (f"u_star overflowed at level {n1}; the expected sojourn times "
+                "exceed double range at this depth")
+    if not np.all(u_vec > 0.0):
+        return (f"positivity of u_star lost at level {n1}; accumulated rounding "
+                "has exhausted double precision at this depth")
+    return f"positivity of u_star_K lost at level {n1}"
 
 
 def mm1_sojourn_at_zero_mc(

@@ -394,3 +394,9 @@ def test_unconverged_stop_checks_blocks_in_bounded_memory():
         tracemalloc.stop()
     assert not approx.converged and approx.n == 1000
     assert peak < 8e6
+
+
+def test_validate_proper_q_misshapen_tail_column_is_invalid_block():
+    gen = replace(make_heavy_tail_mg1(3.0, 1.0), tail_column=lambda L, lo, hi: np.zeros(hi - lo))
+    with pytest.raises(InvalidBlock, match=r"tail_column has shape \(4,\), expected \(5,\)"):
+        validate_proper_q(gen, 4)

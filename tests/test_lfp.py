@@ -12,6 +12,7 @@ from bhmc import (
     DriftCertificate,
     EmptyCandidateSet,
     IndexOutOfRange,
+    NonpositiveWeight,
     PhaseMismatch,
     SingularBlock,
     UnsupportedInfiniteBand,
@@ -342,6 +343,42 @@ def test_select_pivot_drift_refuses_infinite_band():
     state = drive_to(gen, 3)
     with pytest.raises(UnsupportedInfiniteBand):
         select_pivot_drift(state, gen, cert)
+
+
+@pytest.mark.parametrize(
+    "vec, ok",
+    [
+        ([], True),
+        ([1.0, 2.0], True),
+        ([5e-324], True),
+        ([np.nan], False),
+        ([1.0, np.nan], False),
+        ([1.0, np.inf], False),
+        ([-np.inf, 1.0], False),
+        ([0.0], False),
+        ([-0.0], False),
+        ([1.0, -1e-300], False),
+    ],
+)
+def test_drift_certificate_v_decisions(vec, ok):
+    """Every entry must lie in (0, inf); an empty vector is left to the length check."""
+    cert = DriftCertificate(lambda l: np.array(vec, dtype=float), b=1.0)
+    if ok:
+        np.testing.assert_array_equal(cert.v(2), vec)
+    else:
+        with pytest.raises(NonpositiveWeight, match="drift vector at level 2"):
+            cert.v(2)
+
+
+def test_select_pivot_drift_without_a_tie_fails_as_an_empty_reduction(mm1):
+    """A NaN objective leaves no tie; the pivot's reduction fails as ``ndarray.min`` of none."""
+    cert = DriftCertificate(lambda l: np.array([float(l + 1)]), b=1.0)
+    state = replace(drive_to(mm1, 2), u_star=np.array([np.nan]))
+    with pytest.raises(ValueError) as got:
+        select_pivot_drift(state, mm1, cert)
+    with pytest.raises(ValueError) as want:
+        np.empty(0, dtype=np.intp).min()
+    assert str(got.value) == str(want.value)
 
 
 def test_drift_certificate_rejects_nonpositive_v():

@@ -247,6 +247,37 @@ def test_lattice_matches_grid_oracle(lattice):
     assert tv_distance(approx.flatten(), grid) < 1e-6
 
 
+def test_lattice_product_law_agrees_with_grid_oracle():
+    grid = oracles.lattice_grid_pi(LATTICE_RATES, 40)
+    law = oracles.lattice_product_pi(LATTICE_RATES, 78)
+    assert tv_distance(grid, law) < 1e-13
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-14])
+def test_lattice_error_to_its_product_law(lattice, eps):
+    """L1 distance of the solve to the exact law, the law's mass above the stop included."""
+    approx = solve_mip(lattice, SolverOptions(epsilon=eps))
+    law = oracles.lattice_product_pi(LATTICE_RATES, approx.n)
+    error = tv_distance(approx.flatten(), law) + (1.0 - law.sum())
+    # measured: 19.8 eps at n = 18 and 21.4 eps at n = 32, far above the
+    # law's mass above n (0.06 and 0.02 of the error): augmentation error
+    assert error < 30 * eps
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7])
+def test_heavy_tail_error_is_twice_the_law_mass_above_the_stop(eps):
+    """The answer is the exact law conditioned on levels 0..n.
+
+    Its L1 error is then the law's mass above ``n`` twice over: once
+    missing above ``n``, once spread over the levels kept.
+    """
+    approx = solve_mip(make_heavy_tail_mg1(1.0, 1.0), SolverOptions(epsilon=eps))
+    pi = oracles.heavy_tail_pi(1.0, 1.0, approx.n)
+    above = 1.0 - pi.sum()
+    error = tv_distance(approx.flatten(), pi) + above
+    assert error == pytest.approx(2.0 * above, rel=0.01)
+
+
 def test_lattice_wall_rates_change_boundary_blocks():
     gen = make_lattice_rw_2d(
         1.0, 3.0, 1.0, 3.0, east_wall=0.5, south_wall=4.0, west_wall=2.5, north_wall=0.75

@@ -18,6 +18,7 @@ from bhmc import (
     bright_taylor,
     init_state,
     lbcl_direct,
+    make_mm1,
     principal_submatrix,
     sojourn_matrix,
     sojourn_rows,
@@ -276,6 +277,46 @@ def test_tiny_pivot_late_in_second_leaf_raises_singular_block():
     a[m - 10, m - 10] = 1e-20  # the 41st pivot of the second leaf
     with pytest.raises(SingularBlock, match="^late: pivot below 1e-13 \\* max row norm$"):
         lu_inverse(a, "late")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "u_star, u_K, match",
+    [
+        (1e308, 1.0, "u_star overflowed at level 3"),
+        (np.nan, 1.0, "u_star overflowed at level 3"),
+        (1.0, np.inf, "u_star overflowed at level 3"),
+        (-5.0, 1.0, "positivity of u_star lost at level 3"),
+        (1.0, -1.0, "positivity of u_star_K lost at level 3"),
+    ],
+)
+def test_advance_health_test_names_each_loss(u_star, u_K, match):
+    """Hand-built level-2 row sums that fail each of advance's checks, without a numpy warning."""
+    gen = make_mm1(1.0, 2.0)
+    state = replace(drive_to(gen, 2), u_star=np.array([u_star]), u_K=np.array([u_K]))
+    with pytest.raises(SingularBlock, match=match):
+        advance(state, gen)
+
+
+_HEALTH_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300, 1e-300, 1.0, 2.5, 1e307, -1.0]
+
+
+@given(
+    st.lists(st.sampled_from(_HEALTH_VALUES), min_size=2, max_size=2),
+    st.lists(st.sampled_from(_HEALTH_VALUES), min_size=2, max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_advance_health_test_matches_reduction_oracle(u_star, u_K):
+    """Pass or the same raise as the test written with numpy's min and max reductions."""
+    gen = two_phase_product_qbd()
+    state = replace(drive_to(gen, 2), u_star=np.array(u_star), u_K=np.array(u_K))
+    want = oracles.advance_health_reductions(state, gen)
+    try:
+        advance(state, gen)
+    except SingularBlock as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
 
 
 def test_u_star_K_recursive_equals_direct(mm1):

@@ -1,5 +1,7 @@
 """Drivers, residuals, stopping, schedules, block reads, and distance utilities."""
 
+import gc
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from oracles import drift_blockwise, residual_q_norm_direct
+from bhmc import solver
 from bhmc import (
     Approximation,
     BadDistribution,
@@ -105,6 +108,22 @@ def test_residual_closed_form_pattern(mm1):
         values.append(residual_q_norm(state, 0))
         assert values[-1] == pytest.approx(1.0 / (3.0 * (2 ** (n + 1) - 1)))
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "u_star, q, match",
+    [
+        (np.inf, -1.0, "residual underflowed at level 2"),
+        (np.nan, -1.0, "residual underflowed at level 2"),
+        (1.0, 0.0, r"undefined at level 2: phase 0 has \|q\(n, j; n, j\)\| \* u_star\(j\) = 0"),
+        (0.0, -1.0, "residual undefined at level 2"),
+    ],
+)
+def test_residual_q_norm_refuses_a_residual_it_cannot_represent(mm1, u_star, q, match):
+    state = replace(drive_to(mm1, 2), u_star=np.array([u_star]), q_diag_n=np.array([q]))
+    with pytest.raises(SingularBlock, match=match):
+        residual_q_norm(state, 0)
 
 
 def test_residual_direct_matches_closed_form(mm1):
@@ -338,6 +357,64 @@ def test_drift_step_distance_mixed_sign_sweep(make_gen, kind):
     assert approx.converged
     # the seed differences change sign, so the distance takes the sweep
     assert any(d.min() < -1e-9 and d.max() > 1e-9 for d in diffs)
+
+
+@pytest.mark.parametrize(
+    "gen, a, sweeps",
+    [
+        (make_mm1(1.0, 2.0), [np.inf], False),
+        (make_mm1(1.0, 2.0), [-np.inf], False),
+        (make_mm1(1.0, 2.0), [np.nan], True),
+        (two_phase_product_qbd(), [1e6, 1e6], False),
+        (two_phase_product_qbd(), [-1e6, -1e6], False),
+        (two_phase_product_qbd(), [1e6, -1e6], True),
+        (two_phase_product_qbd(), [1e6, np.nan], True),
+    ],
+)
+def test_step_distance_sweeps_only_a_seed_difference_of_mixed_sign(monkeypatch, gen, a, sweeps):
+    """A difference of one sign, infinite entries included, is read off ``u_star``; NaN sweeps."""
+    prev, state = drive_to(gen, 3), drive_to(gen, 5)
+    calls = []
+    monkeypatch.setattr(solver, "sojourn_rows", lambda *args: calls.append(args) or (args[2],))
+    with np.errstate(invalid="ignore"):
+        solver._step_distance(prev, np.array(a), state, solver._pivot_seed(state, 0), gen)
+    assert bool(calls) == sweeps
+
+
+def _profiled_calls(max_level: int) -> int:
+    """``call`` and ``c_call`` events of a fresh ``make_mm1(0.98, 1)`` solve to ``max_level``."""
+    gen, opts = make_mm1(0.98, 1.0), SolverOptions(epsilon=1e-14, max_level=max_level)
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    gc.collect()  # no finalizer of an earlier test's garbage runs, and is counted, in the solve
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        solve_mip(gen, opts)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return events
+
+
+def test_calls_per_level_stay_at_the_recorded_count():
+    """A tripwire on the fixed cost of a scalar level, in calls, which unlike time are exact.
+
+    The levels 101..200 of a solve forced to level 200 (it does not
+    converge there, so the checked walk over the blocks runs too) made
+    14227 Python and C calls before the level went to its numpy-call floor
+    and 13327 after; an extreme read at argmax or argmin counts two calls
+    where a reduction counted one, for about a third of its time.  The
+    count includes numpy's own Python wrappers, so a numpy or Python
+    upgrade (this was recorded with numpy 2.4, Python 3.11) means
+    re-recording it.
+    """
+    solve_mip(make_mm1(0.98, 1.0), SolverOptions(max_level=5))  # imports and caches
+    assert _profiled_calls(200) - _profiled_calls(100) <= 13327
 
 
 def test_pivot_trace_is_bounded(heavy):

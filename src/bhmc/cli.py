@@ -122,9 +122,20 @@ def _inline_generator(node: Any) -> BlockGenerator:
     node = _mapping(node, "model.inline", {"bandwidth", "levels", "tail"})
     if "bandwidth" not in node or "levels" not in node:
         raise ConfigError("model.inline needs 'bandwidth' and 'levels'")
+
+    def phase_count(k: int) -> int:
+        return counts[k] if k < explicit else tail_m
+
+    def block(k: int, l: int) -> np.ndarray:
+        table = tables[k] if k < explicit else tail
+        b = table.get(l - k)
+        if b is None or l < 0 or (k == 0 and l - k == -1):
+            return np.zeros((phase_count(k), phase_count(l)))
+        return b
+
+    # built first: the band it checks bounds the offsets of the tables read next
     bandwidth = _number(node["bandwidth"], "model.inline.bandwidth", int)
-    if bandwidth < 1:
-        raise ConfigError(f"inline bandwidth must be >= 1, got {bandwidth}")
+    gen = BlockGenerator(phase_count, block, bandwidth)
     raw_levels = node["levels"]
     if not isinstance(raw_levels, list) or not raw_levels:
         raise ConfigError("model.inline.levels must be a nonempty list")
@@ -152,18 +163,6 @@ def _inline_generator(node: Any) -> BlockGenerator:
             f"last explicit level has {counts[-1]} phases but tail has {tail_m}"
         )
     explicit = len(tables)
-
-    def phase_count(k: int) -> int:
-        return counts[k] if k < explicit else tail_m
-
-    def block(k: int, l: int) -> np.ndarray:
-        table = tables[k] if k < explicit else tail
-        b = table.get(l - k)
-        if b is None or l < 0 or (k == 0 and l - k == -1):
-            return np.zeros((phase_count(k), phase_count(l)))
-        return b
-
-    gen = BlockGenerator(phase_count, block, bandwidth=bandwidth)
     _check_levels(gen, explicit + bandwidth)  # shapes, signs
     return gen
 
@@ -180,15 +179,11 @@ def _build_generator(node: Any) -> BlockGenerator:
     return build_model(node["name"], {k: _number(v, f"model.params.{k}") for k, v in params.items()})
 
 
-# the one argument each schedule kind reads
-SCHEDULE_ARGS = {"every": None, "arithmetic": "stride", "geometric": "factor", "explicit": "levels"}
-
-
 def _build_schedule(node: Any, name: Callable[[str], str]) -> CheckpointSchedule:
     node = _mapping(node, name("schedule"), {"kind", "stride", "factor", "levels"})
     kind = node.get("kind", "every")
-    if isinstance(kind, str) and kind in SCHEDULE_ARGS:  # CheckpointSchedule names others
-        unread = sorted(node.keys() - {"kind", SCHEDULE_ARGS[kind]})
+    if isinstance(kind, str) and kind in CheckpointSchedule.ARGS:  # it names others
+        unread = sorted(node.keys() - {"kind", CheckpointSchedule.ARGS[kind]})
         if unread:
             key = name("schedule." + unread[0])
             raise ConfigError(f"{key} is not read by schedule kind {kind}")
@@ -233,25 +228,22 @@ def _build_cert(node: Any, gen: BlockGenerator) -> DriftCertificate:
         raw = v_node["vectors"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("solver.drift.v.vectors must be a nonempty list")
-        vectors = [_array(v, f"solver.drift.v.vectors[{l}]").ravel() for l, v in enumerate(raw)]
-        for l, vec in enumerate(vectors):
-            if vec.shape != (gen.phase_count(l),):
-                raise ConfigError(
-                    f"drift vector for level {l} has length {vec.size}, "
-                    f"expected {gen.phase_count(l)}"
-                )
+        vectors = [_array(v, f"solver.drift.v.vectors[{l}]") for l, v in enumerate(raw)]
 
         def v_blocks(l: int) -> np.ndarray:
             if l >= len(vectors):
                 raise ConfigError(
-                    f"drift vectors cover levels 0..{len(vectors) - 1}, "
-                    f"but level {l} was reached; supply more or raise max_level"
+                    f"drift vectors cover levels 0..{len(vectors) - 1}, but level {l} was read; "
+                    f"on bandwidth {gen.bandwidth} they support max_level up to "
+                    f"{len(vectors) - 1 - gen.bandwidth}"
                 )
             return vectors[l]
 
-    return DriftCertificate(
-        v_blocks=v_blocks, b=_number(node.get("b", 1.0), "solver.drift.b")
-    )
+    cert = DriftCertificate(v_blocks=v_blocks, b=_number(node.get("b", 1.0), "solver.drift.b"))
+    if "vectors" in v_node:  # every given vector is checked, read or not
+        for l in range(len(vectors)):
+            cert.v(l, gen.phase_count(l))
+    return cert
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -331,7 +323,7 @@ def _parse_schedule_flag(text: str) -> dict[str, Any]:
     kind, colon, arg = text.partition(":")
     node: dict[str, Any] = {"kind": kind}
     # every:ARG reads as a stride, which _build_schedule refuses by name
-    key = "stride" if kind == "every" and colon else SCHEDULE_ARGS.get(kind)
+    key = "stride" if kind == "every" and colon else CheckpointSchedule.ARGS.get(kind)
     if key is not None:
         node[key] = arg.split(",") if kind == "explicit" else arg
     return node

@@ -29,7 +29,14 @@ class BadRates(BhmcError):
 
 
 class SingularBlock(BhmcError):
-    """An LU factorization hit a pivot below the singularity threshold."""
+    """The arithmetic of a solve broke down, at the level or matrix named.
+
+    An LU factorization hit a pivot below the singularity threshold or a
+    zero or non-finite matrix; ``u_star`` overflowed or lost positivity; a
+    residual is undefined or underflowed; an occupancy ratio is not
+    finite or a drift objective is NaN or negative; or a baseline's answer
+    failed its backward error or sign check.
+    """
 
 
 class IndexOutOfRange(BhmcError, IndexError):

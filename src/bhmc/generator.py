@@ -67,8 +67,11 @@ class BlockGenerator:
         return identical values.  A solve relies on it: it reuses each
         block it reads while a later step needs it, and writes into none.
     bandwidth : int, optional
-        Upper band limit ``b`` with ``block(k, l) = 0`` for ``l > k + b``.
-        ``None`` means the upper band is genuinely infinite.
+        Upper band limit ``b >= 1`` with ``block(k, l) = 0`` for
+        ``l > k + b``, an integer under the rule ``SolverOptions`` reads
+        integers by (``2.0`` is 2; ``True``, ``1.5`` and ``"2"`` are
+        refused), else ConfigError at construction.  ``None`` means the
+        upper band is genuinely infinite.
     tail_column : callable, optional
         Maps ``(L, lo, hi)``, ``hi <= L``, to the exact tail row sums
         ``sum_{m > L} block(l, m) @ e`` for ``l = lo..hi``, stacked into a
@@ -84,7 +87,8 @@ class BlockGenerator:
         return a read-only view of an array the provider keeps, since a
         solve writes into no block.
 
-    ``block_array`` checks shapes.  One checked column walk, the one
+    ``block_array`` checks that a block converts to floats and has its
+    shape.  One checked column walk, the one
     :func:`principal_submatrix` assembles, checks signs and finiteness; the
     validator, the baselines, the load of inline tables and the solver's
     check after a failure all read the blocks through it.
@@ -96,9 +100,19 @@ class BlockGenerator:
     tail_column: Callable[[int, int, int], np.ndarray] | None = None
     column_blocks: Callable[[int, int, int], np.ndarray] | None = None
 
+    def __post_init__(self):
+        if self.bandwidth is not None:
+            object.__setattr__(self, "bandwidth", _as_number(self.bandwidth, "bandwidth", int))
+            if self.bandwidth < 1:
+                raise ConfigError(f"bandwidth must be >= 1, got {self.bandwidth}")
+
     def block_array(self, k: int, l: int) -> np.ndarray:
         """Fetch ``block(k, l)`` as a float array with its shape and ``M_k >= 1`` checked."""
-        b = np.asarray(self.block(k, l), dtype=float)
+        b = self.block(k, l)
+        try:
+            b = np.asarray(b, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidBlock(f"block({k},{l}) is not numeric: {exc}") from exc
         want = (self.phase_count(k), self.phase_count(l))
         if want[0] < 1:
             raise InvalidBlock(f"level {k} has phase_count {want[0]}, expected at least 1")
@@ -314,11 +328,14 @@ def principal_submatrix(gen: BlockGenerator, n: int) -> PrincipalSubmatrix:
 
 
 def check_distribution(
-    alpha: np.ndarray, size: int, tol: float = 1e-12, what: str = "distribution"
+    alpha: np.ndarray, size: int | None, tol: float = 1e-12, what: str = "distribution"
 ) -> np.ndarray:
-    """Validate a probability row vector of the given length; errors name it ``what``."""
-    a = np.asarray(alpha, dtype=float).ravel()
-    if a.shape != (size,):
+    """Validate a probability vector of length ``size`` (any if None); errors name it ``what``."""
+    try:
+        a = np.asarray(alpha, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise BadDistribution(f"{what} is not numeric: {exc}") from exc
+    if size is not None and a.shape != (size,):
         raise BadDistribution(f"{what} has length {a.size}, expected {size}")
     if np.any(a < 0.0) or not np.all(np.isfinite(a)):
         raise BadDistribution(f"{what} entries must be finite and nonnegative")

@@ -64,16 +64,21 @@ class DriftCertificate:
     """User-supplied drift witness ``(v, b)`` for the legacy rule.
 
     ``v_blocks(l)`` must return a strictly positive vector of length
-    ``M_l``.  The inequality it certifies is taken on trust; this library
-    never attempts to verify or search for such a witness.
+    ``M_l``.  :meth:`v` is the one check of both, for the rule and for a
+    loader that checks given vectors ahead of the solve.  The inequality
+    the witness certifies is taken on trust; this library never attempts
+    to verify or search for such a witness.
     """
 
     v_blocks: Callable[[int], np.ndarray]
     b: float
 
-    def v(self, l: int) -> np.ndarray:
+    def v(self, l: int, m: int) -> np.ndarray:
+        """``v_blocks(l)`` with ``m`` entries (else PhaseMismatch), each in ``(0, inf)``."""
         vec = np.asarray(self.v_blocks(l), dtype=float).ravel()
-        # every entry in (0, inf); NaN fails, and an empty vector passes
+        if vec.shape != (m,):
+            raise PhaseMismatch(f"drift vector at level {l} has length {vec.size}, expected {m}")
+        # every entry in (0, inf); NaN fails, and an empty vector passes when m is 0
         if not (np.minimum.reduce(vec, initial=np.inf) > 0.0
                 and np.maximum.reduce(vec, initial=-np.inf) < np.inf):
             raise NonpositiveWeight(f"drift vector at level {l} must be strictly positive")
@@ -169,22 +174,23 @@ def select_pivot_drift(
     ``W @ block_column(l, lo, n) @ v_l`` per level ``l = n+1..n+b``.
     Without a band the sum would be infinite, which is why this rule
     refuses infinite-band generators outright rather than silently
-    truncating.  A ``v_l`` without ``M_l`` entries raises PhaseMismatch.
+    truncating.  Each ``v_l`` is read through ``cert.v(l, M_l)``.  A NaN
+    or negative objective, which a solve does not reach, raises
+    SingularBlock naming the level.
     """
     if gen.bandwidth is None:
         raise UnsupportedInfiniteBand(
             "drift-based selection needs a finite upper bandwidth"
         )
     n, lo, top = state.n, _lowest_reaching(gen, state.n + 1), state.n + gen.bandwidth
-    v = {l: cert.v(l) for l in range(n, top + 1)}  # v_n is read first
-    for l, vec in v.items():
-        if vec.shape != (gen.phase_count(l),):
-            raise PhaseMismatch(
-                f"drift vector at level {l} has length {vec.size}, expected {gen.phase_count(l)}"
-            )
-    y = v[n] + sum(state.W @ (gen.block_column(l, lo, n) @ v[l]) for l in range(n + 1, top + 1))
+    v = [cert.v(l, gen.phase_count(l)) for l in range(n, top + 1)]  # v_n is read first
+    y = v[0] + sum(state.W @ (gen.block_column(l, lo, n) @ v[l - n]) for l in range(n + 1, top + 1))
     objective = y / state.u_star
     best = float(np.minimum.reduce(objective))
+    if not best >= 0.0:  # a NaN best would leave no tie below
+        raise SingularBlock(
+            f"drift objective {best} at level {n}; u_star or W has left double range"
+        )
     ties = (objective <= best * (1.0 + TAU_REL)).nonzero()[0]
     pivot = int(np.minimum.reduce(ties))
     return DriftSelection(pivot, objective.item(pivot))

@@ -81,10 +81,14 @@ class CheckpointSchedule:
     ``every`` checks each level from the start level on; ``arithmetic``
     steps by ``stride``; ``geometric`` multiplies by ``factor`` (always
     advancing by at least one); ``explicit`` uses ``levels`` as given, and
-    its last level caps the run like ``max_level``.  A field the kind does
-    not read is ignored, since a default cannot be told apart from a value
-    given; the CLI refuses such a key or flag argument by name.
+    its last level caps the run like ``max_level``.  ``ARGS`` maps each
+    kind to the one field it reads, and is the one table of kinds.  A
+    field the kind does not read is ignored, since a default cannot be
+    told apart from a value given; the CLI refuses such a key or flag
+    argument by name.
     """
+
+    ARGS = {"every": None, "arithmetic": "stride", "geometric": "factor", "explicit": "levels"}
 
     kind: str = "every"
     stride: int = 1
@@ -92,7 +96,7 @@ class CheckpointSchedule:
     levels: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("every", "arithmetic", "geometric", "explicit"):
+        if not isinstance(self.kind, str) or self.kind not in self.ARGS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         object.__setattr__(self, "stride", _as_number(self.stride, "stride", int))
         object.__setattr__(self, "factor", _as_number(self.factor, "factor"))
@@ -204,8 +208,7 @@ class FixedDirection:
     varpi: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.varpi, dtype=float).ravel()
-        check_distribution(w, w.size, tol=1e-9, what="direction")
+        w = check_distribution(self.varpi, None, tol=1e-9, what="direction")
         if np.any(w <= 0.0):
             raise BadDistribution("direction must be strictly positive")
         object.__setattr__(self, "varpi", w)
@@ -454,8 +457,10 @@ def solve_fixed_direction(
     the level-``n`` exit matrix times the sojourn matrix of level ``k``,
     the blocks are the sojourn rows seeded by ``varpi`` mapped through that
     exit matrix.  The residual-style stopping quantity replaces the pivot's
-    unit mass with the direction: ``(varpi @ q_n) / (varpi @ u_star)``,
-    which coincides with the primary rule on scalar-phase chains.
+    unit mass with the direction:
+    ``(varpi @ (1 / |diag q_n|)) / (varpi @ u_star)``, with ``q_n`` the
+    diagonal block ``block(n, n)``; on scalar-phase chains it coincides
+    with the primary rule.
     """
     opts = opts if opts is not None else SolverOptions()
     varpi = direction.varpi

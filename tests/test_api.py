@@ -161,6 +161,7 @@ def test_integral_reals_are_integers():
     mm1 = make_mm1(1.0, 2.0)
     assert type(principal_submatrix(mm1, 3.0).n) is int
     assert type(validate_proper_q(mm1, 3.0).levels) is int
+    assert type(replace(mm1, bandwidth=2.0).bandwidth) is int
     one = np.array([1.0])
     assert lbcl_direct(mm1, 3.0, one).tobytes() == lbcl_direct(mm1, 3, one).tobytes()
     assert len(bright_taylor(mm1, 3.0, 2.0).R) == 3

@@ -8,7 +8,17 @@ import pytest
 import yaml
 
 import oracles
-from bhmc import ConfigError, InvalidBlock, SolverOptions, make_mm1, solve, tv_distance
+from bhmc import (
+    CheckpointSchedule,
+    ConfigError,
+    InvalidBlock,
+    NonpositiveWeight,
+    PhaseMismatch,
+    SolverOptions,
+    make_mm1,
+    solve,
+    tv_distance,
+)
 from bhmc.cli import REPORT_WIDTH, _apply_overrides, _build_parser, _number, load_config, main
 
 MM1_CONFIG = """
@@ -170,6 +180,14 @@ def test_inspect_prints_recorded_bytes(tmp_path, capsys, model, level):
     assert main(["inspect", str(cfg), "--level", str(level)]) == 0
     recorded = Path(__file__).parent / "data" / "inspect" / f"{model}_level{level}.txt"
     assert capsys.readouterr().out.encode() == recorded.read_bytes()
+
+
+def test_inspect_below_the_largest_index_has_no_u_star_K(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\nsolver: {k_set: [0, 3]}\n")
+    assert main(["inspect", str(cfg), "--level", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("u_star: [7.]\nu_star_K: (not yet defined: level below max(K_set))\n")
 
 
 def test_inspect_level_beyond_cap(tmp_path, capsys):
@@ -382,6 +400,26 @@ def test_unread_schedule_argument_is_config_error(tmp_path, capsys, flag, sectio
     assert capsys.readouterr().err.startswith(f"error: {key} is not read")
 
 
+SCHEDULE_VALUES = {"stride": 2, "factor": 2.0, "levels": [3]}
+
+
+@pytest.mark.parametrize("kind", sorted(CheckpointSchedule.ARGS))
+def test_each_schedule_kind_reads_only_its_argument(tmp_path, kind):
+    """Over every kind the library has, each field but the one it reads is refused by name."""
+    read = CheckpointSchedule.ARGS[kind]
+    for key, value in SCHEDULE_VALUES.items():
+        cfg = tmp_path / "run.yaml"
+        schedule = {"kind": kind, key: value}
+        model = {"name": "mm1", "params": {"lam": 1.0, "mu": 2.0}}
+        cfg.write_text(yaml.safe_dump({"model": model, "solver": {"schedule": schedule}}))
+        if key == read:
+            assert load_config(cfg).options.checkpoint_schedule.kind == kind
+        else:
+            message = f"^solver.schedule.{key} is not read by schedule kind {kind}$"
+            with pytest.raises(ConfigError, match=message):
+                load_config(cfg)
+
+
 @pytest.mark.parametrize("variant", ["mip_drift", "fixed_direction", "x"])
 def test_variant_check_is_the_solvers(tmp_path, capsys, variant):
     """A config missing its variant's input fails at load with ``solve``'s message."""
@@ -518,6 +556,59 @@ def test_nonpositive_drift_weight_exits_1(tmp_path, capsys):
     )
     assert main(["run", str(cfg)]) == 1
     assert "error: drift vector at level 1" in capsys.readouterr().err
+
+
+def _drift_config(tmp_path, v: dict, name: str) -> Path:
+    """A ``mip_drift`` run on ``mm1(1, 2)`` with drift vectors ``v``, writing ``name``.csv."""
+    cfg = tmp_path / f"{name}.yaml"
+    doc = {
+        "model": {"name": "mm1", "params": {"lam": 1.0, "mu": 2.0}},
+        "solver": {"variant": "mip_drift", "drift": {"v": v}},
+        "output": {"distribution": str(tmp_path / f"{name}.csv")},
+    }
+    cfg.write_text(yaml.safe_dump(doc))
+    return cfg
+
+
+def test_drift_vectors_config_runs_as_its_affine_form(tmp_path, capsys):
+    """Vectors equal to an affine form's give its CSV byte for byte; the stop at 20 reads v_21."""
+    affine = _drift_config(tmp_path, {"affine": {"intercept": 1.0, "slope": 1.0}}, "affine")
+    vectors = _drift_config(tmp_path, {"vectors": [[1.0 + l] for l in range(22)]}, "vectors")
+    assert main(["run", str(affine)]) == 0
+    assert main(["run", str(vectors)]) == 0
+    assert capsys.readouterr().out.count("converged at level 20:") == 2
+    assert (tmp_path / "vectors.csv").read_bytes() == (tmp_path / "affine.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "values, error, message",
+    [
+        ([[-1.0]] + [[1.0 + l] for l in range(1, 26)], NonpositiveWeight,
+         "drift vector at level 0 must be strictly positive"),
+        ([[1.0], [2.0], [3.0], [4.0, 4.0], [5.0]], PhaseMismatch,
+         "drift vector at level 3 has length 2, expected 1"),
+    ],
+    ids=["negative_level_0", "wrong_length"],
+)
+def test_drift_vectors_are_checked_at_load(tmp_path, capsys, monkeypatch, values, error, message):
+    """Every given vector is checked before the solve, including ones the solve never reads."""
+    cfg = _drift_config(tmp_path, {"vectors": values}, "vectors")
+    with pytest.raises(error, match=f"^{message}$"):
+        load_config(cfg)
+    monkeypatch.setattr("bhmc.cli.solve", lambda *a: pytest.fail("solved a refused config"))
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_drift_vectors_coverage_names_the_level_read_and_the_cap_they_support(tmp_path, capsys):
+    """21 vectors cover levels 0..20; the rule at n reads n..n+1, so they support max_level 19."""
+    cfg = _drift_config(tmp_path, {"vectors": [[1.0 + l] for l in range(21)]}, "vectors")
+    assert main(["run", str(cfg), "--max-level", "20"]) == 1
+    assert capsys.readouterr().err == (
+        "error: drift vectors cover levels 0..20, but level 21 was read; "
+        "on bandwidth 1 they support max_level up to 19\n"
+    )
+    assert main(["run", str(cfg), "--max-level", "19"]) == 2
 
 
 def test_drift_variant_via_config(tmp_path):

@@ -123,6 +123,8 @@ def test_lbcl_augment_rejects_bad_distribution(mm1):
         lbcl_augment(sub, np.array([2.0]))  # does not sum to 1
     with pytest.raises(BadDistribution):
         lbcl_augment(sub, np.array([-1.0]))
+    with pytest.raises(BadDistribution, match="^distribution is not numeric: could not convert"):
+        bhmc.lbcl_direct(mm1, 1, "x")
 
 
 def test_validate_mm1_clean(mm1):
@@ -226,6 +228,22 @@ def test_block_array_checks_shape(mm1):
         gen.block_array(0, 0)
 
 
+@pytest.mark.parametrize("bandwidth", [0, -1, 1.5, "2", True])
+@pytest.mark.parametrize(
+    "use", [solve_mip, lambda gen: validate_proper_q(gen, 5)], ids=["solve_mip", "validate"]
+)
+def test_bandwidth_outside_the_number_rule_is_config_error(mm1, bandwidth, use):
+    with pytest.raises(ConfigError, match=r"^bandwidth must be "):
+        use(BlockGenerator(mm1.phase_count, mm1.block, bandwidth=bandwidth))
+
+
+def test_non_numeric_block_is_invalid_block(mm1):
+    gen = replace(mm1, block=lambda k, l: "x" if (k, l) == (2, 2) else mm1.block(k, l))
+    for use in (solve_mip, lambda gen: principal_submatrix(gen, 3)):
+        with pytest.raises(InvalidBlock, match=r"^block\(2,2\) is not numeric: could not convert"):
+            use(gen)
+
+
 def test_block_column_stacks_blocks_without_callback(mm1):
     col = mm1.block_column(3, 1, 4)
     np.testing.assert_array_equal(col, [[0.0], [1.0], [-3.0], [2.0]])
@@ -306,6 +324,19 @@ def test_check_blocks_reports_column_that_disagrees_with_blocks():
         return -col if j == 4 else col
 
     with pytest.raises(InvalidBlock, match=r"block column 4 over levels 0\.\.5"):
+        principal_submatrix(replace(heavy, column_blocks=column_blocks), 8)
+
+
+def test_misshapen_block_column_disagrees_with_its_blocks():
+    """A ``column_blocks`` that drops a row fails the shape test, though every block passes."""
+    heavy = make_heavy_tail_mg1(3.0, 1.0)
+
+    def column_blocks(j, lo, hi):
+        col = heavy.column_blocks(j, lo, hi)
+        return col[1:] if j == 4 else col
+
+    message = r"^block column 4 over levels 0\.\.5 disagrees with its blocks$"
+    with pytest.raises(InvalidBlock, match=message):
         principal_submatrix(replace(heavy, column_blocks=column_blocks), 8)
 
 

@@ -319,10 +319,10 @@ def test_select_pivot_drift_matches_blockwise_sum(bandwidth, n):
     gen = random_banded(bandwidth, 2, 3)
     cert = DriftCertificate(lambda l: np.array([1.0 + l, 2.0 + 0.5 * l]), b=1.0)
     state = drive_to(gen, n)
-    y = cert.v(n).copy()
+    y = cert.v(n, 2).copy()
     for k in range(max(0, n - bandwidth + 1), n + 1):
         for l in range(n + 1, k + bandwidth + 1):
-            y += sojourn_matrix(state, gen, k) @ gen.block(k, l) @ cert.v(l)
+            y += sojourn_matrix(state, gen, k) @ gen.block(k, l) @ cert.v(l, 2)
     objective = y / state.u_star
     sel = select_pivot_drift(state, gen, cert)
     assert sel.pivot == int(np.argmin(objective))
@@ -330,7 +330,8 @@ def test_select_pivot_drift_matches_blockwise_sum(bandwidth, n):
 
 
 def test_drift_vector_of_wrong_length_is_phase_mismatch(mm1):
-    cert = DriftCertificate(lambda l: np.ones(2), b=1.0)
+    """The length is checked before the signs."""
+    cert = DriftCertificate(lambda l: np.array([-1.0, 2.0]), b=1.0)
     with pytest.raises(PhaseMismatch, match=r"drift vector at level 1 has length 2, expected 1"):
         solve_mip_drift(mm1, cert)
 
@@ -364,24 +365,21 @@ def test_drift_certificate_v_decisions(vec, ok):
     """Every entry must lie in (0, inf); an empty vector is left to the length check."""
     cert = DriftCertificate(lambda l: np.array(vec, dtype=float), b=1.0)
     if ok:
-        np.testing.assert_array_equal(cert.v(2), vec)
+        np.testing.assert_array_equal(cert.v(2, len(vec)), vec)
     else:
         with pytest.raises(NonpositiveWeight, match="drift vector at level 2"):
-            cert.v(2)
+            cert.v(2, len(vec))
 
 
-def test_select_pivot_drift_without_a_tie_fails_as_an_empty_reduction(mm1):
-    """A NaN objective leaves no tie; the pivot's reduction fails as ``ndarray.min`` of none."""
+def test_select_pivot_drift_on_a_nan_objective_is_singular_block(mm1):
+    """A NaN objective leaves no tie; it is named at its level, as ``select_pivot`` names NaN."""
     cert = DriftCertificate(lambda l: np.array([float(l + 1)]), b=1.0)
     state = replace(drive_to(mm1, 2), u_star=np.array([np.nan]))
-    with pytest.raises(ValueError) as got:
+    with pytest.raises(SingularBlock, match=r"^drift objective nan at level 2; "):
         select_pivot_drift(state, mm1, cert)
-    with pytest.raises(ValueError) as want:
-        np.empty(0, dtype=np.intp).min()
-    assert str(got.value) == str(want.value)
 
 
 def test_drift_certificate_rejects_nonpositive_v():
     cert = DriftCertificate(v_blocks=lambda l: np.array([0.0]), b=1.0)
     with pytest.raises(ValueError):
-        cert.v(3)
+        cert.v(3, 1)

@@ -319,6 +319,8 @@ def test_solve_mip_drift_records_step_distance(mm1):
     assert legacy.flatten().sum() == pytest.approx(1.0, abs=1e-12)
 
 
+# one schedule of each kind in CheckpointSchedule.ARGS; a kind missing here
+# fails the tests parametrized over that table
 SCHEDULES = {
     "every": CheckpointSchedule(),
     "arithmetic": CheckpointSchedule(kind="arithmetic", stride=7),
@@ -340,7 +342,7 @@ def _assert_drift_matches_blockwise(gen, cert, opts):
     return approx, diffs
 
 
-@pytest.mark.parametrize("kind", sorted(SCHEDULES))
+@pytest.mark.parametrize("kind", sorted(CheckpointSchedule.ARGS))
 def test_drift_step_distance_matches_blockwise_mm1(kind):
     # the schedules between them skip 0, 1 and many factors between checkpoints
     opts = SolverOptions(epsilon=1e-12, checkpoint_schedule=SCHEDULES[kind])
@@ -465,6 +467,8 @@ def test_fixed_direction_rejects_bad_direction():
         FixedDirection(np.array([1.0, 0.0]))  # zero entry
     with pytest.raises(BadDistribution, match="direction sums to 1.4, expected 1"):
         FixedDirection(np.array([0.7, 0.7]))  # not a distribution
+    with pytest.raises(BadDistribution, match="^direction is not numeric: could not convert"):
+        FixedDirection("ab")
 
 
 def test_fixed_direction_phase_count_mismatch(lattice):

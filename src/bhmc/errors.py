@@ -60,7 +60,7 @@ class NotQbd(BhmcError):
 
 
 class NonpositiveWeight(BhmcError, ValueError):
-    """A drift weight vector has a nonpositive or non-finite entry."""
+    """A drift weight vector has a non-numeric, nonpositive or non-finite entry."""
 
 
 class ConfigError(BhmcError):

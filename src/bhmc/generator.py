@@ -130,7 +130,12 @@ class BlockGenerator:
         counts level by level.
         """
         if self.column_blocks is not None:
-            return np.asarray(self.column_blocks(j, lo, hi), dtype=float)
+            try:
+                return np.asarray(self.column_blocks(j, lo, hi), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InvalidBlock(
+                    f"block column {j} over levels {lo}..{hi} is not numeric: {exc}"
+                ) from exc
         if lo == hi:  # a single block needs no copy
             return self.block_array(lo, j)
         return np.concatenate([self.block_array(l, j) for l in range(lo, hi + 1)])
@@ -212,7 +217,8 @@ def validate_proper_q(
         If the generator has neither ``bandwidth`` nor ``tail_column``.
     InvalidBlock
         On a negative off-diagonal entry, a positive diagonal entry, a
-        non-finite block entry, or a misshapen block or tail column.
+        non-finite block entry, or a misshapen or non-numeric block or tail
+        column.
     """
     levels, tol = _as_number(levels, "levels", int), _as_number(tol, "tol")
     if levels < 0:
@@ -230,7 +236,10 @@ def validate_proper_q(
     offsets = offsets[: levels + 2]
     rows = rows[: offsets[-1]]
     if gen.bandwidth is None:
-        tail = np.asarray(gen.tail_column(levels, 0, levels), dtype=float)
+        try:
+            tail = np.asarray(gen.tail_column(levels, 0, levels), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidBlock(f"tail_column is not numeric: {exc}") from exc
         if tail.shape != rows.shape:
             raise InvalidBlock(f"tail_column has shape {tail.shape}, expected {rows.shape}")
         rows = rows + tail

@@ -74,8 +74,15 @@ class DriftCertificate:
     b: float
 
     def v(self, l: int, m: int) -> np.ndarray:
-        """``v_blocks(l)`` with ``m`` entries (else PhaseMismatch), each in ``(0, inf)``."""
-        vec = np.asarray(self.v_blocks(l), dtype=float).ravel()
+        """``v_blocks(l)`` with ``m`` entries (else PhaseMismatch), each in ``(0, inf)``.
+
+        A vector that is not numeric, or an entry outside ``(0, inf)``,
+        raises NonpositiveWeight.
+        """
+        try:
+            vec = np.asarray(self.v_blocks(l), dtype=float).ravel()
+        except (TypeError, ValueError) as exc:
+            raise NonpositiveWeight(f"drift vector at level {l} is not numeric: {exc}") from exc
         if vec.shape != (m,):
             raise PhaseMismatch(f"drift vector at level {l} has length {vec.size}, expected {m}")
         # every entry in (0, inf); NaN fails, and an empty vector passes when m is 0

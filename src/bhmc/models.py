@@ -2,16 +2,23 @@
 
 Scalar-phase queueing models keep their oracles hand-verifiable; the
 single-, multi- and infinite-server queues are one birth-death chain,
-built by ``_birth_death`` from a birth rate and a level-dependent death
-rate.  The two-dimensional lattice walk exercises level-varying phase
-counts; the heavy-tailed M/G/1-type generator exercises a genuinely
+built by ``_birth_death`` from a birth rate, a per-server death rate and
+a server count.  The two-dimensional lattice walk exercises level-varying
+phase counts; the heavy-tailed M/G/1-type generator exercises a genuinely
 infinite upper band with an exact analytic tail.  Phases are 0-indexed
 throughout.
+
+The scalar models build each block that does not change with the level
+once per generator, as a read-only array, and return that array on every
+call; a block that changes with the level is built at each call, so no
+store grows with the level.  No solver, check or baseline writes into a
+block, so a shared block is safe; a caller that writes to a block copies
+it first (``np.array(block)``), or the write raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -49,21 +56,40 @@ def _scalar(x: float) -> np.ndarray:
     return np.array([[x]], dtype=float)
 
 
+def _shared(x: float) -> np.ndarray:
+    """A read-only 1x1 block, built once and returned on every call that needs it."""
+    b = _scalar(x)
+    b.flags.writeable = False
+    return b
+
+
 def _one_phase(_k: int) -> int:
     return 1
 
 
-def _birth_death(lam: float, death: Callable[[int], float]) -> BlockGenerator:
-    """Scalar chain with birth rate ``lam`` and death rate ``death(k)`` at ``k >= 1``."""
+def _birth_death(lam: float, mu: float, servers: float) -> BlockGenerator:
+    """Scalar chain with birth rate ``lam`` and death rate ``min(k, servers) * mu`` at ``k >= 1``.
+
+    The blocks that do not change with the level are shared: the birth
+    rate, zero, level 0's diagonal and, from level ``servers`` on, where
+    every server is busy, the death rate and the diagonal.  The others are
+    built at each call.
+    """
+    up, zero, first = _shared(lam), _shared(0.0), _shared(-lam)
+    # the death rate with every server busy; inf, and never served, when ``servers`` is
+    busy = servers * mu
+    down, diag = _shared(busy), _shared(-(lam + busy))
 
     def block(k: int, l: int) -> np.ndarray:
-        if l == k:
-            return _scalar(-(lam + death(k)) if k >= 1 else -lam)
         if l == k + 1:
-            return _scalar(lam)
+            return up
+        if k >= servers:
+            return diag if l == k else down if l == k - 1 else zero
+        if l == k:
+            return _scalar(-(lam + k * mu)) if k >= 1 else first
         if l == k - 1 and k >= 1:
-            return _scalar(death(k))
-        return _scalar(0.0)
+            return _scalar(k * mu)
+        return zero
 
     return BlockGenerator(_one_phase, block, bandwidth=1)
 
@@ -77,7 +103,7 @@ def make_mm1(lam: float, mu: float) -> BlockGenerator:
     _require_positive(lam=lam, mu=mu)
     if lam >= mu:
         raise UnstableModel(f"mm1 requires lam < mu, got lam={lam}, mu={mu}")
-    return _birth_death(lam, lambda k: mu)
+    return _birth_death(lam, mu, 1)
 
 
 def make_mmc(lam: float, mu: float, c: int) -> BlockGenerator:
@@ -93,7 +119,7 @@ def make_mmc(lam: float, mu: float, c: int) -> BlockGenerator:
         raise UnstableModel(
             f"mmc requires lam < c * mu, got lam={lam}, c*mu={c * mu}"
         )
-    return _birth_death(lam, lambda k: min(k, c) * mu)
+    return _birth_death(lam, mu, c)
 
 
 def make_ld_qbd_birth_death(lam: float, mu: float) -> BlockGenerator:
@@ -104,7 +130,7 @@ def make_ld_qbd_birth_death(lam: float, mu: float) -> BlockGenerator:
     level-dependent behavior.
     """
     _require_positive(lam=lam, mu=mu)
-    return _birth_death(lam, lambda k: k * mu)
+    return _birth_death(lam, mu, np.inf)
 
 
 def make_heavy_tail_mg1(mu: float, tail_c: float = 1.0) -> BlockGenerator:
@@ -122,7 +148,8 @@ def make_heavy_tail_mg1(mu: float, tail_c: float = 1.0) -> BlockGenerator:
     the first ``column_blocks`` call and rebuilt at twice its size when a
     column reaches past it, so a solve to level ``n`` keeps ``O(n)``
     floats.  The column of up jumps only, the one each recursion level
-    reads, is a view of that array.
+    reads, is a view of that array.  ``block`` shares its diagonal, down
+    and zero blocks read-only and builds each up-jump block afresh.
     """
     _require_positive(mu=mu, tail_c=tail_c)
     up_mean = tail_c / 2.0
@@ -139,14 +166,16 @@ def make_heavy_tail_mg1(mu: float, tail_c: float = 1.0) -> BlockGenerator:
         # boundary level has no downward transition; its rate folds in
         return a0 + mu if k == 0 else a0
 
+    first, local, down, zero = map(_shared, (local_rate(0), local_rate(1), mu, 0.0))
+
     def block(k: int, l: int) -> np.ndarray:
         if l == k:
-            return _scalar(local_rate(k))
+            return local if k >= 1 else first
         if l == k - 1 and k >= 1:
-            return _scalar(mu)
+            return down
         if l > k:
             return _scalar(up_rate(l - k))
-        return _scalar(0.0)
+        return zero
 
     # the jump kernel, reversed: rev[i] = up_rate(len(rev) - i), so the up
     # jumps d = j - l of a column, l = lo..min(hi, j - 1), are the run of

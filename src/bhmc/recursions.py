@@ -57,19 +57,21 @@ def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     Every matrix the library inverts is a nonsingular M-matrix: the exit
     matrices, ``-block(0, 0)`` and the cores of ``bright_taylor``.
 
-    A matrix of at most ``SPLIT`` rows is one leaf: LAPACK ``getrf`` and
-    then ``getri``, which inverts in place from the factors, without the
-    wrapper overhead of ``scipy.linalg.lu_factor`` and cheaper than
-    ``getrs`` against the identity (a 1x1 inverse is ``1 / pivot``).
-    ``getri`` gets a fixed ``64 * m`` workspace, the blocked size LAPACK's
-    own workspace query returns.  But ``getri`` runs at a fraction of the
-    speed of a matrix product, so a larger matrix
-    ``[[C11, C12], [C21, C22]]`` is inverted through the Schur complement
-    of its leading half: ``X = inv(C11)``, ``S = C22 - C21 X C12``,
-    ``Y = inv(S)``, and six half-size products assemble the inverse.  The
-    halves recurse until every leaf fits.  They need no pivoting between
-    them, because the leading blocks and Schur complements of a nonsingular
-    M-matrix are again nonsingular M-matrices.
+    A 1x1 matrix ``[[x]]`` is inverted as ``[[1.0 / x]]``, with no LAPACK
+    call: ``getri`` on a 1x1 factor performs that one division, so the
+    bits are the same without the three LAPACK calls and the pivot scan.
+    Any larger matrix of at most ``SPLIT`` rows is one leaf: LAPACK
+    ``getrf`` and then ``getri``, which inverts in place from the factors,
+    without the wrapper overhead of ``scipy.linalg.lu_factor`` and cheaper
+    than ``getrs`` against the identity.  ``getri`` gets a fixed ``64 * m``
+    workspace, the blocked size LAPACK's own workspace query returns.  But
+    ``getri`` runs at a fraction of the speed of a matrix product, so a
+    larger matrix ``[[C11, C12], [C21, C22]]`` is inverted through the
+    Schur complement of its leading half: ``X = inv(C11)``,
+    ``S = C22 - C21 X C12``, ``Y = inv(S)``, and six half-size products
+    assemble the inverse.  The halves recurse until every leaf fits.  They
+    need no pivoting between them, because the leading blocks and Schur
+    complements of a nonsingular M-matrix are again nonsingular M-matrices.
 
     The guard takes no numpy reduction, which on a 1x1 exit matrix would
     cost more than the inverse.  Its scale is LAPACK ``dlange("I")`` of the
@@ -78,12 +80,15 @@ def lu_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     non-finite".  Every pivot of every leaf's ``U`` must then reach
     ``PIVOT_RTOL`` times that scale, a test that is false on a NaN pivot
     too, or "pivot below" is raised; an exactly zero pivot, which ``getrf``
-    reports through ``info``, fails like any tiny one.
+    reports through ``info``, fails like any tiny one.  On a 1x1 matrix the
+    scale is ``abs(x)`` and the pivot is ``x``, which always passes once
+    the scale has.
     """
     m = np.asarray(matrix, dtype=float)
-    scale = dlange("I", m)  # 0.0 on an empty matrix
+    x = m.item() if m.shape == (1, 1) else None
+    scale = dlange("I", m) if x is None else abs(x)  # 0.0 on an empty matrix
     if 0.0 < scale < np.inf:  # false on NaN too
-        return _inverse(m, PIVOT_RTOL * scale, what)
+        return _inverse(m, PIVOT_RTOL * scale, what) if x is None else np.array([[1.0 / x]])
     raise SingularBlock(f"{what}: matrix is zero or non-finite")
 
 

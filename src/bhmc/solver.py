@@ -329,8 +329,10 @@ class _ReadOnce(BlockGenerator):
         return b
 
     def leave(self, n: int) -> None:
-        for kl in [kl for kl in self.memo if kl[1] <= n and kl != (n + 1, n)]:
-            del self.memo[kl]
+        down = (n + 1, n)
+        for kl in [*self.memo]:  # a copy of the keys, without a comprehension's call
+            if kl[1] <= n and kl != down:
+                del self.memo[kl]
 
 
 Blocks = Callable[[], tuple[np.ndarray, ...]]

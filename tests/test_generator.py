@@ -244,6 +244,16 @@ def test_non_numeric_block_is_invalid_block(mm1):
             use(gen)
 
 
+def test_non_numeric_provider_column_is_invalid_block():
+    heavy = make_heavy_tail_mg1(3.0, 1.0)
+    columns = replace(heavy, column_blocks=lambda j, lo, hi: "x")
+    with pytest.raises(InvalidBlock, match=r"^block column 0 over levels 0..1 is not numeric: could"):
+        principal_submatrix(columns, 3)
+    tail = replace(heavy, tail_column=lambda L, lo, hi: "x")
+    with pytest.raises(InvalidBlock, match=r"^tail_column is not numeric: could not convert"):
+        validate_proper_q(tail, 3)
+
+
 def test_block_column_stacks_blocks_without_callback(mm1):
     col = mm1.block_column(3, 1, 4)
     np.testing.assert_array_equal(col, [[0.0], [1.0], [-3.0], [2.0]])

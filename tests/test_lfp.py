@@ -371,6 +371,12 @@ def test_drift_certificate_v_decisions(vec, ok):
             cert.v(2, len(vec))
 
 
+def test_non_numeric_drift_vector_is_nonpositive_weight(mm1):
+    cert = DriftCertificate(lambda l: "x", 1.0)
+    with pytest.raises(NonpositiveWeight, match=r"^drift vector at level 1 is not numeric: could"):
+        solve_mip_drift(mm1, cert)
+
+
 def test_select_pivot_drift_on_a_nan_objective_is_singular_block(mm1):
     """A NaN objective leaves no tie; it is named at its level, as ``select_pivot`` names NaN."""
     cert = DriftCertificate(lambda l: np.array([float(l + 1)]), b=1.0)

@@ -148,6 +148,40 @@ def test_heavy_tail_columns_are_read_only(heavy):
         assert heavy.column_blocks(j, lo, hi).tobytes() == want(j, lo, hi).tobytes()
 
 
+# (generator, a block key at levels 5 and 9 whose block does not change
+# with the level); mmc(1, 1, 2) has every server busy from level 2 on
+SHARED_BLOCKS = [
+    (make_mm1(1.0, 2.0), lambda k: (k, k)),
+    (make_mm1(1.0, 2.0), lambda k: (k, k - 1)),
+    (make_mm1(1.0, 2.0), lambda k: (k, k + 1)),
+    (make_mm1(1.0, 2.0), lambda k: (k, k + 3)),
+    (make_mmc(1.0, 1.0, 2), lambda k: (k, k)),
+    (make_mmc(1.0, 1.0, 2), lambda k: (k, k - 1)),
+    (make_ld_qbd_birth_death(2.0, 1.0), lambda k: (k, k + 1)),
+    (make_ld_qbd_birth_death(2.0, 1.0), lambda k: (k, k - 2)),
+    (make_heavy_tail_mg1(3.0, 1.0), lambda k: (k, k)),
+    (make_heavy_tail_mg1(3.0, 1.0), lambda k: (k, k - 1)),
+    (make_heavy_tail_mg1(3.0, 1.0), lambda k: (k, k - 4)),
+]
+
+
+@pytest.mark.parametrize("gen, key", SHARED_BLOCKS)
+def test_level_independent_catalog_blocks_are_shared_and_read_only(gen, key):
+    b = gen.block(*key(5))
+    assert gen.block(*key(9)) is b
+    with pytest.raises(ValueError, match="read-only"):
+        b[0, 0] = 1.0
+
+
+def test_level_dependent_catalog_blocks_stay_fresh():
+    """Each call builds a block that changes with the level, so no cache grows with it."""
+    mmc, ld_qbd = make_mmc(1.0, 1.0, 5), make_ld_qbd_birth_death(2.0, 1.0)
+    heavy = make_heavy_tail_mg1(3.0, 1.0)
+    for gen, k, l in [(mmc, 3, 3), (mmc, 3, 2), (ld_qbd, 4, 4), (ld_qbd, 4, 3), (heavy, 2, 7)]:
+        b = gen.block(k, l)
+        assert b.flags.writeable and gen.block(k, l) is not b
+
+
 def test_heavy_tail_generators_share_no_kernel():
     small, large = make_heavy_tail_mg1(3.0, 1.0), make_heavy_tail_mg1(3.0, 2.0)
     small.column_blocks(100, 0, 99)

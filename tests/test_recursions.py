@@ -124,7 +124,7 @@ def test_exactly_singular_inverse_raises_singular_block_without_warning():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0])
 def test_lu_inverse_non_finite_or_zero_matrix_raises_singular_block(bad):
     zero_or_bad = [np.full((m, m), bad) for m in (1, 3)] + [np.zeros((0, 0))]
     one_bad = np.eye(3)
@@ -132,6 +132,18 @@ def test_lu_inverse_non_finite_or_zero_matrix_raises_singular_block(bad):
     for a in zero_or_bad + ([one_bad] if bad != 0.0 else []):
         with pytest.raises(SingularBlock, match="^entry: matrix is zero or non-finite$"):
             lu_inverse(a, "entry")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    # 1e-308 is subnormal with a finite inverse; 5e-324's overflows to inf
+    "value", [1.0 / 3.0, -2.5, 1e300, -1e-300, 1e-308, 5e-324, -5e-324]
+)
+def test_scalar_lu_inverse_is_getrf_getri_bit_for_bit(value):
+    a = np.array([[value]])
+    got = lu_inverse(a, "scalar")
+    assert got.dtype == np.float64 and got.shape == (1, 1) and got.flags.writeable
+    assert got.tobytes() == oracles.lu_inverse_getri(a, "scalar").tobytes()
 
 
 @pytest.mark.filterwarnings("error")

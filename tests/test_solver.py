@@ -25,6 +25,7 @@ from bhmc import (
     SingularBlock,
     SolverOptions,
     UnsupportedInfiniteBand,
+    bright_taylor,
     lbcl_direct,
     make_heavy_tail_mg1,
     make_ld_qbd_birth_death,
@@ -383,9 +384,9 @@ def test_step_distance_sweeps_only_a_seed_difference_of_mixed_sign(monkeypatch, 
     assert bool(calls) == sweeps
 
 
-def _profiled_calls(max_level: int) -> int:
-    """``call`` and ``c_call`` events of a fresh ``make_mm1(0.98, 1)`` solve to ``max_level``."""
-    gen, opts = make_mm1(0.98, 1.0), SolverOptions(epsilon=1e-14, max_level=max_level)
+def _profiled_calls(make, max_level: int) -> int:
+    """``call`` and ``c_call`` events of a fresh ``make()`` solve forced to ``max_level``."""
+    gen, opts = make(), SolverOptions(epsilon=1e-14, max_level=max_level)
     events = 0
 
     def count(frame, event, arg):
@@ -403,20 +404,37 @@ def _profiled_calls(max_level: int) -> int:
     return events
 
 
+def _calls_of_levels_101_to_200(make) -> int:
+    solve_mip(make(), SolverOptions(max_level=5))  # imports and caches
+    return _profiled_calls(make, 200) - _profiled_calls(make, 100)
+
+
 def test_calls_per_level_stay_at_the_recorded_count():
     """A tripwire on the fixed cost of a scalar level, in calls, which unlike time are exact.
 
-    The levels 101..200 of a solve forced to level 200 (it does not
-    converge there, so the checked walk over the blocks runs too) made
-    14227 Python and C calls before the level went to its numpy-call floor
-    and 13327 after; an extreme read at argmax or argmin counts two calls
-    where a reduction counted one, for about a third of its time.  The
-    count includes numpy's own Python wrappers, so a numpy or Python
+    The levels 101..200 of a ``make_mm1(0.98, 1)`` solve forced to level
+    200 (it does not converge there, so the checked walk over the blocks
+    runs too) made 14227 Python and C calls before the level went to its
+    numpy-call floor, 13327 after, and 11527 once a 1x1 exit matrix was
+    inverted by one division, the catalog served its level-independent
+    blocks built once and ``_ReadOnce.leave`` lost its comprehension.  An
+    extreme read at argmax or argmin counts two calls where a reduction
+    counted one, for about a third of its time.  Calls into LAPACK's f2py
+    wrappers are no C-function calls to the profiler and go uncounted.
+    The count includes numpy's own Python wrappers, so a numpy or Python
     upgrade (this was recorded with numpy 2.4, Python 3.11) means
     re-recording it.
     """
-    solve_mip(make_mm1(0.98, 1.0), SolverOptions(max_level=5))  # imports and caches
-    assert _profiled_calls(200) - _profiled_calls(100) <= 13327
+    assert _calls_of_levels_101_to_200(lambda: make_mm1(0.98, 1.0)) <= 11527
+
+
+def test_calls_per_infinite_band_level_stay_at_the_recorded_count():
+    """The same tripwire on the infinite band, ``make_heavy_tail_mg1(1, 1)``.
+
+    Its levels 101..200 made 10831 calls before those three changes and
+    10131 after; the checked walk reads its columns from ``column_blocks``.
+    """
+    assert _calls_of_levels_101_to_200(lambda: make_heavy_tail_mg1(1.0, 1.0)) <= 10131
 
 
 def test_pivot_trace_is_bounded(heavy):
@@ -614,3 +632,11 @@ def test_read_only_blocks_give_identical_results(model):
     assert validate_proper_q(frozen, 12) == validate_proper_q(gen, 12)
     sub, ro = principal_submatrix(gen, 12), principal_submatrix(frozen, 12)
     assert sub.data.toarray().tobytes() == ro.data.toarray().tobytes()
+    m = gen.phase_count(12)
+    alpha = np.full(m, 1.0 / m)
+    assert lbcl_direct(frozen, 12, alpha).tobytes() == lbcl_direct(gen, 12, alpha).tobytes()
+    if gen.bandwidth == 1:
+        want, got = bright_taylor(gen, 12, 6), bright_taylor(frozen, 12, 6)
+        for name in ("blocks", "R"):
+            pairs = zip(getattr(want, name), getattr(got, name), strict=True)
+            assert all(x.tobytes() == y.tobytes() for x, y in pairs), name

@@ -16,74 +16,12 @@ Examples
 (True, 0.500000...)
 """
 
-from .baseline import (
-    BrightTaylorResult,
-    bright_taylor,
-    brute_force_stationary,
-    lbcl_direct,
-)
-from .errors import (
-    BadDistribution,
-    BadRates,
-    BhmcError,
-    ConfigError,
-    EmptyCandidateSet,
-    IndexOutOfRange,
-    InvalidBlock,
-    MissingTailInfo,
-    NonpositiveWeight,
-    NotQbd,
-    PhaseMismatch,
-    SingularBlock,
-    UnstableModel,
-    UnsupportedInfiniteBand,
-)
-from .generator import (
-    BlockGenerator,
-    PrincipalSubmatrix,
-    ValidationReport,
-    Violation,
-    lbcl_augment,
-    principal_submatrix,
-    validate_proper_q,
-)
-from .lfp import (
-    DriftCertificate,
-    DriftSelection,
-    PivotSelection,
-    incoming_support,
-    outgoing_support,
-    select_pivot,
-    select_pivot_drift,
-)
-from .models import (
-    MODEL_IDS,
-    build_model,
-    make_heavy_tail_mg1,
-    make_lattice_rw_2d,
-    make_ld_qbd_birth_death,
-    make_mm1,
-    make_mmc,
-)
-from .recursions import (
-    RecursionState,
-    advance,
-    init_state,
-    sojourn_matrix,
-    sojourn_rows,
-)
-from .solver import (
-    Approximation,
-    CheckpointRecord,
-    CheckpointSchedule,
-    FixedDirection,
-    SolverOptions,
-    residual_q_norm,
-    solve,
-    solve_fixed_direction,
-    solve_mip,
-    solve_mip_drift,
-    tv_distance,
-)
+from .baseline import *
+from .errors import *
+from .generator import *
+from .lfp import *
+from .models import *
+from .recursions import *
+from .solver import *
 
 __version__ = "0.1.0"

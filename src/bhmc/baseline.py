@@ -93,16 +93,15 @@ def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
     """
     import scipy.sparse
 
-    n = _as_number(n, "n", int)
     sub = principal_submatrix(gen, n)
-    last = sub.level_slice(n)
+    last = sub.level_slice(sub.n)
     alpha = check_distribution(alpha_n, last.stop - last.start)
     rhs = np.zeros(sub.dim)
     rhs[last] = alpha
     # x @ -Q_n = rhs, solved with the transpose factored.  -Q_n is a
     # nonsingular M-matrix, which needs no pivoting: a threshold of 0 keeps
     # the diagonal pivots, where row swaps for size could hit an exact zero.
-    what = f"augmented truncation at level {n}"
+    what = f"augmented truncation at level {sub.n}"
     a = scipy.sparse.csc_array(-sub.data.T)
     lu, scale = _splu(a, what, diag_pivot_thresh=0.0)
     x = lu.solve(rhs)
@@ -190,11 +189,15 @@ def brute_force_stationary(
     path through CSC form.  Replaces the last column (a deterministic
     choice, for reproducibility) with the normalization equation.  The input
     must have zero row sums and be irreducible; a singular reduced system
-    signals reducibility.
+    signals reducibility.  An input that is not a nonempty square numeric
+    matrix raises InvalidBlock.
     """
     import scipy.sparse
 
-    q = q_hat if scipy.sparse.issparse(q_hat) else np.asarray(q_hat, dtype=float)
+    try:
+        q = q_hat if scipy.sparse.issparse(q_hat) else np.asarray(q_hat, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidBlock(f"generator is not numeric: {exc}") from exc
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] == 0:
         raise InvalidBlock(f"expected a nonempty square matrix, got shape {q.shape}")
     return _null_left_vector(q)

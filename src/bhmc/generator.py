@@ -88,10 +88,11 @@ class BlockGenerator:
         solve writes into no block.
 
     ``block_array`` checks that a block converts to floats and has its
-    shape.  One checked column walk, the one
-    :func:`principal_submatrix` assembles, checks signs and finiteness; the
-    validator, the baselines, the load of inline tables and the solver's
-    check after a failure all read the blocks through it.
+    shape; ``block_column`` checks a column's shape when its caller gives
+    it, as the recursion step and the drift rule do.  One checked column
+    walk, the one :func:`principal_submatrix` assembles, checks signs and
+    finiteness; the validator, the baselines, the load of inline tables and
+    the solver's check after a failure all read the blocks through it.
     """
 
     phase_count: Callable[[int], int]
@@ -122,23 +123,29 @@ class BlockGenerator:
             )
         return b
 
-    def block_column(self, j: int, lo: int, hi: int) -> np.ndarray:
+    def block_column(self, j: int, lo: int, hi: int, shape: tuple | None = None) -> np.ndarray:
         """Blocks ``block(l, j)``, ``l = lo..hi``, stacked as one float array.
 
-        Uses ``column_blocks`` when the provider has it.  Its shape is left
-        to the caller, which knows the row count without summing phase
-        counts level by level.
+        Uses ``column_blocks`` when the provider has it.  A caller that knows
+        the shape ``(M_lo + ... + M_hi, M_j)`` without summing phase counts
+        level by level passes it as ``shape``, and a column of another shape
+        raises InvalidBlock; without ``shape`` the shape is left to the caller.
         """
-        if self.column_blocks is not None:
+        if self.column_blocks is None:  # a single block needs no copy
+            col = self.block_array(lo, j) if lo == hi else np.concatenate(
+                [self.block_array(l, j) for l in range(lo, hi + 1)])
+        else:
             try:
-                return np.asarray(self.column_blocks(j, lo, hi), dtype=float)
+                col = np.asarray(self.column_blocks(j, lo, hi), dtype=float)
             except (TypeError, ValueError) as exc:
                 raise InvalidBlock(
                     f"block column {j} over levels {lo}..{hi} is not numeric: {exc}"
                 ) from exc
-        if lo == hi:  # a single block needs no copy
-            return self.block_array(lo, j)
-        return np.concatenate([self.block_array(l, j) for l in range(lo, hi + 1)])
+        if shape is None or col.shape == shape:
+            return col
+        raise InvalidBlock(
+            f"block column {j} over levels {lo}..{hi} has shape {col.shape}, expected {shape}"
+        )
 
 
 @dataclass(frozen=True)

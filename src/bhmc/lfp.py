@@ -181,9 +181,10 @@ def select_pivot_drift(
     ``W @ block_column(l, lo, n) @ v_l`` per level ``l = n+1..n+b``.
     Without a band the sum would be infinite, which is why this rule
     refuses infinite-band generators outright rather than silently
-    truncating.  Each ``v_l`` is read through ``cert.v(l, M_l)``.  A NaN
-    or negative objective, which a solve does not reach, raises
-    SingularBlock naming the level.
+    truncating.  Each ``v_l`` is read through ``cert.v(l, M_l)``, and a
+    block column of other than ``W``'s width in rows and ``M_l`` columns
+    raises InvalidBlock.  A NaN or negative objective, which a solve does
+    not reach, raises SingularBlock naming the level.
     """
     if gen.bandwidth is None:
         raise UnsupportedInfiniteBand(
@@ -191,7 +192,8 @@ def select_pivot_drift(
         )
     n, lo, top = state.n, _lowest_reaching(gen, state.n + 1), state.n + gen.bandwidth
     v = [cert.v(l, gen.phase_count(l)) for l in range(n, top + 1)]  # v_n is read first
-    y = v[0] + sum(state.W @ (gen.block_column(l, lo, n) @ v[l - n]) for l in range(n + 1, top + 1))
+    y = v[0] + sum(state.W @ (gen.block_column(l, lo, n, (state.W.shape[1], vl.size)) @ vl)
+                   for l, vl in enumerate(v[1:], n + 1))
     objective = y / state.u_star
     best = float(np.minimum.reduce(objective))
     if not best >= 0.0:  # a NaN best would leave no tie below

@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetri, dlange
 
-from .errors import ConfigError, IndexOutOfRange, InvalidBlock, PhaseMismatch, SingularBlock
+from .errors import ConfigError, IndexOutOfRange, PhaseMismatch, SingularBlock
 from .generator import BlockGenerator, _as_number, _lowest_reaching
 
 __all__ = [
@@ -172,11 +172,21 @@ def _normalize_k_set(K_set) -> frozenset[int]:
 
 
 def init_state(gen: BlockGenerator, K_set=frozenset({0})) -> RecursionState:
-    """State at level 0: ``U_star = (-block(0,0))^-1``, ``u_star = U_star e``."""
+    """State at level 0: ``U_star = (-block(0,0))^-1``, ``u_star = U_star e``.
+
+    A ``u_star`` entry that is not finite, as when a subnormal
+    ``block(0, 0)`` inverts past double range, raises SingularBlock naming
+    level 0.  A nonpositive entry comes only from a bad ``block(0, 0)``,
+    which a solve names once the run fails.
+    """
     ks = _normalize_k_set(K_set)
     q00 = gen.block_array(0, 0)
     u0 = lu_inverse(-q00, "level 0 exit matrix")
     u_vec = u0.sum(axis=1)
+    if not np.all(np.isfinite(u_vec)):
+        raise SingularBlock(
+            "u_star at level 0 is not finite; the inverse of -block(0, 0) leaves double range"
+        )
     return RecursionState(
         n=0,
         W=u0,
@@ -214,12 +224,7 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     q_next = gen.block_array(n1, n1)
     q_down = gen.block_array(n1, n)
     m1 = q_next.shape[0]
-    col = gen.block_column(n1, lo, n)
-    if col.shape != (state.W.shape[1], m1):
-        raise InvalidBlock(
-            f"block column {n1} over levels {lo}..{n} has shape {col.shape}, "
-            f"expected {(state.W.shape[1], m1)}"
-        )
+    col = gen.block_column(n1, lo, n, (state.W.shape[1], m1))
     finite = gen.bandwidth is not None
     if finite:
         s = q_down @ state.W
@@ -306,9 +311,14 @@ def sojourn_rows(
     The window's rows are ``seed @ W``, split by level.  Below the window
     one backward sweep continues from the lowest of them,
     ``x_{k-1} = x_k @ T_k``, so each lower level costs one row-matrix
-    product.  A seed with ``seed @ u_star = 1`` gives rows summing to one.
+    product.  A seed with ``seed @ u_star = 1`` gives rows summing to one;
+    one that is not numeric, or not of length ``M_n``, raises PhaseMismatch.
     """
-    seed, m, lo = np.asarray(seed), state.W.shape[0], _lowest_reaching(gen, state.n + 1)
+    m, lo = state.W.shape[0], _lowest_reaching(gen, state.n + 1)
+    try:
+        seed = np.asarray(seed, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PhaseMismatch(f"seed is not numeric: {exc}") from exc
     if seed.shape != (m,):
         raise PhaseMismatch(f"seed has shape {seed.shape}, but level {state.n} has {m} phases")
     row, widths = seed @ state.W, map(gen.phase_count, range(lo, state.n + 1))

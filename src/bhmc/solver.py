@@ -221,10 +221,14 @@ def residual_q_norm(state: RecursionState, pivot: int) -> float:
     lies in ``(0, 1]``; it tends to zero as the level grows, which is what
     makes it a usable stopping rule.  A product ``|q| * u_star`` of zero,
     which has no residual, or one past double range raises SingularBlock.
+    A ``pivot`` that is no phase index of level ``n`` raises IndexOutOfRange.
     """
-    if not 0 <= pivot < state.u_star.shape[0]:
-        raise IndexOutOfRange(f"pivot {pivot} invalid at level {state.n}")
-    den = abs(state.q_diag_n.item(pivot)) * state.u_star.item(pivot)
+    try:  # .item refuses a pivot that is no integer or is past the end
+        den = abs(state.q_diag_n.item(pivot)) * state.u_star.item(pivot)
+    except (TypeError, IndexError):
+        den = None
+    if den is None or pivot < 0:
+        raise IndexOutOfRange(f"pivot {pivot!r} invalid at level {state.n}")
     if den == 0.0:  # a pivot phase without an exit rate
         raise SingularBlock(
             f"residual undefined at level {state.n}: phase {pivot} has "
@@ -246,10 +250,13 @@ def tv_distance(h1, h2) -> float:
     distance; the name, and the CLI report key, say ``tv`` for it.  The
     vectors may cover index prefixes of different lengths: shared indices
     contribute ``|h1 - h2|`` and each vector's overhang contributes its own
-    mass.
+    mass.  A vector that is not numeric raises BadDistribution.
     """
-    a = np.asarray(h1, dtype=float).ravel()
-    b = np.asarray(h2, dtype=float).ravel()
+    try:
+        a = np.asarray(h1, dtype=float).ravel()
+        b = np.asarray(h2, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise BadDistribution(f"tv_distance needs numeric vectors: {exc}") from exc
     # dot products with ones, not .sum(): the summation order fixes the
     # last digits of the distances the CLI reports
     w = np.ones(max(a.size, b.size))

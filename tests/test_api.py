@@ -1,5 +1,6 @@
 """Public surface: export lists resolve, and library failures are BhmcErrors."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -9,20 +10,23 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
 
 import bhmc
 from bhmc import (
-    BhmcError,
+    BadDistribution,
     BlockGenerator,
     CheckpointSchedule,
     ConfigError,
     DriftCertificate,
     EmptyCandidateSet,
     FixedDirection,
+    IndexOutOfRange,
     InvalidBlock,
+    PhaseMismatch,
     SingularBlock,
     SolverOptions,
     bright_taylor,
@@ -32,13 +36,18 @@ from bhmc import (
     make_heavy_tail_mg1,
     make_mm1,
     principal_submatrix,
+    residual_q_norm,
     solve_mip,
+    sojourn_rows,
+    tv_distance,
     validate_proper_q,
 )
 
 MODULES = sorted(
     f"bhmc.{info.name}" for info in pkgutil.iter_modules(bhmc.__path__)
 )
+# the modules whose public names the package exports; the CLI is not one
+LIBRARY = ("baseline", "errors", "generator", "lfp", "models", "recursions", "solver")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -49,9 +58,23 @@ def test_module_exports_resolve(name):
 
 
 def test_star_import():
-    namespace: dict = {}
-    exec("from bhmc import *", namespace)
-    assert "solve_mip" in namespace
+    # the package surface is the union of its modules' __all__ (errors has
+    # none: all its names are its exception classes), and __init__ imports
+    # every module with * rather than repeating a list of names
+    exported, listed = {}, set()
+    exec("from bhmc import *", exported)
+    for name in LIBRARY:
+        module = importlib.import_module(f"bhmc.{name}")
+        public = [n for n in vars(module) if not n.startswith("_")]
+        for attr in getattr(module, "__all__", public):
+            assert exported.get(attr) is getattr(module, attr), f"bhmc lacks {name}.{attr}"
+            listed.add(attr)
+    # beyond the listed names, the package holds only its submodules
+    extra = set(exported) - listed - {"__builtins__"}
+    assert all(isinstance(exported[n], ModuleType) for n in extra), extra
+    init = ast.parse(Path(bhmc.__file__).read_text())
+    imported = [a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert imported == ["*"] * len(LIBRARY)
 
 
 def test_import_leaves_sparse_solvers_unloaded():
@@ -73,19 +96,23 @@ def test_import_leaves_sparse_solvers_unloaded():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, error",
     [
-        lambda gen: principal_submatrix(gen, -1),
-        lambda gen: lbcl_direct(gen, -1, np.array([1.0])),
-        lambda gen: bright_taylor(gen, -1),
-        lambda gen: brute_force_stationary(np.ones(3)),
-        lambda gen: init_state(gen, []),
-        lambda gen: init_state(gen, ["x"]),
-        lambda gen: SolverOptions(max_level="9"),
-        lambda gen: SolverOptions(epsilon=None),
-        lambda gen: CheckpointSchedule(kind="arithmetic", stride="2"),
-        lambda gen: CheckpointSchedule(kind="geometric", factor="2"),
-        lambda gen: CheckpointSchedule(kind="explicit", levels=("a",)),
+        (lambda gen: principal_submatrix(gen, -1), IndexOutOfRange),
+        (lambda gen: lbcl_direct(gen, -1, np.array([1.0])), IndexOutOfRange),
+        (lambda gen: bright_taylor(gen, -1), IndexOutOfRange),
+        (lambda gen: brute_force_stationary(np.ones(3)), InvalidBlock),
+        (lambda gen: init_state(gen, []), ConfigError),
+        (lambda gen: init_state(gen, ["x"]), ConfigError),
+        (lambda gen: SolverOptions(max_level="9"), ConfigError),
+        (lambda gen: SolverOptions(epsilon=None), ConfigError),
+        (lambda gen: CheckpointSchedule(kind="arithmetic", stride="2"), ConfigError),
+        (lambda gen: CheckpointSchedule(kind="geometric", factor="2"), ConfigError),
+        (lambda gen: CheckpointSchedule(kind="explicit", levels=("a",)), ConfigError),
+        (lambda gen: tv_distance(["x"], [1.0]), BadDistribution),
+        (lambda gen: brute_force_stationary([["a"]]), InvalidBlock),
+        (lambda gen: sojourn_rows(init_state(gen), gen, np.array(["a"])), PhaseMismatch),
+        (lambda gen: residual_q_norm(init_state(gen), 0.5), IndexOutOfRange),
     ],
     ids=[
         "principal_submatrix",
@@ -99,10 +126,14 @@ def test_import_leaves_sparse_solvers_unloaded():
         "schedule_stride_str",
         "schedule_factor_str",
         "schedule_levels_str",
+        "tv_distance_str",
+        "brute_force_str",
+        "sojourn_rows_seed_str",
+        "residual_pivot_fractional",
     ],
 )
-def test_invalid_argument_is_bhmc_error(call):
-    with pytest.raises(BhmcError):
+def test_invalid_argument_is_bhmc_error(call, error):
+    with pytest.raises(error):
         call(make_mm1(1.0, 2.0))
 
 

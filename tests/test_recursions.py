@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from bhmc import (
     BlockGenerator,
+    DriftCertificate,
     IndexOutOfRange,
     InvalidBlock,
     PhaseMismatch,
     SingularBlock,
+    SolverOptions,
     advance,
     bright_taylor,
     init_state,
@@ -22,6 +24,8 @@ from bhmc import (
     principal_submatrix,
     sojourn_matrix,
     sojourn_rows,
+    solve_mip,
+    solve_mip_drift,
 )
 from bhmc import baseline, recursions
 from bhmc.recursions import PIVOT_RTOL, SPLIT, lu_inverse
@@ -51,6 +55,14 @@ def test_init_state_scalar_inverse():
     gen = BlockGenerator(lambda k: 1, block, bandwidth=1)
     state = init_state(gen)
     np.testing.assert_allclose(state.U_star, [[0.25]])
+
+
+def test_subnormal_level_0_rate_is_refused_at_level_0():
+    # the inverse of -block(0, 0) = 1e-310 passes the guard and overflows
+    with pytest.raises(SingularBlock, match="^u_star at level 0 is not finite"):
+        init_state(make_mm1(1e-310, 2e-310))
+    with pytest.raises(SingularBlock, match="^u_star at level 0 is not finite"):
+        solve_mip(make_mm1(1e-310, 2e-310))
 
 
 def test_init_state_two_phase_adjugate_inverse():
@@ -453,6 +465,15 @@ def test_column_shape_mismatch_is_invalid_block(heavy):
     short = replace(heavy, column_blocks=lambda j, lo, hi: np.zeros((hi - lo, 1)))
     with pytest.raises(InvalidBlock, match=r"block column 5 over levels 0\.\.4"):
         advance(state, short)
+    # the drift rule reads a column above the step's on a finite band
+    mm1 = make_mm1(1.0, 2.0)
+    doubled = replace(
+        mm1, column_blocks=lambda j, lo, hi: np.tile(mm1.block_column(j, lo, hi), (1 + (j == 3), 1))
+    )
+    cert = DriftCertificate(lambda l: np.full(1, 1.0 + l), 1.0)
+    match = r"block column 3 over levels 2\.\.2 has shape \(2, 1\), expected \(1, 1\)"
+    with pytest.raises(InvalidBlock, match=match):
+        solve_mip_drift(doubled, cert, SolverOptions(epsilon=1e-6))
 
 
 def test_wide_update_leaves_earlier_states_valid(heavy):

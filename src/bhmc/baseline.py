@@ -13,12 +13,13 @@ instead (see ``lbcl_direct``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidBlock, NotQbd, SingularBlock
-from .generator import BlockGenerator, _as_number, check_distribution, principal_submatrix
+from .generator import BlockGenerator, _as_number, _last_level_vector, principal_submatrix
 from .recursions import PIVOT_RTOL, lu_inverse
 
 if TYPE_CHECKING:  # scipy.sparse is imported where it is used, to keep import light
@@ -80,9 +81,9 @@ def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
 
     Solves ``x @ (-Q_n) = alpha_hat`` for the principal submatrix ``Q_n``
     over levels ``0..n``, with ``alpha_hat`` carrying ``alpha_n`` on the
-    last block, then normalizes.  Returns the flat probability vector over
-    all states of levels ``0..n``.  An ``n`` that is no integer raises
-    ConfigError, a negative one IndexOutOfRange.
+    last block as in ``lbcl_augment``, then normalizes.  Returns the flat
+    probability vector over all states of levels ``0..n``.  An ``n`` that
+    is no integer raises ConfigError, a negative one IndexOutOfRange.
 
     The answer is checked, not the pivots: the truncation's LU pivots
     shrink with depth while the solve stays accurate.  SingularBlock is
@@ -94,10 +95,7 @@ def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
     import scipy.sparse
 
     sub = principal_submatrix(gen, n)
-    last = sub.level_slice(sub.n)
-    alpha = check_distribution(alpha_n, last.stop - last.start)
-    rhs = np.zeros(sub.dim)
-    rhs[last] = alpha
+    rhs = _last_level_vector(sub, alpha_n)
     # x @ -Q_n = rhs, solved with the transpose factored.  -Q_n is a
     # nonsingular M-matrix, which needs no pivoting: a threshold of 0 keeps
     # the diagonal pivots, where row swaps for size could hit an exact zero.
@@ -105,7 +103,7 @@ def lbcl_direct(gen: BlockGenerator, n: int, alpha_n: np.ndarray) -> np.ndarray:
     a = scipy.sparse.csc_array(-sub.data.T)
     lu, scale = _splu(a, what, diag_pivot_thresh=0.0)
     x = lu.solve(rhs)
-    backward = np.abs(a @ x - rhs).max() / (scale * np.abs(x).max() + alpha.max())
+    backward = np.abs(a @ x - rhs).max() / (scale * np.abs(x).max() + rhs.max())
     if not backward <= BACKWARD_RTOL:  # true on NaN too
         raise SingularBlock(
             f"{what}: relative backward error {backward:.1e} exceeds {BACKWARD_RTOL}"
@@ -131,7 +129,8 @@ def bright_taylor(
     normalized over levels ``0..K_star``, which biases mass slightly
     upward relative to the untruncated normalization.  ``K_star`` and
     ``tail_levels`` must be integers (else ConfigError) and nonnegative
-    (else IndexOutOfRange).
+    (else IndexOutOfRange).  A non-finite ``R_k``, from an inverse past
+    double range, raises SingularBlock naming level ``k``.
     """
     if gen.bandwidth != 1:
         raise NotQbd(f"bandwidth must be 1, got {gen.bandwidth}")
@@ -140,27 +139,24 @@ def bright_taylor(
     if K_star < 0 or tail_levels < 0:
         raise IndexOutOfRange("K_star and tail_levels must be nonnegative")
     top = K_star + tail_levels
-    kept: dict[int, np.ndarray] = {}
-    r_above = np.zeros((gen.phase_count(top), gen.phase_count(top + 1)))
-    for k in range(top, 0, -1):
-        core = -gen.block_array(k, k) - r_above @ gen.block_array(k + 1, k)
-        inv = lu_inverse(core, f"R recursion at level {k}")
-        r_above = gen.block_array(k - 1, k) @ inv
-        if k <= K_star:
-            kept[k] = r_above
-    boundary = gen.block_array(0, 0)
-    if top >= 1:
-        r1 = r_above  # holds R_1 after the loop
-        boundary = boundary + r1 @ gen.block_array(1, 0)
-    pi0 = _null_left_vector(boundary)
-    blocks = [pi0]
-    for k in range(1, K_star + 1):
-        blocks.append(blocks[-1] @ kept[k])
+    # R_{top+1} = 0, a view that holds no memory, then R_top, ..., R_1 as the loop makes them
+    rs, failed = [np.broadcast_to(0.0, (gen.phase_count(top), gen.phase_count(top + 1)))], None
+    try:
+        for k in range(top, 0, -1):
+            core = -gen.block_array(k, k) - rs[-1] @ gen.block_array(k + 1, k)
+            rs.append(gen.block_array(k - 1, k) @ lu_inverse(core, f"R recursion at level {k}"))
+    except SingularBlock as exc:  # raised too by the core below a non-finite R_k
+        failed = exc
+    if not np.isfinite(rs[-1]).all():  # that R_k, or R_1, which no core reads
+        k = top + 2 - len(rs)
+        raise SingularBlock(f"R recursion at level {k}: R_{k} is not finite") from failed
+    if failed is not None:
+        raise failed
+    pi0 = _null_left_vector(gen.block_array(0, 0) + rs[-1] @ gen.block_array(1, 0))
+    R = rs[top:tail_levels:-1]
+    blocks = list(accumulate(R, np.matmul, initial=pi0))
     total = sum(b.sum() for b in blocks)
-    return BrightTaylorResult(
-        blocks=tuple(b / total for b in blocks),
-        R=tuple(kept[k] for k in range(1, K_star + 1)),
-    )
+    return BrightTaylorResult(blocks=tuple(b / total for b in blocks), R=tuple(R))
 
 
 def _null_left_vector(matrix: np.ndarray | scipy.sparse.sparray) -> np.ndarray:

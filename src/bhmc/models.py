@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadRates, ConfigError, UnstableModel
-from .generator import BlockGenerator
+from .generator import BlockGenerator, _as_number
 
 __all__ = [
     "MODEL_IDS",
@@ -47,8 +47,8 @@ def build_model(model_id: str, params: Mapping[str, float]) -> BlockGenerator:
 
 
 def _require_positive(**rates: float) -> None:
-    for name, value in rates.items():
-        if not (value > 0.0) or not np.isfinite(value):
+    for name, value in rates.items():  # a rate is a number, so not a bool or text
+        if not 0.0 < _as_number(value, f"rate {name!r}", error=BadRates) < np.inf:
             raise BadRates(f"rate {name!r} must be strictly positive, got {value!r}")
 
 
@@ -112,14 +112,17 @@ def make_mmc(lam: float, mu: float, c: int) -> BlockGenerator:
     Stable when ``lam < c * mu``.
     """
     _require_positive(lam=lam, mu=mu)
-    if not (np.isfinite(c) and c >= 1 and c == int(c)):
+    try:
+        servers = _as_number(c, "c", int)
+    except ConfigError:
+        servers = 0  # refused below, with the count as given
+    if servers < 1:
         raise BadRates(f"server count must be an integer >= 1, got {c!r}")
-    c = int(c)
-    if lam >= c * mu:
+    if lam >= servers * mu:
         raise UnstableModel(
-            f"mmc requires lam < c * mu, got lam={lam}, c*mu={c * mu}"
+            f"mmc requires lam < c * mu, got lam={lam}, c*mu={servers * mu}"
         )
-    return _birth_death(lam, mu, c)
+    return _birth_death(lam, mu, servers)
 
 
 def make_ld_qbd_birth_death(lam: float, mu: float) -> BlockGenerator:

@@ -343,38 +343,41 @@ class _ReadOnce(BlockGenerator):
 
 
 Blocks = Callable[[], tuple[np.ndarray, ...]]
-Checkpoint = Callable[[RecursionState, BlockGenerator], tuple[CheckpointRecord, bool, Blocks]]
+Checkpoint = Callable[[RecursionState, BlockGenerator], tuple[CheckpointRecord, float | None, Blocks]]
 
 
 def _drive(
-    gen: BlockGenerator, opts: SolverOptions, variant: str, checkpoint: Checkpoint
+    gen: BlockGenerator, opts: SolverOptions | None, variant: str, checkpoint: Checkpoint
 ) -> Approximation:
-    """Advance level by level and evaluate ``checkpoint`` at scheduled levels.
+    """Run one solve from level 0, evaluating ``checkpoint`` at scheduled levels.
 
-    ``checkpoint(state, gen)`` returns the trace record, whether the
-    stopping rule holds, and a thunk assembling the blocks, which is called
-    only at the stop.  Steps and checkpoints read ``gen`` through one
-    ``_ReadOnce``, so no block they share is fetched twice.  The run stops
-    when the rule holds, at ``max_level``, or at the last level of an
-    explicit schedule; ``converged`` says whether the rule held there.  A
-    numerical failure, or a stop without convergence, is first traced back
-    to the blocks up to level ``n + 1``, read afresh from ``gen`` by the
-    checked column walk, which holds one batch of columns at a time: a
-    block with a wrong sign or a non-finite entry is reported as
-    ``InvalidBlock``, caused by the original error if there was one.
+    ``opts`` defaults to ``SolverOptions()``.  ``checkpoint(state, gen)``
+    returns the trace record, the stopping quantity and a thunk that
+    assembles the blocks at the stop.  The rule holds once the quantity is
+    below ``epsilon``; ``None``, the drift rule's first, never holds.  Steps
+    and checkpoints share one ``_ReadOnce``.  The run stops when the rule
+    holds, at ``max_level``, or at an explicit schedule's last level;
+    ``converged`` says whether the rule held.  A numerical failure, level
+    0's included, or a stop without convergence is first traced to the
+    blocks up to level ``n + 1``, read afresh by the checked column walk: a
+    block with a wrong sign or a non-finite entry raises ``InvalidBlock``,
+    caused by the original error if there was one.
     """
+    opts = opts if opts is not None else SolverOptions()
     reads = _ReadOnce(*(getattr(gen, f.name) for f in fields(BlockGenerator)))
-    state = init_state(reads, opts.K_set)
     schedule = opts.checkpoint_schedule.iterate(max(max(opts.K_set), 1))
     next_cp = next(schedule, None)
     trace: deque[CheckpointRecord] = deque(maxlen=TRACE_LIMIT)
+    state = None
     try:
+        state = init_state(reads, opts.K_set)
         while True:
             at_cap = state.n >= opts.max_level
             if state.n == next_cp or at_cap:
-                record, done, blocks = checkpoint(state, reads)
+                record, value, blocks = checkpoint(state, reads)
                 trace.append(record)
                 next_cp = next(schedule, None)
+                done = value is not None and value < opts.epsilon
                 if done or at_cap or next_cp is None:
                     if not done:
                         _check_levels(gen, state.n + 1)
@@ -392,7 +395,7 @@ def _drive(
         if isinstance(exc, (ConfigError, InvalidBlock)):
             raise
         try:
-            _check_levels(gen, state.n + 1)
+            _check_levels(gen, 1 if state is None else state.n + 1)
         except InvalidBlock as bad:
             raise bad from exc
         raise
@@ -409,13 +412,12 @@ def solve_mip(gen: BlockGenerator, opts: SolverOptions | None = None) -> Approxi
     explicit schedule, without convergence is not an error: the
     approximation evaluated there is returned with ``converged=False``.
     """
-    opts = opts if opts is not None else SolverOptions()
 
     def checkpoint(state: RecursionState, gen: BlockGenerator):
         sel = _select_at(state, gen)
         res = residual_q_norm(state, sel.pivot)
         record = CheckpointRecord(state.n, sel.pivot, sel.ratio, res)
-        return record, res < opts.epsilon, lambda: _pivot_blocks(state, gen, sel.pivot)
+        return record, res, lambda: _pivot_blocks(state, gen, sel.pivot)
 
     return _drive(gen, opts, "mip_new", checkpoint)
 
@@ -437,7 +439,6 @@ def solve_mip_drift(
     Requires a finite upper bandwidth: otherwise the first checkpoint
     raises ``UnsupportedInfiniteBand``.
     """
-    opts = opts if opts is not None else SolverOptions()
     prev: tuple[RecursionState, np.ndarray] | None = None
 
     def checkpoint(state: RecursionState, gen: BlockGenerator):
@@ -448,8 +449,7 @@ def solve_mip_drift(
         step = _step_distance(*prev, state, seed, gen) if prev is not None else None
         prev = state, seed
         record = CheckpointRecord(state.n, sel.pivot, sel.objective, res, step)
-        done = step is not None and step < opts.epsilon
-        return record, done, lambda: _pivot_blocks(state, gen, sel.pivot)
+        return record, step, lambda: _pivot_blocks(state, gen, sel.pivot)
 
     return _drive(gen, opts, "mip_drift", checkpoint)
 
@@ -471,7 +471,6 @@ def solve_fixed_direction(
     diagonal block ``block(n, n)``; on scalar-phase chains it coincides
     with the primary rule.
     """
-    opts = opts if opts is not None else SolverOptions()
     varpi = direction.varpi
 
     def checkpoint(state: RecursionState, gen: BlockGenerator):
@@ -486,7 +485,7 @@ def solve_fixed_direction(
             seed = np.linalg.solve(state.U_star.T, varpi)
             return sojourn_rows(state, gen, seed / (seed @ state.u_star))
 
-        return CheckpointRecord(state.n, None, None, res), res < opts.epsilon, blocks
+        return CheckpointRecord(state.n, None, None, res), res, blocks
 
     return _drive(gen, opts, "fixed_direction", checkpoint)
 

@@ -65,6 +65,31 @@ def two_phase_product_qbd() -> BlockGenerator:
     return BlockGenerator(lambda k: 2, block, bandwidth=1)
 
 
+def tandem(lam: float, mu1: float, mu2: float) -> BlockGenerator:
+    """Two M/M/1 queues in tandem (Jackson 1957), with moves inside a level.
+
+    Level ``k`` counts the customers in the system and phase ``y`` those at
+    node 2, so level ``k`` has ``k + 1`` phases.  An arrival (rate ``lam``)
+    keeps the phase; a node-1 service (``mu1``, when ``y < k``) moves a
+    customer to node 2 inside the level; a node-2 service (``mu2``, when
+    ``y > 0``) leaves the system from level ``k`` to ``k - 1``.
+    """
+
+    def block(k: int, l: int) -> np.ndarray:
+        out = np.zeros((k + 1, l + 1))
+        y = np.arange(k + 1)
+        if l == k + 1:
+            out[y, y] = lam
+        elif l == k:
+            out[y[:-1], y[:-1] + 1] = mu1
+            out[y, y] = -(lam + mu1 * (y < k) + mu2 * (y > 0))
+        elif l == k - 1:
+            out[y[1:], y[1:] - 1] = mu2
+        return out
+
+    return BlockGenerator(lambda k: k + 1, block, bandwidth=1)
+
+
 def _rate_table(seed: int, shape):
     """Cached uniform(0.2, 1) rate blocks, one per ``(k, l)``.
 

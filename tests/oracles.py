@@ -21,7 +21,8 @@ checked column walk replaced.  ``heavy_tail_column_sliced`` builds each
 heavy-tail block column afresh by slice, as before the model kept its jump
 kernel.  ``heavy_tail_pi`` and ``lattice_product_pi`` are exact laws:
 the heavy tail's level-crossing recursion and the default-wall lattice's
-product form.  ``advance_health_reductions`` is ``advance``'s health test
+product form, and ``tandem_pi`` is Jackson's product law of two queues in
+tandem.  ``advance_health_reductions`` is ``advance``'s health test
 as numpy's min and max reductions took it.
 """
 
@@ -118,6 +119,21 @@ def lattice_product_pi(rates: dict[str, float], levels: int) -> np.ndarray:
     for k in range(levels + 1):
         x = np.arange(k + 1)
         blocks.append((1 - rx) * (1 - ry) * rx**x * ry ** (k - x))
+    return np.concatenate(blocks)
+
+
+def tandem_pi(lam: float, mu1: float, mu2: float, levels: int) -> np.ndarray:
+    """Jackson's product law of ``conftest.tandem``, in (level, phase) order.
+
+    ``pi(x, y) = (1 - r1) r1^x (1 - r2) r2^y`` with ``ri = lam / mu_i``,
+    ``x`` the customers at node 1 and ``y`` those at node 2; level ``k``
+    holds the states ``(k - y, y)``, ``y = 0..k``.
+    """
+    r1, r2 = lam / mu1, lam / mu2
+    blocks = []
+    for k in range(levels + 1):
+        y = np.arange(k + 1)
+        blocks.append((1 - r1) * (1 - r2) * r1 ** (k - y) * r2**y)
     return np.concatenate(blocks)
 
 

@@ -18,6 +18,7 @@ import pytest
 import bhmc
 from bhmc import (
     BadDistribution,
+    BadRates,
     BlockGenerator,
     CheckpointSchedule,
     ConfigError,
@@ -34,7 +35,9 @@ from bhmc import (
     init_state,
     lbcl_direct,
     make_heavy_tail_mg1,
+    make_lattice_rw_2d,
     make_mm1,
+    make_mmc,
     principal_submatrix,
     residual_q_norm,
     solve_mip,
@@ -113,6 +116,14 @@ def test_import_leaves_sparse_solvers_unloaded():
         (lambda gen: brute_force_stationary([["a"]]), InvalidBlock),
         (lambda gen: sojourn_rows(init_state(gen), gen, np.array(["a"])), PhaseMismatch),
         (lambda gen: residual_q_norm(init_state(gen), 0.5), IndexOutOfRange),
+        # a model rate is a number but no bool, as every library number is
+        (lambda gen: make_mm1("1", 2), BadRates),
+        (lambda gen: make_mm1(None, 2), BadRates),
+        (lambda gen: make_mm1(True, 2), BadRates),
+        (lambda gen: make_heavy_tail_mg1("2"), BadRates),
+        (lambda gen: make_lattice_rw_2d(1, "x", 1, 1.2), BadRates),
+        (lambda gen: make_mmc(1, 1, "3"), BadRates),
+        (lambda gen: make_mmc(1, 1, True), BadRates),
     ],
     ids=[
         "principal_submatrix",
@@ -130,6 +141,13 @@ def test_import_leaves_sparse_solvers_unloaded():
         "brute_force_str",
         "sojourn_rows_seed_str",
         "residual_pivot_fractional",
+        "mm1_rate_str",
+        "mm1_rate_none",
+        "mm1_rate_bool",
+        "heavy_tail_rate_str",
+        "lattice_rate_str",
+        "mmc_servers_str",
+        "mmc_servers_bool",
     ],
 )
 def test_invalid_argument_is_bhmc_error(call, error):
@@ -219,8 +237,14 @@ def _edited_mm1(edit) -> BlockGenerator:
             r"block\(3,3\) contains non-finite",
             SingularBlock,
         ),
+        # the same at level 0, whose state init_state builds inside the trace
+        (
+            _edited_mm1(lambda k, l, b: b * np.nan if k == l == 0 else b),
+            r"block\(0,0\) contains non-finite",
+            SingularBlock,
+        ),
     ],
-    ids=["negative_up_rate", "nan_diagonal"],
+    ids=["negative_up_rate", "nan_diagonal", "nan_level_0_diagonal"],
 )
 def test_numerical_failure_is_traced_to_bad_block(gen, block, cause):
     with pytest.raises(InvalidBlock, match=block) as info:

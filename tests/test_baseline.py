@@ -230,6 +230,15 @@ def test_bright_taylor_refuses_infinite_band():
         bright_taylor(make_heavy_tail_mg1(3.0, 1.0), K_star=10)
 
 
+@pytest.mark.parametrize("K_star, level", [(3, 3), (5, 5), (1, 1)])
+def test_bright_taylor_names_the_level_whose_inverse_overflows(K_star, level):
+    # the core -block(k, k) = [[3e-310]] inverts to inf at the top level k;
+    # the next core only fails on the non-finite R_k, and at K_star = 1 no
+    # core follows it at all
+    with pytest.raises(SingularBlock, match=rf"^R recursion at level {level}: R_{level} is not"):
+        bright_taylor(make_mm1(1e-310, 2e-310), K_star)
+
+
 def test_bright_taylor_matches_mip_on_two_phase():
     gen = two_phase_ldqbd()
     approx = solve_mip(gen, SolverOptions(epsilon=1e-9))

@@ -22,7 +22,7 @@ from bhmc import (
     tv_distance,
     validate_proper_q,
 )
-from conftest import LATTICE_RATES
+from conftest import LATTICE_RATES, tandem
 
 
 def test_mm1_blocks(mm1):
@@ -296,6 +296,35 @@ def test_lattice_error_to_its_product_law(lattice, eps):
     # measured: 19.8 eps at n = 18 and 21.4 eps at n = 32, far above the
     # law's mass above n (0.06 and 0.02 of the error): augmentation error
     assert error < 30 * eps
+
+
+def test_tandem_validates():
+    assert validate_proper_q(tandem(1.0, 2.0, 3.0), 20).ok
+
+
+@pytest.mark.parametrize(
+    "rates, eps, bound",
+    [
+        # measured: 6.18e-7 at n = 25 and 4.64e-14 at n = 46
+        ((1.0, 2.0, 3.0), 1e-8, 1e-6),
+        ((1.0, 2.0, 3.0), 1e-14, 7e-14),
+        # measured: 6.94e-7 at n = 73 and 7.97e-13 at n = 142
+        ((1.0, 1.5, 1.25), 1e-8, 1e-6),
+        ((1.0, 1.5, 1.25), 1e-14, 1.2e-12),
+    ],
+)
+def test_tandem_error_to_its_jackson_law(rates, eps, bound):
+    """L1 distance to the product law, the law's mass above the stop included.
+
+    The chain moves inside a level (a node-1 service), which no catalog
+    chain with growing phases does.  At eps 1e-8 the error is 60-70 eps and
+    the law's mass above ``n`` is 0.05-0.2 of it: augmentation error, as on
+    the lattice.
+    """
+    approx = solve_mip(tandem(*rates), SolverOptions(epsilon=eps))
+    assert approx.converged
+    law = oracles.tandem_pi(*rates, approx.n)
+    assert tv_distance(approx.flatten(), law) + (1.0 - law.sum()) < bound
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-7])

@@ -44,6 +44,7 @@ from conftest import (
     QBD_VARPI,
     drive_to,
     random_banded,
+    tandem,
     two_phase_ldqbd,
     two_phase_product_qbd,
 )
@@ -518,16 +519,22 @@ def test_tv_distance_symmetry_and_nonnegativity(a, b):
 
 
 @given(
-    bandwidth=st.sampled_from([1, 2, 3, None]),
-    phases=st.integers(1, 4),
-    seed=st.integers(0, 2**16),
+    gen=st.one_of(
+        st.builds(
+            random_banded,
+            st.sampled_from([1, 2, 3, None]),
+            st.integers(1, 4),
+            st.integers(0, 2**16),
+        ),
+        # loads lam / mu_i in [0.2, 0.75] keep the stop below about 100 levels
+        st.builds(tandem, st.just(1.0), st.floats(4 / 3, 5.0), st.floats(4 / 3, 5.0)),
+    ),
 )
 @settings(max_examples=40, deadline=None)
-def test_solve_mip_matches_lbcl_direct_on_random_chains(bandwidth, phases, seed):
-    gen = random_banded(bandwidth, phases, seed)
+def test_solve_mip_matches_lbcl_direct_on_random_chains(gen):
     approx = solve_mip(gen, SolverOptions(epsilon=1e-10))
     assert approx.converged
-    alpha = np.zeros(phases)
+    alpha = np.zeros(gen.phase_count(approx.n))
     alpha[approx.pivot_trace[-1].pivot] = 1.0
     assert tv_distance(approx.flatten(), lbcl_direct(gen, approx.n, alpha)) < 1e-10
 

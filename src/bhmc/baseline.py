@@ -139,21 +139,22 @@ def bright_taylor(
     if K_star < 0 or tail_levels < 0:
         raise IndexOutOfRange("K_star and tail_levels must be nonnegative")
     top = K_star + tail_levels
-    # R_{top+1} = 0, a view that holds no memory, then R_top, ..., R_1 as the loop makes them
-    rs, failed = [np.broadcast_to(0.0, (gen.phase_count(top), gen.phase_count(top + 1)))], None
+    r = np.zeros((gen.phase_count(top), gen.phase_count(top + 1)))  # R_{top+1}
+    kept, failed, k = [], None, 1
     try:
         for k in range(top, 0, -1):
-            core = -gen.block_array(k, k) - rs[-1] @ gen.block_array(k + 1, k)
-            rs.append(gen.block_array(k - 1, k) @ lu_inverse(core, f"R recursion at level {k}"))
-    except SingularBlock as exc:  # raised too by the core below a non-finite R_k
-        failed = exc
-    if not np.isfinite(rs[-1]).all():  # that R_k, or R_1, which no core reads
-        k = top + 2 - len(rs)
+            core = -gen.block_array(k, k) - r @ gen.block_array(k + 1, k)
+            r = gen.block_array(k - 1, k) @ lu_inverse(core, f"R recursion at level {k}")
+            if k <= K_star:
+                kept.append(r)
+    except SingularBlock as exc:  # raised too by the core that reads a non-finite R_{k+1}
+        failed, k = exc, k + 1
+    if not np.isfinite(r).all():  # that R_k, or R_1, which no core reads
         raise SingularBlock(f"R recursion at level {k}: R_{k} is not finite") from failed
     if failed is not None:
         raise failed
-    pi0 = _null_left_vector(gen.block_array(0, 0) + rs[-1] @ gen.block_array(1, 0))
-    R = rs[top:tail_levels:-1]
+    pi0 = _null_left_vector(gen.block_array(0, 0) + r @ gen.block_array(1, 0))
+    R = kept[::-1]
     blocks = list(accumulate(R, np.matmul, initial=pi0))
     total = sum(b.sum() for b in blocks)
     return BrightTaylorResult(blocks=tuple(b / total for b in blocks), R=tuple(R))

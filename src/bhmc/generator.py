@@ -33,11 +33,11 @@ __all__ = [
 ]
 
 
-def _as_number(value, where: str, kind: type = float, error: type = ConfigError):
+def _as_number(value, where: str, kind: type = float):
     """``value`` as a float, or as an int when ``kind`` is ``int``.
 
     A number is any real but a bool, an integer an integral one (``1.0e+4``
-    is 10000).  Anything else, text included, raises ``error`` naming ``where``.
+    is 10000).  Anything else, text included, is a ConfigError naming ``where``.
     """
     # float and int first: their type test is cheap, the ABC's costs microseconds when cold
     if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
@@ -49,7 +49,7 @@ def _as_number(value, where: str, kind: type = float, error: type = ConfigError)
         except OverflowError:
             pass  # an int past double range is no float
     what = "an integer" if kind is int else "a number"
-    raise error(f"{where} must be {what}, got {value!r}")
+    raise ConfigError(f"{where} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,9 @@ def validate_proper_q(
     """Check conservativity over the first ``levels + 1`` levels.
 
     Every state ``(k, i)`` with ``k <= levels`` must have a row sum of
-    magnitude at most ``tol``.  The row sums are those of
-    :func:`principal_submatrix`, each row added in column order: over the
-    band when there is one, otherwise through ``levels`` plus the exact
+    magnitude at most ``tol``.  The rows are added up batch by batch from
+    the checked column walk (see :func:`principal_submatrix`): over the band
+    when there is one, otherwise through ``levels`` plus the exact
     ``tail_column`` beyond it.  A ``levels`` that is no integer or a
     ``tol`` that is no number raises ConfigError, a negative ``levels``
     IndexOutOfRange, and a negative or non-finite ``tol`` ConfigError.
@@ -236,9 +236,12 @@ def validate_proper_q(
         raise MissingTailInfo(
             "cannot check row sums: generator has no bandwidth and no tail_column"
         )
-    sub = principal_submatrix(gen, levels + (gen.bandwidth or 0))
-    # a product with ones adds each row's entries in column order, from 0.0
-    rows = (sub.data @ np.ones(sub.dim))[: sub.level_offsets[levels + 1]]
+    offsets = _level_offsets(gen, levels + (gen.bandwidth or 0))
+    rows = np.zeros(offsets[-1])
+    for r, _, v in _checked_columns(gen, offsets):
+        np.add.at(rows, r, v)
+    offsets = offsets[: levels + 2]
+    rows = rows[: offsets[-1]]
     if gen.bandwidth is None:
         try:
             tail = np.asarray(gen.tail_column(levels, 0, levels), dtype=float)
@@ -249,9 +252,9 @@ def validate_proper_q(
         rows = rows + tail
     # a NaN row sum fails the test too
     bad = np.nonzero(~(np.abs(rows) <= tol))[0]
-    level = np.searchsorted(sub.level_offsets, bad, side="right") - 1
+    level = np.searchsorted(offsets, bad, side="right") - 1
     violations = tuple(
-        Violation(int(k), int(i - sub.level_offsets[k]), float(rows[i]))
+        Violation(int(k), int(i - offsets[k]), float(rows[i]))
         for k, i in zip(level, bad)
     )
     return ValidationReport(levels, tol, violations)

@@ -47,8 +47,12 @@ def build_model(model_id: str, params: Mapping[str, float]) -> BlockGenerator:
 
 
 def _require_positive(**rates: float) -> None:
-    for name, value in rates.items():  # a rate is a number, so not a bool or text
-        if not 0.0 < _as_number(value, f"rate {name!r}", error=BadRates) < np.inf:
+    for name, value in rates.items():
+        try:
+            rate = _as_number(value, name)
+        except ConfigError:  # a rate is a number, so not a bool or text
+            rate = 0.0  # refused below, with the rate as given
+        if not 0.0 < rate < np.inf:
             raise BadRates(f"rate {name!r} must be strictly positive, got {value!r}")
 
 

@@ -518,25 +518,29 @@ def test_tv_distance_symmetry_and_nonnegativity(a, b):
     assert tv_distance(a, a) == 0.0
 
 
-@given(
-    gen=st.one_of(
-        st.builds(
-            random_banded,
-            st.sampled_from([1, 2, 3, None]),
-            st.integers(1, 4),
-            st.integers(0, 2**16),
-        ),
-        # loads lam / mu_i in [0.2, 0.75] keep the stop below about 100 levels
-        st.builds(tandem, st.just(1.0), st.floats(4 / 3, 5.0), st.floats(4 / 3, 5.0)),
-    ),
-)
-@settings(max_examples=40, deadline=None)
-def test_solve_mip_matches_lbcl_direct_on_random_chains(gen):
+def _assert_matches_lbcl_direct(gen):
     approx = solve_mip(gen, SolverOptions(epsilon=1e-10))
     assert approx.converged
     alpha = np.zeros(gen.phase_count(approx.n))
     alpha[approx.pivot_trace[-1].pivot] = 1.0
     assert tv_distance(approx.flatten(), lbcl_direct(gen, approx.n, alpha)) < 1e-10
+
+
+@given(
+    bandwidth=st.sampled_from([1, 2, 3, None]),
+    phases=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_solve_mip_matches_lbcl_direct_on_random_chains(bandwidth, phases, seed):
+    _assert_matches_lbcl_direct(random_banded(bandwidth, phases, seed))
+
+
+# loads 1 / mu_i in [0.2, 0.75] keep the stop below about 100 levels
+@given(mu1=st.floats(4 / 3, 5.0), mu2=st.floats(4 / 3, 5.0))
+@settings(max_examples=20, deadline=None)
+def test_solve_mip_matches_lbcl_direct_on_tandem_chains(mu1, mu2):
+    _assert_matches_lbcl_direct(tandem(1.0, mu1, mu2))
 
 
 @given(

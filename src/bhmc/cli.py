@@ -129,7 +129,7 @@ def _inline_generator(node: Any) -> BlockGenerator:
     def block(k: int, l: int) -> np.ndarray:
         table = tables[k] if k < explicit else tail
         b = table.get(l - k)
-        if b is None or l < 0 or (k == 0 and l - k == -1):
+        if b is None or l < 0:
             return np.zeros((phase_count(k), phase_count(l)))
         return b
 

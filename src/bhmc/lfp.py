@@ -136,6 +136,8 @@ def select_pivot(state: RecursionState, I: np.ndarray, O: np.ndarray) -> PivotSe
 
     Raises
     ------
+    PhaseMismatch
+        If ``I`` or ``O`` is not a boolean array of shape ``(M_n,)``.
     EmptyCandidateSet
         If ``I & O`` is empty or no candidate ratio is positive; either
         signals suspected non-ergodicity or a too-early checkpoint.  A
@@ -144,6 +146,15 @@ def select_pivot(state: RecursionState, I: np.ndarray, O: np.ndarray) -> PivotSe
     SingularBlock
         If a candidate ratio is NaN or infinite.
     """
+    # attribute comparisons only: no call on a checkpoint's path
+    try:
+        masks = I.dtype == O.dtype == bool and I.shape == O.shape == state.u_star.shape
+    except AttributeError:  # not an array
+        masks = False
+    if not masks:
+        raise PhaseMismatch(
+            f"I and O must be boolean masks of shape {state.u_star.shape} at level {state.n}"
+        )
     u_K = state.u_star_K
     if u_K is None:
         raise IndexOutOfRange(f"u_star_K unavailable: level {state.n} below max(K_set)")

@@ -174,28 +174,48 @@ def _normalize_k_set(K_set) -> frozenset[int]:
 def init_state(gen: BlockGenerator, K_set=frozenset({0})) -> RecursionState:
     """State at level 0: ``U_star = (-block(0,0))^-1``, ``u_star = U_star e``.
 
-    A ``u_star`` entry that is not finite, as when a subnormal
-    ``block(0, 0)`` inverts past double range, raises SingularBlock naming
-    level 0.  A nonpositive entry comes only from a bad ``block(0, 0)``,
-    which a solve names once the run fails.
+    The row sums pass the health test of every level (``_checked``), so a
+    subnormal ``block(0, 0)``, whose inverse leaves double range, or a bad
+    one that makes ``u_star`` nonpositive raises SingularBlock naming
+    level 0.
     """
     ks = _normalize_k_set(K_set)
     q00 = gen.block_array(0, 0)
     u0 = lu_inverse(-q00, "level 0 exit matrix")
     u_vec = u0.sum(axis=1)
-    if not np.all(np.isfinite(u_vec)):
+    u_k = u_vec.copy() if 0 in ks else np.zeros_like(u_vec)
+    return _checked(RecursionState(0, u0, None, u_vec, u_k, ks, np.diag(q00).copy()))
+
+
+def _checked(state: RecursionState) -> RecursionState:
+    """``state`` once its row sums pass the one health test of every level.
+
+    Positivity and finiteness are guaranteed in exact arithmetic; losing
+    them means overflow or accumulated rounding has exhausted double
+    precision at this depth.  One test passes ``u_star`` in ``(0, inf)``
+    and ``u_K`` finite and above ``-1e-12`` times its largest entry; it is
+    false on NaN too.  Only a failing state runs the checks that name the
+    loss.  An extreme is read at argmax/argmin, which land on the first
+    NaN as the min/max reductions propagate it, at a fraction of their
+    call cost.
+    """
+    u_vec, u_k = state.u_star, state.u_K
+    k_top = u_k.item(u_k.argmax())
+    # the conditional, not max(k_top, 0.0): no call; k_top is not NaN here
+    if (0.0 < u_vec.item(u_vec.argmin()) and u_vec.item(u_vec.argmax()) < np.inf and k_top < np.inf
+            and u_k.item(u_k.argmin()) >= -1e-12 * (k_top if k_top > 0.0 else 0.0)):
+        return state
+    if not (np.all(np.isfinite(u_vec)) and np.all(np.isfinite(u_k))):
         raise SingularBlock(
-            "u_star at level 0 is not finite; the inverse of -block(0, 0) leaves double range"
+            f"u_star overflowed at level {state.n}; the expected sojourn times "
+            "exceed double range at this depth"
         )
-    return RecursionState(
-        n=0,
-        W=u0,
-        factors=None,
-        u_star=u_vec,
-        u_K=u_vec.copy() if 0 in ks else np.zeros_like(u_vec),
-        K_set=ks,
-        q_diag_n=np.diag(q00).copy(),
-    )
+    if not np.all(u_vec > 0.0):
+        raise SingularBlock(
+            f"positivity of u_star lost at level {state.n}; accumulated rounding "
+            "has exhausted double precision at this depth"
+        )
+    raise SingularBlock(f"positivity of u_star_K lost at level {state.n}")
 
 
 def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
@@ -216,8 +236,9 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     ``block(n+1, n) @ (W @ col)`` and ``(U_star(n+1) @ block(n+1, n)) @ W``,
     two passes over ``W`` where ``S`` would make three.  The partial
     row sums update by the same left factor, ``U_star(n+1) @ block(n+1, n)``,
-    which a finite band applies as two vector products.  The new row sums
-    pass one test; only a failing step runs the checks that name the loss.
+    which a finite band applies as two vector products.  The new state
+    returns through ``_checked``, the health test ``init_state`` passes
+    level 0 through too.
     """
     n, n1 = state.n, state.n + 1
     lo = _lowest_reaching(gen, n1)
@@ -234,32 +255,12 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     u1 = lu_inverse(-q_next - correction, f"level {n1} exit matrix")
     step = None if finite else u1 @ q_down  # an infinite band's update of W
 
-    # Positivity and finiteness are guaranteed in exact arithmetic; losing
-    # them means overflow or accumulated rounding has exhausted double
-    # precision at this depth.  The checks below report it, so numpy's
-    # own overflow warnings are silenced.
+    # numpy's own overflow warnings are silenced: _checked names the loss
     with np.errstate(over="ignore", invalid="ignore"):
         u_vec = u1 @ (1.0 + q_down @ state.u_star)
         u_k = u1 @ (q_down @ state.u_K) if finite else step @ state.u_K
         if n1 in state.K_set:
             u_k += u1.sum(axis=1)
-    # One test, false on NaN too; its body only names the failure.  An
-    # extreme is read at argmax/argmin, which land on the first NaN as the
-    # min/max reductions propagate it, at a fraction of their call cost.
-    k_top = u_k.item(u_k.argmax())
-    if not (0.0 < u_vec.item(u_vec.argmin()) and u_vec.item(u_vec.argmax()) < np.inf
-            and k_top < np.inf and u_k.item(u_k.argmin()) >= -1e-12 * max(k_top, 0.0)):
-        if not (np.all(np.isfinite(u_vec)) and np.all(np.isfinite(u_k))):
-            raise SingularBlock(
-                f"u_star overflowed at level {n1}; the expected sojourn times "
-                "exceed double range at this depth"
-            )
-        if not np.all(u_vec > 0.0):
-            raise SingularBlock(
-                f"positivity of u_star lost at level {n1}; accumulated rounding "
-                "has exhausted double precision at this depth"
-            )
-        raise SingularBlock(f"positivity of u_star_K lost at level {n1}")
 
     factors, kept = None, state.W
     if finite:  # T_{n+1} is the last member of s, copied so that it keeps no more
@@ -272,7 +273,7 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
         w = np.empty((m1, k + m1))
         np.matmul(u1 if finite else step, kept, out=w[:, :k])
         w[:, k:] = u1
-    return RecursionState(n1, w, factors, u_vec, u_k, state.K_set, q_next.diagonal().copy())
+    return _checked(RecursionState(n1, w, factors, u_vec, u_k, state.K_set, q_next.diagonal().copy()))
 
 
 def _chain(node: tuple | None) -> Iterator[np.ndarray]:
@@ -289,7 +290,10 @@ def sojourn_matrix(state: RecursionState, gen: BlockGenerator, k: int) -> np.nda
     the chain first visits any level above ``n``, starting from ``(n, i)``.
     A window level's matrix is a column slice of ``W``; a lower level's is
     the window's lowest member multiplied down through the step factors.
+    A ``k`` that is no integer raises ConfigError, one outside ``0..n``
+    IndexOutOfRange.
     """
+    k = _as_number(k, "k", int)
     if not 0 <= k <= state.n:
         raise IndexOutOfRange(f"level {k} outside 0..{state.n}")
     lo = _lowest_reaching(gen, state.n + 1)

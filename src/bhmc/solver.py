@@ -250,13 +250,16 @@ def tv_distance(h1, h2) -> float:
     distance; the name, and the CLI report key, say ``tv`` for it.  The
     vectors may cover index prefixes of different lengths: shared indices
     contribute ``|h1 - h2|`` and each vector's overhang contributes its own
-    mass.  A vector that is not numeric raises BadDistribution.
+    mass.  A vector that is not numeric, or has an entry that is NaN or
+    infinite (``None`` reads as NaN), raises BadDistribution.
     """
     try:
         a = np.asarray(h1, dtype=float).ravel()
         b = np.asarray(h2, dtype=float).ravel()
     except (TypeError, ValueError) as exc:
         raise BadDistribution(f"tv_distance needs numeric vectors: {exc}") from exc
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise BadDistribution("tv_distance needs finite vectors")
     # dot products with ones, not .sum(): the summation order fixes the
     # last digits of the distances the CLI reports
     w = np.ones(max(a.size, b.size))
@@ -361,9 +364,15 @@ def _drive(
     0's included, or a stop without convergence is first traced to the
     blocks up to level ``n + 1``, read afresh by the checked column walk: a
     block with a wrong sign or a non-finite entry raises ``InvalidBlock``,
-    caused by the original error if there was one.
+    caused by the original error if there was one.  A ``gen`` that is no
+    BlockGenerator, or ``opts`` that is no SolverOptions, raises ConfigError
+    naming the argument before level 0.
     """
+    if not isinstance(gen, BlockGenerator):
+        raise ConfigError(f"gen must be a BlockGenerator, got {type(gen).__name__}")
     opts = opts if opts is not None else SolverOptions()
+    if not isinstance(opts, SolverOptions):
+        raise ConfigError(f"opts must be a SolverOptions, got {type(opts).__name__}")
     reads = _ReadOnce(*(getattr(gen, f.name) for f in fields(BlockGenerator)))
     schedule = opts.checkpoint_schedule.iterate(max(max(opts.K_set), 1))
     next_cp = next(schedule, None)
@@ -437,8 +446,10 @@ def solve_mip_drift(
     one vector product per level advanced; otherwise one backward sweep of
     the previous state.  The blocks are assembled once, at the stop.
     Requires a finite upper bandwidth: otherwise the first checkpoint
-    raises ``UnsupportedInfiniteBand``.
+    raises ``UnsupportedInfiniteBand``.  A ``cert`` that is no
+    DriftCertificate raises ConfigError (see ``_check_variant``).
     """
+    _check_variant("mip_drift", cert, None)
     prev: tuple[RecursionState, np.ndarray] | None = None
 
     def checkpoint(state: RecursionState, gen: BlockGenerator):
@@ -469,8 +480,10 @@ def solve_fixed_direction(
     unit mass with the direction:
     ``(varpi @ (1 / |diag q_n|)) / (varpi @ u_star)``, with ``q_n`` the
     diagonal block ``block(n, n)``; on scalar-phase chains it coincides
-    with the primary rule.
+    with the primary rule.  A ``direction`` that is no FixedDirection
+    raises ConfigError (see ``_check_variant``).
     """
+    _check_variant("fixed_direction", None, direction)
     varpi = direction.varpi
 
     def checkpoint(state: RecursionState, gen: BlockGenerator):
@@ -509,10 +522,20 @@ def solve(
 def _check_variant(
     variant: str, cert: DriftCertificate | None, direction: FixedDirection | None
 ) -> None:
-    """Refuse a ``variant`` not in ``VARIANTS``, or one missing its required input."""
+    """Refuse a ``variant`` not in ``VARIANTS``, or one whose input is missing or mistyped.
+
+    ``mip_drift`` needs ``cert``, a DriftCertificate, and ``fixed_direction``
+    needs ``direction``, a FixedDirection.  The loader, ``solve`` and the
+    two drivers all check here, so a missing input and a mistyped one are
+    named in one place.
+    """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == "mip_drift" and cert is None:
-        raise ConfigError("variant mip_drift needs a drift certificate (solver.drift)")
-    if variant == "fixed_direction" and direction is None:
-        raise ConfigError("variant fixed_direction needs a direction vector (solver.varpi)")
+    if variant == "mip_drift" and not isinstance(cert, DriftCertificate):
+        if cert is None:
+            raise ConfigError("variant mip_drift needs a drift certificate (solver.drift)")
+        raise ConfigError(f"cert must be a DriftCertificate, got {type(cert).__name__}")
+    if variant == "fixed_direction" and not isinstance(direction, FixedDirection):
+        if direction is None:
+            raise ConfigError("variant fixed_direction needs a direction vector (solver.varpi)")
+        raise ConfigError(f"direction must be a FixedDirection, got {type(direction).__name__}")

@@ -23,7 +23,6 @@ from bhmc import (
     CheckpointSchedule,
     ConfigError,
     DriftCertificate,
-    EmptyCandidateSet,
     FixedDirection,
     IndexOutOfRange,
     InvalidBlock,
@@ -40,7 +39,11 @@ from bhmc import (
     make_mmc,
     principal_submatrix,
     residual_q_norm,
+    solve,
+    solve_fixed_direction,
     solve_mip,
+    solve_mip_drift,
+    sojourn_matrix,
     sojourn_rows,
     tv_distance,
     validate_proper_q,
@@ -124,6 +127,11 @@ def test_import_leaves_sparse_solvers_unloaded():
         (lambda gen: make_lattice_rw_2d(1, "x", 1, 1.2), BadRates),
         (lambda gen: make_mmc(1, 1, "3"), BadRates),
         (lambda gen: make_mmc(1, 1, True), BadRates),
+        # None reads as NaN; a NaN or infinite entry has no distance
+        (lambda gen: tv_distance(None, [1.0]), BadDistribution),
+        (lambda gen: tv_distance([1.0], [np.nan]), BadDistribution),
+        (lambda gen: tv_distance([np.inf], [1.0]), BadDistribution),
+        (lambda gen: brute_force_stationary(np.full((2, 2), np.nan)), SingularBlock),
     ],
     ids=[
         "principal_submatrix",
@@ -148,11 +156,18 @@ def test_import_leaves_sparse_solvers_unloaded():
         "lattice_rate_str",
         "mmc_servers_str",
         "mmc_servers_bool",
+        "tv_distance_none",
+        "tv_distance_nan",
+        "tv_distance_inf",
+        "brute_force_nan",
     ],
 )
 def test_invalid_argument_is_bhmc_error(call, error):
     with pytest.raises(error):
         call(make_mm1(1.0, 2.0))
+
+
+MM1 = make_mm1(1.0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -176,6 +191,23 @@ def test_invalid_argument_is_bhmc_error(call, error):
         (lambda: principal_submatrix(make_mm1(1.0, 2.0), "3"), "^n must be"),
         (lambda: validate_proper_q(make_mm1(1.0, 2.0), 2.5), "levels"),
         (lambda: validate_proper_q(make_mm1(1.0, 2.0), 2, "tight"), "tol"),
+        (lambda: SolverOptions(K_set=5), "^K_set must be a set of integer levels"),
+        (lambda: CheckpointSchedule(kind="explicit", levels=()), "^explicit schedule needs"),
+        # a driver refuses a mistyped argument by name before level 0
+        (lambda: solve_mip(MM1, {}), "^opts must be a SolverOptions, got dict$"),
+        (lambda: solve_mip("mm1"), "^gen must be a BlockGenerator, got str$"),
+        (lambda: solve_mip_drift(MM1, None), "^variant mip_drift needs a drift"),
+        (lambda: solve_mip_drift(MM1, "v"), "^cert must be a DriftCertificate"),
+        (
+            lambda: solve_fixed_direction(MM1, np.array([1.0])),
+            "^direction must be a FixedDirection, got ndarray$",
+        ),
+        (
+            lambda: solve(MM1, None, "fixed_direction", direction=[1.0]),
+            "^direction must be a FixedDirection, got list$",
+        ),
+        (lambda: sojourn_matrix(init_state(MM1), MM1, "0"), "^k must be an integer, got '0'$"),
+        (lambda: sojourn_matrix(init_state(MM1), MM1, 0.5), "^k must be an integer, got 0.5$"),
     ],
     ids=[
         "schedule_levels_int",
@@ -196,6 +228,16 @@ def test_invalid_argument_is_bhmc_error(call, error):
         "principal_submatrix_n_str",
         "validate_levels_fractional",
         "validate_tol_str",
+        "k_set_int",
+        "schedule_levels_empty",
+        "solve_mip_opts_dict",
+        "solve_mip_gen_str",
+        "drift_cert_none",
+        "drift_cert_str",
+        "fixed_direction_array",
+        "solve_direction_list",
+        "sojourn_matrix_k_str",
+        "sojourn_matrix_k_fractional",
     ],
 )
 def test_malformed_option_is_config_error_naming_field(call, field):
@@ -225,11 +267,11 @@ def _edited_mm1(edit) -> BlockGenerator:
 @pytest.mark.parametrize(
     "gen, block, cause",
     [
-        # up-rate -0.5: pivot selection finds no candidate at level 1
+        # up-rate -0.5: u_star at level 0 is -2, which the health test refuses
         (
             _edited_mm1(lambda k, l, b: b - 1.5 * (l == k + 1) + 1.5 * (l == k)),
             r"block\(0,0\) has a positive diagonal",
-            EmptyCandidateSet,
+            SingularBlock,
         ),
         # NaN diagonal at level 3: its exit matrix is non-finite
         (

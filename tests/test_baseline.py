@@ -8,6 +8,7 @@ import scipy.sparse
 
 import oracles
 from bhmc import (
+    BlockGenerator,
     IndexOutOfRange,
     InvalidBlock,
     NotQbd,
@@ -237,6 +238,15 @@ def test_bright_taylor_names_the_level_whose_inverse_overflows(K_star, level):
     # core follows it at all
     with pytest.raises(SingularBlock, match=rf"^R recursion at level {level}: R_{level} is not"):
         bright_taylor(make_mm1(1e-310, 2e-310), K_star)
+
+
+def test_bright_taylor_reraises_a_failed_core_whose_r_is_finite():
+    # level 3 has no transitions: R_4 is zero and finite, the level-3 core is zero
+    mm1 = make_mm1(1.0, 2.0)
+    dead = BlockGenerator(lambda k: 1, lambda k, l: mm1.block(k, l) * (k != 3), 1)
+    match = r"^R recursion at level 3: matrix is zero or non-finite$"
+    with pytest.raises(SingularBlock, match=match):
+        bright_taylor(dead, 5)
 
 
 def test_bright_taylor_matches_mip_on_two_phase():

@@ -489,6 +489,93 @@ def test_malformed_number_is_config_error(tmp_path, capsys, section, key):
     assert f"error: {key}" in capsys.readouterr().err
 
 
+MM1_MODEL = "model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MM1_MODEL + "solver: 5", "solver must be a mapping, got int"),
+        (MM1_MODEL + "solver: {foo: 1}", "unknown keys ['foo'] in solver"),
+        (MM1_MODEL + "solver: {k_set: 5}", "solver.k_set must be a list of integers, got 5"),
+        (
+            "model: {inline: {bandwidth: 1, levels: [{'0': [-1.0]}]}}",
+            "model.inline.levels[0][0] must be a nested (row-major) array of rows",
+        ),
+        (
+            "model: {inline: {levels: [{'0': [[-1.0]]}]}}",
+            "model.inline needs 'bandwidth' and 'levels'",
+        ),
+        ("model: {inline: {bandwidth: 1, levels: []}}", "model.inline.levels must be a nonempty list"),
+        (
+            "model: {inline: {bandwidth: 1, levels: [{'0': [[-1.0]], '2': [[1.0]]}]}}",
+            "model.inline.levels[0]: offset 2 outside -1..1",
+        ),
+        (
+            "model: {inline: {bandwidth: 1, levels: [{'1': [[1.0]]}]}}",
+            "model.inline.levels[0] must include the diagonal block '0'",
+        ),
+        (
+            "model: {inline: {bandwidth: 1, levels: [{'0': [[-1.0, 1.0], [1.0, -1.0]]}],"
+            " tail: {'0': [[-1.0]]}}}",
+            "last explicit level has 2 phases but tail has 1",
+        ),
+        (
+            MM1_MODEL + "solver: {variant: mip_drift, drift: {v: {}}}",
+            "solver.drift.v needs exactly one of 'affine' or 'vectors'",
+        ),
+        (
+            MM1_MODEL + "solver: {variant: mip_drift, drift: {v: {vectors: []}}}",
+            "solver.drift.v.vectors must be a nonempty list",
+        ),
+        # no text: the config path is a directory
+        (None, "cannot read config {cfg}: [Errno 21] Is a directory: '{cfg}'"),
+        # the parser's own report follows on the next lines
+        ("model: {name: mm1", "config {cfg} is not valid YAML: while parsing a flow mapping"),
+        (MM1_MODEL + "compare: lbcl_direct", "compare must be a list of baseline names"),
+    ],
+    ids=[
+        "solver_not_mapping",
+        "solver_unknown_key",
+        "k_set_not_list",
+        "inline_block_not_rows",
+        "inline_no_bandwidth",
+        "inline_no_levels",
+        "inline_offset_outside_band",
+        "inline_no_diagonal",
+        "inline_tail_phases",
+        "drift_v_neither_form",
+        "drift_vectors_empty",
+        "config_unreadable",
+        "config_not_yaml",
+        "compare_not_list",
+    ],
+)
+def test_malformed_config_names_its_cause(tmp_path, capsys, text, message):
+    cfg = tmp_path
+    if text is not None:
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text + "\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "error: " + message.replace("{cfg}", str(cfg))
+
+
+def test_inline_level_leaving_out_an_offset_reads_zero(tmp_path):
+    """A table without an in-band offset gives that block as zeros of the right shape."""
+    cfg = tmp_path / "inline.yaml"
+    cfg.write_text(
+        "model: {inline: {bandwidth: 2, levels: [{'0': [[-1.0]], '1': [[1.0]]}],"
+        " tail: {'-1': [[2.0]], '0': [[-3.0]], '1': [[1.0]]}}}\n"
+    )
+    gen = load_config(cfg).generator
+    np.testing.assert_array_equal(gen.block(0, 2), [[0.0]])
+    np.testing.assert_array_equal(gen.block(3, 5), [[0.0]])
+    np.testing.assert_array_equal(gen.block(3, 4), [[1.0]])
+    approx = solve(gen, SolverOptions(epsilon=1e-8))
+    assert tv_distance(approx.flatten(), oracles.geometric_pi(1.0, 2.0, approx.n)) < 1e-7
+
+
 @pytest.mark.parametrize("key, shown", [("1.5", "1.5"), ("x", "'x'")])
 def test_inline_offset_must_be_an_integer(tmp_path, key, shown):
     cfg = tmp_path / "inline.yaml"

@@ -19,6 +19,7 @@ from bhmc import (
     incoming_support,
     init_state,
     make_heavy_tail_mg1,
+    make_lattice_rw_2d,
     outgoing_support,
     select_pivot,
     select_pivot_drift,
@@ -171,6 +172,29 @@ def test_select_pivot_any_non_finite_candidate_ratio_is_singular_block(bad, wher
     # outside the candidates it is never read
     sel = select_pivot(state, both, _mask(2, {1 - where}))
     assert sel.pivot == 1 - where
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        lambda m: m[:1],
+        lambda m: np.ones(9, bool),
+        lambda m: m.astype(float),
+        lambda m: m[None, :],
+        lambda m: m.tolist(),
+    ],
+    ids=["cut_to_one", "nine_phases", "float", "row_matrix", "list"],
+)
+def test_select_pivot_refuses_masks_of_the_wrong_shape_or_dtype(reshape):
+    # level 4 of the lattice has 5 phases; the full masks pick phase 2
+    gen = make_lattice_rw_2d(1.0, 1.2, 1.0, 1.2)
+    state = drive_to(gen, 4)
+    inc, out = incoming_support(gen, 4), outgoing_support(state, gen)
+    assert select_pivot(state, inc, out).pivot == 2
+    match = r"^I and O must be boolean masks of shape \(5,\) at level 4$"
+    for I, O in ((reshape(inc), out), (inc, reshape(out))):
+        with pytest.raises(PhaseMismatch, match=match):
+            select_pivot(state, I, O)
 
 
 def test_select_pivot_tie_breaks_to_smallest_index():

@@ -59,10 +59,20 @@ def test_init_state_scalar_inverse():
 
 def test_subnormal_level_0_rate_is_refused_at_level_0():
     # the inverse of -block(0, 0) = 1e-310 passes the guard and overflows
-    with pytest.raises(SingularBlock, match="^u_star at level 0 is not finite"):
+    with pytest.raises(SingularBlock, match="^u_star overflowed at level 0;"):
         init_state(make_mm1(1e-310, 2e-310))
-    with pytest.raises(SingularBlock, match="^u_star at level 0 is not finite"):
+    with pytest.raises(SingularBlock, match="^u_star overflowed at level 0;"):
         solve_mip(make_mm1(1e-310, 2e-310))
+
+
+def test_nonpositive_level_0_u_star_is_refused_at_level_0():
+    # block(0, 0) = +0.5 inverts to u_star = -2; level 1 would be positive again
+    mm1 = make_mm1(1.0, 2.0)
+    bad = BlockGenerator(
+        lambda k: 1, lambda k, l: np.array([[0.5]]) if k == l == 0 else mm1.block(k, l), 1
+    )
+    with pytest.raises(SingularBlock, match="^positivity of u_star lost at level 0;"):
+        init_state(bad)
 
 
 def test_init_state_two_phase_adjugate_inverse():

@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidBlock, NotQbd, SingularBlock
-from .generator import BlockGenerator, _as_number, _last_level_vector, principal_submatrix
+from .generator import BlockGenerator, _as_number, _check_generator, _last_level_vector
+from .generator import principal_submatrix
 from .recursions import PIVOT_RTOL, lu_inverse
 
 if TYPE_CHECKING:  # scipy.sparse is imported where it is used, to keep import light
@@ -132,6 +133,7 @@ def bright_taylor(
     (else IndexOutOfRange).  A non-finite ``R_k``, from an inverse past
     double range, raises SingularBlock naming level ``k``.
     """
+    _check_generator(gen)
     if gen.bandwidth != 1:
         raise NotQbd(f"bandwidth must be 1, got {gen.bandwidth}")
     K_star = _as_number(K_star, "K_star", int)

@@ -64,8 +64,10 @@ class BlockGenerator:
         Maps ``(k, l)`` to the ``M_k x M_l`` rate block.  Must return a
         zero matrix for ``l < k - 1`` and, when ``bandwidth`` is set, for
         ``l > k + bandwidth``.  Providers must be pure: repeated calls
-        return identical values.  A solve relies on it: it reuses each
-        block it reads while a later step needs it, and writes into none.
+        return identical values.  A solve relies on it: a step and the
+        checkpoints around it read the same block separately, up to three
+        times.  Nothing in the library writes into a block, so a provider
+        may cache its blocks and hand out the same array each time.
     bandwidth : int, optional
         Upper band limit ``b >= 1`` with ``block(k, l) = 0`` for
         ``l > k + b``, an integer under the rule ``SolverOptions`` reads
@@ -114,7 +116,8 @@ class BlockGenerator:
             b = np.asarray(b, dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidBlock(f"block({k},{l}) is not numeric: {exc}") from exc
-        want = (self.phase_count(k), self.phase_count(l))
+        m = self.phase_count(k)  # a diagonal block makes one phase_count call
+        want = (m, m if l == k else self.phase_count(l))
         if want[0] < 1:
             raise InvalidBlock(f"level {k} has phase_count {want[0]}, expected at least 1")
         if b.shape != want:
@@ -146,6 +149,12 @@ class BlockGenerator:
         raise InvalidBlock(
             f"block column {j} over levels {lo}..{hi} has shape {col.shape}, expected {shape}"
         )
+
+
+def _check_generator(gen) -> None:
+    """Refuse a ``gen`` that is no BlockGenerator with a ConfigError naming its type."""
+    if not isinstance(gen, BlockGenerator):
+        raise ConfigError(f"gen must be a BlockGenerator, got {type(gen).__name__}")
 
 
 @dataclass(frozen=True)
@@ -227,6 +236,7 @@ def validate_proper_q(
         non-finite block entry, or a misshapen or non-numeric block or tail
         column.
     """
+    _check_generator(gen)
     levels, tol = _as_number(levels, "levels", int), _as_number(tol, "tol")
     if levels < 0:
         raise IndexOutOfRange(f"levels must be nonnegative, got {levels}")
@@ -335,6 +345,7 @@ def principal_submatrix(gen: BlockGenerator, n: int) -> PrincipalSubmatrix:
     """
     import scipy.sparse
 
+    _check_generator(gen)
     n = _as_number(n, "n", int)
     offsets = _level_offsets(gen, n)
     rows, cols, vals = map(np.concatenate, zip(*_checked_columns(gen, offsets)))

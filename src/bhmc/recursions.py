@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetri, dlange
 
 from .errors import ConfigError, IndexOutOfRange, PhaseMismatch, SingularBlock
-from .generator import BlockGenerator, _as_number, _lowest_reaching
+from .generator import BlockGenerator, _as_number, _check_generator, _lowest_reaching
 
 __all__ = [
     "RecursionState",
@@ -177,8 +177,9 @@ def init_state(gen: BlockGenerator, K_set=frozenset({0})) -> RecursionState:
     The row sums pass the health test of every level (``_checked``), so a
     subnormal ``block(0, 0)``, whose inverse leaves double range, or a bad
     one that makes ``u_star`` nonpositive raises SingularBlock naming
-    level 0.
+    level 0.  A ``gen`` that is no BlockGenerator raises ConfigError.
     """
+    _check_generator(gen)
     ks = _normalize_k_set(K_set)
     q00 = gen.block_array(0, 0)
     u0 = lu_inverse(-q00, "level 0 exit matrix")
@@ -191,13 +192,14 @@ def _checked(state: RecursionState) -> RecursionState:
     """``state`` once its row sums pass the one health test of every level.
 
     Positivity and finiteness are guaranteed in exact arithmetic; losing
-    them means overflow or accumulated rounding has exhausted double
-    precision at this depth.  One test passes ``u_star`` in ``(0, inf)``
-    and ``u_K`` finite and above ``-1e-12`` times its largest entry; it is
-    false on NaN too.  Only a failing state runs the checks that name the
-    loss.  An extreme is read at argmax/argmin, which land on the first
-    NaN as the min/max reductions propagate it, at a fraction of their
-    call cost.
+    them above level 0 means overflow or accumulated rounding has exhausted
+    double precision at this depth.  Level 0 has accumulated no rounding,
+    so its messages name the inverse of ``-block(0, 0)``, its one input.
+    One test passes ``u_star`` in ``(0, inf)`` and ``u_K`` finite and above
+    ``-1e-12`` times its largest entry; it is false on NaN too.  Only a
+    failing state runs the checks that name the loss.  An extreme is read
+    at argmax/argmin, which land on the first NaN as the min/max
+    reductions propagate it, at a fraction of their call cost.
     """
     u_vec, u_k = state.u_star, state.u_K
     k_top = u_k.item(u_k.argmax())
@@ -206,15 +208,13 @@ def _checked(state: RecursionState) -> RecursionState:
             and u_k.item(u_k.argmin()) >= -1e-12 * (k_top if k_top > 0.0 else 0.0)):
         return state
     if not (np.all(np.isfinite(u_vec)) and np.all(np.isfinite(u_k))):
-        raise SingularBlock(
-            f"u_star overflowed at level {state.n}; the expected sojourn times "
-            "exceed double range at this depth"
-        )
+        cause = ("the expected sojourn times exceed double range at this depth" if state.n
+                 else "the inverse of -block(0, 0) exceeds double range")
+        raise SingularBlock(f"u_star overflowed at level {state.n}; {cause}")
     if not np.all(u_vec > 0.0):
-        raise SingularBlock(
-            f"positivity of u_star lost at level {state.n}; accumulated rounding "
-            "has exhausted double precision at this depth"
-        )
+        cause = ("accumulated rounding has exhausted double precision at this depth" if state.n
+                 else "the inverse of -block(0, 0) has a row sum that is not positive")
+        raise SingularBlock(f"positivity of u_star lost at level {state.n}; {cause}")
     raise SingularBlock(f"positivity of u_star_K lost at level {state.n}")
 
 
@@ -239,6 +239,11 @@ def advance(state: RecursionState, gen: BlockGenerator) -> RecursionState:
     which a finite band applies as two vector products.  The new state
     returns through ``_checked``, the health test ``init_state`` passes
     level 0 through too.
+
+    ``gen`` must be the generator ``state`` was built from, by
+    ``init_state`` and earlier steps; ``init_state`` refuses one that is no
+    BlockGenerator, and a step, which runs once per level, does not test it
+    again.
     """
     n, n1 = state.n, state.n + 1
     lo = _lowest_reaching(gen, n1)

@@ -4,7 +4,9 @@ One loop, ``_drive``, advances the first-exit recursion level by level
 and evaluates a per-variant checkpoint function at the scheduled levels.
 The checkpoint picks the augmentation direction, computes the stopping
 quantity, and hands back a thunk that assembles the blocked approximation
-once the run stops.
+once the run stops.  Steps and checkpoints read every block straight from
+the caller's generator; the solver keeps no block store, so a provider
+whose blocks are costly to build caches them itself.
 
 * ``solve_mip`` (primary): unit-mass pivot maximizing the occupancy
   ratio; stops when the q-weighted residual drops below ``epsilon``.
@@ -22,7 +24,7 @@ once the run stops.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Callable, Iterator
 
@@ -320,31 +322,6 @@ def _step_distance(
     return float(np.abs(np.concatenate(sojourn_rows(prev, gen, d))).sum()) + tail
 
 
-@dataclass(frozen=True)
-class _ReadOnce(BlockGenerator):
-    """The generator of one solve; ``block_array`` keeps the checked blocks in ``memo``.
-
-    Before the step from level ``n``, ``leave(n)`` drops all but what later
-    reads need: ``block(n+1, n)``, read by the checkpoint at ``n`` and the
-    step, and the columns above ``n`` that the drift rule reads ahead, at
-    most ``b * b`` blocks on a band of width ``b``.
-    """
-
-    memo: dict = field(default_factory=dict)
-
-    def block_array(self, k: int, l: int) -> np.ndarray:
-        b = self.memo.get((k, l))
-        if b is None:
-            b = self.memo[k, l] = BlockGenerator.block_array(self, k, l)
-        return b
-
-    def leave(self, n: int) -> None:
-        down = (n + 1, n)
-        for kl in [*self.memo]:  # a copy of the keys, without a comprehension's call
-            if kl[1] <= n and kl != down:
-                del self.memo[kl]
-
-
 Blocks = Callable[[], tuple[np.ndarray, ...]]
 Checkpoint = Callable[[RecursionState, BlockGenerator], tuple[CheckpointRecord, float | None, Blocks]]
 
@@ -358,32 +335,31 @@ def _drive(
     returns the trace record, the stopping quantity and a thunk that
     assembles the blocks at the stop.  The rule holds once the quantity is
     below ``epsilon``; ``None``, the drift rule's first, never holds.  Steps
-    and checkpoints share one ``_ReadOnce``.  The run stops when the rule
-    holds, at ``max_level``, or at an explicit schedule's last level;
-    ``converged`` says whether the rule held.  A numerical failure, level
-    0's included, or a stop without convergence is first traced to the
-    blocks up to level ``n + 1``, read afresh by the checked column walk: a
-    block with a wrong sign or a non-finite entry raises ``InvalidBlock``,
-    caused by the original error if there was one.  A ``gen`` that is no
-    BlockGenerator, or ``opts`` that is no SolverOptions, raises ConfigError
-    naming the argument before level 0.
+    and checkpoints read their blocks from ``gen`` itself, each when it
+    needs one, so a block that a step and the checkpoints around it all
+    read is fetched each time.  The run stops when the rule holds, at
+    ``max_level``, or at an explicit schedule's last level; ``converged``
+    says whether the rule held.  A numerical failure, level 0's included,
+    or a stop without convergence is first traced to the blocks up to
+    level ``n + 1``, read afresh by the checked column walk: a block with a
+    wrong sign or a non-finite entry raises ``InvalidBlock``, caused by the
+    original error if there was one.  ``opts`` that is no SolverOptions
+    raises ConfigError naming it, and so does a ``gen`` that is no
+    BlockGenerator, from ``init_state``; both before level 0.
     """
-    if not isinstance(gen, BlockGenerator):
-        raise ConfigError(f"gen must be a BlockGenerator, got {type(gen).__name__}")
     opts = opts if opts is not None else SolverOptions()
     if not isinstance(opts, SolverOptions):
         raise ConfigError(f"opts must be a SolverOptions, got {type(opts).__name__}")
-    reads = _ReadOnce(*(getattr(gen, f.name) for f in fields(BlockGenerator)))
     schedule = opts.checkpoint_schedule.iterate(max(max(opts.K_set), 1))
     next_cp = next(schedule, None)
     trace: deque[CheckpointRecord] = deque(maxlen=TRACE_LIMIT)
     state = None
     try:
-        state = init_state(reads, opts.K_set)
+        state = init_state(gen, opts.K_set)
         while True:
             at_cap = state.n >= opts.max_level
             if state.n == next_cp or at_cap:
-                record, value, blocks = checkpoint(state, reads)
+                record, value, blocks = checkpoint(state, gen)
                 trace.append(record)
                 next_cp = next(schedule, None)
                 done = value is not None and value < opts.epsilon
@@ -398,8 +374,7 @@ def _drive(
                         converged=done,
                         variant=variant,
                     )
-            reads.leave(state.n)
-            state = advance(state, reads)
+            state = advance(state, gen)
     except BhmcError as exc:
         if isinstance(exc, (ConfigError, InvalidBlock)):
             raise

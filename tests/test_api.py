@@ -196,6 +196,15 @@ MM1 = make_mm1(1.0, 2.0)
         # a driver refuses a mistyped argument by name before level 0
         (lambda: solve_mip(MM1, {}), "^opts must be a SolverOptions, got dict$"),
         (lambda: solve_mip("mm1"), "^gen must be a BlockGenerator, got str$"),
+        # so does every library entry point that reads a generator first
+        (lambda: init_state("mm1"), "^gen must be a BlockGenerator, got str$"),
+        (lambda: principal_submatrix("mm1", 3), "^gen must be a BlockGenerator, got str$"),
+        (
+            lambda: lbcl_direct("mm1", 3, np.array([1.0])),
+            "^gen must be a BlockGenerator, got str$",
+        ),
+        (lambda: validate_proper_q("mm1", 3), "^gen must be a BlockGenerator, got str$"),
+        (lambda: bright_taylor("mm1", 3), "^gen must be a BlockGenerator, got str$"),
         (lambda: solve_mip_drift(MM1, None), "^variant mip_drift needs a drift"),
         (lambda: solve_mip_drift(MM1, "v"), "^cert must be a DriftCertificate"),
         (
@@ -232,6 +241,11 @@ MM1 = make_mm1(1.0, 2.0)
         "schedule_levels_empty",
         "solve_mip_opts_dict",
         "solve_mip_gen_str",
+        "init_state_gen_str",
+        "principal_submatrix_gen_str",
+        "lbcl_direct_gen_str",
+        "validate_gen_str",
+        "bright_taylor_gen_str",
         "drift_cert_none",
         "drift_cert_str",
         "fixed_direction_array",

@@ -57,11 +57,16 @@ def test_init_state_scalar_inverse():
     np.testing.assert_allclose(state.U_star, [[0.25]])
 
 
+LEVEL_0_OVERFLOW = (
+    r"^u_star overflowed at level 0; the inverse of -block\(0, 0\) exceeds double range$"
+)
+
+
 def test_subnormal_level_0_rate_is_refused_at_level_0():
     # the inverse of -block(0, 0) = 1e-310 passes the guard and overflows
-    with pytest.raises(SingularBlock, match="^u_star overflowed at level 0;"):
+    with pytest.raises(SingularBlock, match=LEVEL_0_OVERFLOW):
         init_state(make_mm1(1e-310, 2e-310))
-    with pytest.raises(SingularBlock, match="^u_star overflowed at level 0;"):
+    with pytest.raises(SingularBlock, match=LEVEL_0_OVERFLOW):
         solve_mip(make_mm1(1e-310, 2e-310))
 
 
@@ -71,7 +76,11 @@ def test_nonpositive_level_0_u_star_is_refused_at_level_0():
     bad = BlockGenerator(
         lambda k: 1, lambda k, l: np.array([[0.5]]) if k == l == 0 else mm1.block(k, l), 1
     )
-    with pytest.raises(SingularBlock, match="^positivity of u_star lost at level 0;"):
+    with pytest.raises(
+        SingularBlock,
+        match=r"^positivity of u_star lost at level 0; "
+        r"the inverse of -block\(0, 0\) has a row sum that is not positive$",
+    ):
         init_state(bad)
 
 

@@ -416,24 +416,30 @@ def test_calls_per_level_stay_at_the_recorded_count():
     The levels 101..200 of a ``make_mm1(0.98, 1)`` solve forced to level
     200 (it does not converge there, so the checked walk over the blocks
     runs too) made 14227 Python and C calls before the level went to its
-    numpy-call floor, 13327 after, and 11527 once a 1x1 exit matrix was
-    inverted by one division, the catalog served its level-independent
-    blocks built once and ``_ReadOnce.leave`` lost its comprehension.  An
-    extreme read at argmax or argmin counts two calls where a reduction
-    counted one, for about a third of its time.  Calls into LAPACK's f2py
+    numpy-call floor, 13327 after, 11527 once a 1x1 exit matrix was
+    inverted by one division and the catalog served its level-independent
+    blocks built once, and 11227 once the solve read its blocks straight
+    from the generator, without a per-solve block store, and
+    ``block_array`` read one phase count for a diagonal block.  An extreme
+    read at argmax or argmin counts two calls where a reduction counted
+    one, for about a third of its time.  Calls into LAPACK's f2py
     wrappers are no C-function calls to the profiler and go uncounted.
     The count includes numpy's own Python wrappers, so a numpy or Python
     upgrade (this was recorded with numpy 2.4, Python 3.11) means
     re-recording it.
     """
-    assert _calls_of_levels_101_to_200(lambda: make_mm1(0.98, 1.0)) <= 11527
+    assert _calls_of_levels_101_to_200(lambda: make_mm1(0.98, 1.0)) <= 11227
 
 
 def test_calls_per_infinite_band_level_stay_at_the_recorded_count():
     """The same tripwire on the infinite band, ``make_heavy_tail_mg1(1, 1)``.
 
-    Its levels 101..200 made 10831 calls before those three changes and
-    10131 after; the checked walk reads its columns from ``column_blocks``.
+    Its levels 101..200 made 10831 calls before the scalar inverse and the
+    shared catalog blocks and 10131 after; the checked walk reads its
+    columns from ``column_blocks``.  Reading the blocks without a store
+    made 10231, since the provider reads it brings back cost more calls
+    than the store's work, and 10131 again once ``block_array`` read one
+    phase count for a diagonal block.
     """
     assert _calls_of_levels_101_to_200(lambda: make_heavy_tail_mg1(1.0, 1.0)) <= 10131
 
@@ -602,7 +608,13 @@ def _with_block(gen, wrap):
 
 
 @pytest.mark.parametrize("model", sorted(READ_MODELS))
-def test_a_solve_fetches_each_block_once(model):
+def test_a_solve_reads_each_block_at_most_three_times(model):
+    """A solve keeps no block store, but no sweep re-reads the window either.
+
+    ``block(n+1, n)`` is read by the checkpoint at ``n``, the step and the
+    checkpoint at ``n + 1``, and no block or column more often; the fixed
+    direction, whose checkpoint reads no block, reads each exactly once.
+    """
     gen = READ_MODELS[model]()
     for name, run in _drivers(gen, SolverOptions(epsilon=1e-6)).items():
         fetched = Counter()
@@ -612,8 +624,9 @@ def test_a_solve_fetches_each_block_once(model):
             return b
 
         assert run(_with_block(gen, count)).converged, name
-        again = sorted(key for key, calls in fetched.items() if calls > 1)
-        assert fetched and not again, f"{name} fetched {again} more than once"
+        most = 1 if name == "solve_fixed_direction" else 3
+        over = sorted(key for key, calls in fetched.items() if calls > most)
+        assert fetched and not over, f"{name} read {over} more than {most} times"
 
 
 def _read_only(_key, b):

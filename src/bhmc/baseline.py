@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidBlock, NotQbd, SingularBlock
-from .generator import BlockGenerator, _as_number, _check_generator, _last_level_vector
+from .generator import BlockGenerator, _as_floats, _as_number, _check_generator, _last_level_vector
 from .generator import principal_submatrix
 from .recursions import PIVOT_RTOL, lu_inverse
 
@@ -193,10 +193,7 @@ def brute_force_stationary(
     """
     import scipy.sparse
 
-    try:
-        q = q_hat if scipy.sparse.issparse(q_hat) else np.asarray(q_hat, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidBlock(f"generator is not numeric: {exc}") from exc
+    q = q_hat if scipy.sparse.issparse(q_hat) else _as_floats(q_hat, InvalidBlock, "generator")
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] == 0:
         raise InvalidBlock(f"expected a nonempty square matrix, got shape {q.shape}")
     return _null_left_vector(q)

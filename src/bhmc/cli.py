@@ -25,7 +25,7 @@ import yaml
 
 from . import baseline
 from .errors import BhmcError, ConfigError
-from .generator import BlockGenerator, _as_number, _check_levels
+from .generator import BlockGenerator, _as_floats, _as_number, _check_levels
 from .generator import lbcl_augment, principal_submatrix, validate_proper_q
 from .lfp import DriftCertificate
 from .models import build_model
@@ -97,15 +97,8 @@ def _int_list(value: Any, name: Callable[[str], str], key: str) -> list[int]:
     return [_number(x, name(f"{key}[{i}]"), int) for i, x in enumerate(value)]
 
 
-def _array(node: Any, where: str) -> np.ndarray:
-    try:
-        return np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} is not numeric: {exc}") from exc
-
-
 def _matrix(node: Any, where: str) -> np.ndarray:
-    m = _array(node, where)
+    m = _as_floats(node, ConfigError, where)
     if m.ndim != 2:
         raise ConfigError(f"{where} must be a nested (row-major) array of rows")
     return m
@@ -228,7 +221,8 @@ def _build_cert(node: Any, gen: BlockGenerator) -> DriftCertificate:
         raw = v_node["vectors"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("solver.drift.v.vectors must be a nonempty list")
-        vectors = [_array(v, f"solver.drift.v.vectors[{l}]") for l, v in enumerate(raw)]
+        vectors = [_as_floats(v, ConfigError, f"solver.drift.v.vectors[{l}]")
+                   for l, v in enumerate(raw)]
 
         def v_blocks(l: int) -> np.ndarray:
             if l >= len(vectors):
@@ -271,7 +265,7 @@ def load_config(path: str | Path) -> RunConfig:
     cert = _build_cert(sol["drift"], gen) if "drift" in sol else None
     direction = None
     if "varpi" in sol:
-        direction = FixedDirection(_array(sol["varpi"], "solver.varpi"))
+        direction = FixedDirection(_as_floats(sol["varpi"], ConfigError, "solver.varpi"))
     _check_variant(variant, cert, direction)
 
     compare = raw.get("compare", [])

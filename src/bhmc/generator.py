@@ -52,6 +52,23 @@ def _as_number(value, where: str, kind: type = float):
     raise ConfigError(f"{where} must be {what}, got {value!r}")
 
 
+def _as_floats(value, error: type, what: str) -> np.ndarray:
+    """``value`` as a float array, or ``error`` saying ``what`` is not numeric.
+
+    The one reader of array input on paths that run once per call: a
+    config's arrays, a tail column, a distribution, a seed, a generator
+    handed to a baseline and the vectors of a distance.  The readers that
+    run per level or per checkpoint, ``block_array``, ``block_column`` and
+    ``DriftCertificate.v``, convert inline instead: there a call to this
+    one would add to the calls per level, and its ``what``, which names the
+    level, would be formatted on every read rather than on a failing one.
+    """
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} is not numeric: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class BlockGenerator:
     """Callback view of a level-blocked generator matrix.
@@ -253,10 +270,7 @@ def validate_proper_q(
     offsets = offsets[: levels + 2]
     rows = rows[: offsets[-1]]
     if gen.bandwidth is None:
-        try:
-            tail = np.asarray(gen.tail_column(levels, 0, levels), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidBlock(f"tail_column is not numeric: {exc}") from exc
+        tail = _as_floats(gen.tail_column(levels, 0, levels), InvalidBlock, "tail_column")
         if tail.shape != rows.shape:
             raise InvalidBlock(f"tail_column has shape {tail.shape}, expected {rows.shape}")
         rows = rows + tail
@@ -358,10 +372,7 @@ def check_distribution(
     alpha: np.ndarray, size: int | None, tol: float = 1e-12, what: str = "distribution"
 ) -> np.ndarray:
     """Validate a probability vector of length ``size`` (any if None); errors name it ``what``."""
-    try:
-        a = np.asarray(alpha, dtype=float).ravel()
-    except (TypeError, ValueError) as exc:
-        raise BadDistribution(f"{what} is not numeric: {exc}") from exc
+    a = _as_floats(alpha, BadDistribution, what).ravel()
     if size is not None and a.shape != (size,):
         raise BadDistribution(f"{what} has length {a.size}, expected {size}")
     if np.any(a < 0.0) or not np.all(np.isfinite(a)):
@@ -387,10 +398,13 @@ def lbcl_augment(
     The row deficits (the negated row sums of the principal submatrix) are
     distributed over the last block's columns according to ``alpha_n``,
     producing a finite proper generator with zero row sums, returned as a
-    sparse CSR array.  Only rows with a nonzero deficit change.
+    sparse CSR array.  Only rows with a nonzero deficit change.  A ``sub``
+    that is no PrincipalSubmatrix raises ConfigError.
     """
     import scipy.sparse
 
+    if not isinstance(sub, PrincipalSubmatrix):
+        raise ConfigError(f"sub must be a PrincipalSubmatrix, got {type(sub).__name__}")
     target = _last_level_vector(sub, alpha_n)
     deficit = -sub.data.sum(axis=1)
     # a sparse outer product forms only the nonzero deficit x alpha entries

@@ -105,8 +105,13 @@ def incoming_support(gen: BlockGenerator, n: int) -> np.ndarray:
 
     Uses exact column sums of ``block(n+1, n)``: entries are model data,
     not computed quantities, so no tolerance applies.  Entry ``i`` of the
-    boolean mask is true when phase ``i`` is in the support.
+    boolean mask is true when phase ``i`` is in the support.  A negative
+    ``n`` raises IndexOutOfRange by one comparison.  Whether ``n`` is an
+    integer is not tested: this runs at every checkpoint, as ``advance``,
+    which runs at every level, does not test its generator either.
     """
+    if n < 0:
+        raise IndexOutOfRange(f"incoming support is undefined at level {n}")
     return np.add.reduce(gen.block_array(n + 1, n), 0) > 0.0
 
 

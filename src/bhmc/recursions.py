@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetri, dlange
 
 from .errors import ConfigError, IndexOutOfRange, PhaseMismatch, SingularBlock
-from .generator import BlockGenerator, _as_number, _check_generator, _lowest_reaching
+from .generator import BlockGenerator, _as_floats, _as_number, _check_generator, _lowest_reaching
 
 __all__ = [
     "RecursionState",
@@ -288,28 +288,42 @@ def _chain(node: tuple | None) -> Iterator[np.ndarray]:
         yield factor
 
 
+def _walk(state: RecursionState, gen: BlockGenerator, x: np.ndarray | None, stop: int = 0) -> tuple:
+    """Rows ``x @ sojourn_matrix(state, gen, k)``, ``k = stop..n``; ``x = None`` gives the matrices.
+
+    The window's rows are ``x @ W`` split by level, or with ``x = None``
+    the column slices of ``W`` itself: no identity product is formed, so a
+    window member keeps the bits, and the memory, of ``W``.  Below the
+    window one backward sweep continues from the lowest of them,
+    ``x_{k-1} = x_k @ T_k``, down to level ``stop``, and every row on the
+    way is kept.
+    """
+    lo = _lowest_reaching(gen, state.n + 1)
+    row = state.W if x is None else x @ state.W
+    widths = map(gen.phase_count, range(lo, state.n + 1))
+    rows = [row[..., a:b] for a, b in pairwise(accumulate(widths, initial=0))]
+    # the chain starts at T_n; the factors of the window levels are skipped
+    factors = islice(_chain(state.factors), state.n - lo, state.n - stop)
+    below = list(accumulate(factors, np.matmul, initial=rows[0]))[1:]
+    return (*below[::-1], *rows[max(stop - lo, 0) :])
+
+
 def sojourn_matrix(state: RecursionState, gen: BlockGenerator, k: int) -> np.ndarray:
     """Expected-sojourn matrix for level ``k``.
 
     Entry ``(i, j)`` is the expected total time spent in ``(k, j)`` before
     the chain first visits any level above ``n``, starting from ``(n, i)``.
-    A window level's matrix is a column slice of ``W``; a lower level's is
-    the window's lowest member multiplied down through the step factors.
+    A window level's matrix is a column slice of ``W``, sharing its memory;
+    a lower level's is the window's lowest member multiplied down through
+    the step factors, the walk ``sojourn_rows`` takes with a seed.  The
+    walk builds every member from ``k`` up to ``n`` and returns this one.
     A ``k`` that is no integer raises ConfigError, one outside ``0..n``
     IndexOutOfRange.
     """
     k = _as_number(k, "k", int)
     if not 0 <= k <= state.n:
         raise IndexOutOfRange(f"level {k} outside 0..{state.n}")
-    lo = _lowest_reaching(gen, state.n + 1)
-    if k >= lo:
-        start = sum(map(gen.phase_count, range(lo, k)))
-        return state.W[:, start : start + gen.phase_count(k)]
-    # the chain starts at T_n; the factors of the window levels are skipped
-    product = state.W[:, : gen.phase_count(lo)]
-    for factor in islice(_chain(state.factors), state.n - lo, state.n - k):
-        product = product @ factor
-    return product
+    return _walk(state, gen, None, k)[0]
 
 
 def sojourn_rows(
@@ -317,21 +331,14 @@ def sojourn_rows(
 ) -> tuple[np.ndarray, ...]:
     """Rows ``seed @ sojourn_matrix(state, gen, k)`` for ``k = 0..n``.
 
-    The window's rows are ``seed @ W``, split by level.  Below the window
-    one backward sweep continues from the lowest of them,
-    ``x_{k-1} = x_k @ T_k``, so each lower level costs one row-matrix
-    product.  A seed with ``seed @ u_star = 1`` gives rows summing to one;
-    one that is not numeric, or not of length ``M_n``, raises PhaseMismatch.
+    The window's rows are ``seed @ W``, split by level, and each lower
+    level costs one row-matrix product of the same walk down the step
+    factors that ``sojourn_matrix`` takes.  A seed with
+    ``seed @ u_star = 1`` gives rows summing to one; one that is not
+    numeric, or not of length ``M_n``, raises PhaseMismatch.
     """
-    m, lo = state.W.shape[0], _lowest_reaching(gen, state.n + 1)
-    try:
-        seed = np.asarray(seed, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise PhaseMismatch(f"seed is not numeric: {exc}") from exc
+    m = state.W.shape[0]
+    seed = _as_floats(seed, PhaseMismatch, "seed")
     if seed.shape != (m,):
         raise PhaseMismatch(f"seed has shape {seed.shape}, but level {state.n} has {m} phases")
-    row, widths = seed @ state.W, map(gen.phase_count, range(lo, state.n + 1))
-    rows = [row[a:b] for a, b in pairwise(accumulate(widths, initial=0))]
-    factors = islice(_chain(state.factors), state.n - lo, None)
-    below = list(accumulate(factors, np.matmul, initial=rows[0]))[1:]
-    return (*below[::-1], *rows)
+    return _walk(state, gen, seed)

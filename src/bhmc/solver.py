@@ -39,7 +39,7 @@ from .errors import (
     PhaseMismatch,
     SingularBlock,
 )
-from .generator import BlockGenerator, _as_number, _check_levels, check_distribution
+from .generator import BlockGenerator, _as_floats, _as_number, _check_levels, check_distribution
 from .lfp import (
     DriftCertificate,
     PivotSelection,
@@ -255,11 +255,8 @@ def tv_distance(h1, h2) -> float:
     mass.  A vector that is not numeric, or has an entry that is NaN or
     infinite (``None`` reads as NaN), raises BadDistribution.
     """
-    try:
-        a = np.asarray(h1, dtype=float).ravel()
-        b = np.asarray(h2, dtype=float).ravel()
-    except (TypeError, ValueError) as exc:
-        raise BadDistribution(f"tv_distance needs numeric vectors: {exc}") from exc
+    a = _as_floats(h1, BadDistribution, "tv_distance's first vector").ravel()
+    b = _as_floats(h2, BadDistribution, "tv_distance's second vector").ravel()
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise BadDistribution("tv_distance needs finite vectors")
     # dot products with ones, not .sum(): the summation order fixes the

@@ -31,7 +31,9 @@ from bhmc import (
     SolverOptions,
     bright_taylor,
     brute_force_stationary,
+    incoming_support,
     init_state,
+    lbcl_augment,
     lbcl_direct,
     make_heavy_tail_mg1,
     make_lattice_rw_2d,
@@ -102,36 +104,58 @@ def test_import_leaves_sparse_solvers_unloaded():
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, message",
     [
-        (lambda gen: principal_submatrix(gen, -1), IndexOutOfRange),
-        (lambda gen: lbcl_direct(gen, -1, np.array([1.0])), IndexOutOfRange),
-        (lambda gen: bright_taylor(gen, -1), IndexOutOfRange),
-        (lambda gen: brute_force_stationary(np.ones(3)), InvalidBlock),
-        (lambda gen: init_state(gen, []), ConfigError),
-        (lambda gen: init_state(gen, ["x"]), ConfigError),
-        (lambda gen: SolverOptions(max_level="9"), ConfigError),
-        (lambda gen: SolverOptions(epsilon=None), ConfigError),
-        (lambda gen: CheckpointSchedule(kind="arithmetic", stride="2"), ConfigError),
-        (lambda gen: CheckpointSchedule(kind="geometric", factor="2"), ConfigError),
-        (lambda gen: CheckpointSchedule(kind="explicit", levels=("a",)), ConfigError),
-        (lambda gen: tv_distance(["x"], [1.0]), BadDistribution),
-        (lambda gen: brute_force_stationary([["a"]]), InvalidBlock),
-        (lambda gen: sojourn_rows(init_state(gen), gen, np.array(["a"])), PhaseMismatch),
-        (lambda gen: residual_q_norm(init_state(gen), 0.5), IndexOutOfRange),
+        (lambda gen: principal_submatrix(gen, -1), IndexOutOfRange, None),
+        (lambda gen: lbcl_direct(gen, -1, np.array([1.0])), IndexOutOfRange, None),
+        (lambda gen: bright_taylor(gen, -1), IndexOutOfRange, None),
+        (lambda gen: brute_force_stationary(np.ones(3)), InvalidBlock, None),
+        (lambda gen: init_state(gen, []), ConfigError, None),
+        (lambda gen: init_state(gen, ["x"]), ConfigError, None),
+        (lambda gen: SolverOptions(max_level="9"), ConfigError, None),
+        (lambda gen: SolverOptions(epsilon=None), ConfigError, None),
+        (lambda gen: CheckpointSchedule(kind="arithmetic", stride="2"), ConfigError, None),
+        (lambda gen: CheckpointSchedule(kind="geometric", factor="2"), ConfigError, None),
+        (lambda gen: CheckpointSchedule(kind="explicit", levels=("a",)), ConfigError, None),
+        (
+            lambda gen: tv_distance(["x"], [1.0]),
+            BadDistribution,
+            "^tv_distance's first vector is not numeric: could not convert",
+        ),
+        (
+            lambda gen: brute_force_stationary([["a"]]),
+            InvalidBlock,
+            "^generator is not numeric: could not convert",
+        ),
+        (
+            lambda gen: sojourn_rows(init_state(gen), gen, np.array(["a"])),
+            PhaseMismatch,
+            "^seed is not numeric: could not convert",
+        ),
+        (lambda gen: residual_q_norm(init_state(gen), 0.5), IndexOutOfRange, None),
         # a model rate is a number but no bool, as every library number is
-        (lambda gen: make_mm1("1", 2), BadRates),
-        (lambda gen: make_mm1(None, 2), BadRates),
-        (lambda gen: make_mm1(True, 2), BadRates),
-        (lambda gen: make_heavy_tail_mg1("2"), BadRates),
-        (lambda gen: make_lattice_rw_2d(1, "x", 1, 1.2), BadRates),
-        (lambda gen: make_mmc(1, 1, "3"), BadRates),
-        (lambda gen: make_mmc(1, 1, True), BadRates),
+        (lambda gen: make_mm1("1", 2), BadRates, None),
+        (lambda gen: make_mm1(None, 2), BadRates, None),
+        (lambda gen: make_mm1(True, 2), BadRates, None),
+        (lambda gen: make_heavy_tail_mg1("2"), BadRates, None),
+        (lambda gen: make_lattice_rw_2d(1, "x", 1, 1.2), BadRates, None),
+        (lambda gen: make_mmc(1, 1, "3"), BadRates, None),
+        (lambda gen: make_mmc(1, 1, True), BadRates, None),
+        (
+            lambda gen: tv_distance([1.0], ["y"]),
+            BadDistribution,
+            "^tv_distance's second vector is not numeric: could not convert",
+        ),
+        (
+            lambda gen: incoming_support(gen, -5),
+            IndexOutOfRange,
+            "^incoming support is undefined at level -5$",
+        ),
         # None reads as NaN; a NaN or infinite entry has no distance
-        (lambda gen: tv_distance(None, [1.0]), BadDistribution),
-        (lambda gen: tv_distance([1.0], [np.nan]), BadDistribution),
-        (lambda gen: tv_distance([np.inf], [1.0]), BadDistribution),
-        (lambda gen: brute_force_stationary(np.full((2, 2), np.nan)), SingularBlock),
+        (lambda gen: tv_distance(None, [1.0]), BadDistribution, None),
+        (lambda gen: tv_distance([1.0], [np.nan]), BadDistribution, None),
+        (lambda gen: tv_distance([np.inf], [1.0]), BadDistribution, None),
+        (lambda gen: brute_force_stationary(np.full((2, 2), np.nan)), SingularBlock, None),
     ],
     ids=[
         "principal_submatrix",
@@ -156,14 +180,16 @@ def test_import_leaves_sparse_solvers_unloaded():
         "lattice_rate_str",
         "mmc_servers_str",
         "mmc_servers_bool",
+        "tv_distance_second_str",
+        "incoming_support_negative",
         "tv_distance_none",
         "tv_distance_nan",
         "tv_distance_inf",
         "brute_force_nan",
     ],
 )
-def test_invalid_argument_is_bhmc_error(call, error):
-    with pytest.raises(error):
+def test_invalid_argument_is_bhmc_error(call, error, message):
+    with pytest.raises(error, match=message):
         call(make_mm1(1.0, 2.0))
 
 
@@ -205,6 +231,7 @@ MM1 = make_mm1(1.0, 2.0)
         ),
         (lambda: validate_proper_q("mm1", 3), "^gen must be a BlockGenerator, got str$"),
         (lambda: bright_taylor("mm1", 3), "^gen must be a BlockGenerator, got str$"),
+        (lambda: lbcl_augment("x", np.ones(1)), "^sub must be a PrincipalSubmatrix, got str$"),
         (lambda: solve_mip_drift(MM1, None), "^variant mip_drift needs a drift"),
         (lambda: solve_mip_drift(MM1, "v"), "^cert must be a DriftCertificate"),
         (
@@ -246,6 +273,7 @@ MM1 = make_mm1(1.0, 2.0)
         "lbcl_direct_gen_str",
         "validate_gen_str",
         "bright_taylor_gen_str",
+        "lbcl_augment_sub_str",
         "drift_cert_none",
         "drift_cert_str",
         "fixed_direction_array",

@@ -503,6 +503,18 @@ MM1_MODEL = "model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\n"
             "model.inline.levels[0][0] must be a nested (row-major) array of rows",
         ),
         (
+            "model: {inline: {bandwidth: 1, levels: [{'0': [[-1.0]], '1': [[x]]}]}}",
+            "model.inline.levels[0][1] is not numeric: could not convert string to float: 'x'",
+        ),
+        (
+            MM1_MODEL + "solver: {variant: fixed_direction, varpi: abc}",
+            "solver.varpi is not numeric: could not convert string to float: 'abc'",
+        ),
+        (
+            MM1_MODEL + "solver: {variant: mip_drift, drift: {v: {vectors: [abc]}}}",
+            "solver.drift.v.vectors[0] is not numeric: could not convert string to float: 'abc'",
+        ),
+        (
             "model: {inline: {levels: [{'0': [[-1.0]]}]}}",
             "model.inline needs 'bandwidth' and 'levels'",
         ),
@@ -539,6 +551,9 @@ MM1_MODEL = "model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\n"
         "solver_unknown_key",
         "k_set_not_list",
         "inline_block_not_rows",
+        "inline_block_not_numeric",
+        "varpi_not_numeric",
+        "drift_vector_not_numeric",
         "inline_no_bandwidth",
         "inline_no_levels",
         "inline_offset_outside_band",

@@ -605,6 +605,19 @@ def test_product_form_matches_family_oracle(catalog):
                 assert close(rows[k], seed @ family[k]), (name, n, k)
 
 
+def test_window_member_is_w_itself_and_lower_members_walk_down():
+    """A window level reads its columns of ``W``, with no identity product; a lower one walks."""
+    gen = random_banded(3, 2, seed=5)
+    state = drive_to(gen, 8)
+    family = oracles.family_blocks(gen, 8)[0]
+    for k in range(6, 9):  # the levels that reach column 9
+        assert np.shares_memory(sojourn_matrix(state, gen, k), state.W), k
+    for k in range(6):
+        got = sojourn_matrix(state, gen, k)
+        assert not np.shares_memory(got, state.W), k
+        assert np.abs(got - family[k]).max() <= 1e-13 * max(1.0, np.abs(family[k]).max()), k
+
+
 def test_recursion_error_against_mp_reference(catalog):
     """The float64 family and ``u_star`` are within ``4 eps u_star.max()`` of 40 digits.
 

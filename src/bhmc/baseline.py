@@ -40,11 +40,14 @@ class BrightTaylorResult:
     """Blocked stationary approximation plus the rate matrices behind it.
 
     ``R[k-1]`` is the backward-recursed rate matrix ``R_k`` that carries
-    ``blocks[k-1]`` to ``blocks[k]``, for ``k = 1..K_star``.
+    ``blocks[k-1]`` to ``blocks[k]``, for ``k = 1..K_star``.  ``tail_mass``
+    is the mass of the levels ``K_star+1..K_star+tail_levels``, whose
+    blocks are not kept; the blocks and ``tail_mass`` sum to one.
     """
 
     blocks: tuple[np.ndarray, ...]
     R: tuple[np.ndarray, ...]
+    tail_mass: float
 
     def flatten(self) -> np.ndarray:
         return np.concatenate(self.blocks)
@@ -123,15 +126,23 @@ def bright_taylor(
     """Classical backward R-matrix approximation for block-tridiagonal chains.
 
     The recursion ``R_k = block(k-1, k) @ inv(-block(k, k) - R_{k+1} @
-    block(k+1, k))`` starts from a zero matrix placed ``tail_levels``
-    levels above ``K_star``; the extra burn-in sharpens the retained
-    ``R_1..R_{K_star}``.  The boundary vector solves the censored balance
-    equation at level 0 and the blocks ``pi_0 @ R_1 @ ... @ R_k`` are
-    normalized over levels ``0..K_star``, which biases mass slightly
-    upward relative to the untruncated normalization.  ``K_star`` and
-    ``tail_levels`` must be integers (else ConfigError) and nonnegative
-    (else IndexOutOfRange).  A non-finite ``R_k``, from an inverse past
-    double range, raises SingularBlock naming level ``k``.
+    block(k+1, k))`` starts from a zero matrix at level
+    ``top = K_star + tail_levels``; the extra burn-in sharpens the retained
+    ``R_1..R_{K_star}``.  The levels above ``K_star`` keep no matrix: on
+    the way down they fold into one vector, ``h = R_k @ (1 + h)`` from
+    ``h = 0`` at ``top``, a sum of nonnegative terms, and
+    ``blocks[K_star] @ h`` is the mass of those levels.  The boundary
+    vector solves the censored balance equation at level 0, and the
+    blocks ``pi_0 @ R_1 @ ... @ R_k`` are normalized over levels
+    ``0..top``, tail included, which biases mass slightly upward relative
+    to the untruncated normalization; ``tail_mass`` is the tail's share.
+    With ``tail_levels = 0`` the tail is empty and the blocks are
+    normalized over ``0..K_star``.  ``K_star`` and ``tail_levels`` must be
+    integers (else ConfigError) and nonnegative (else IndexOutOfRange).  A
+    non-finite ``R_k``, from an inverse past double range, raises
+    SingularBlock naming level ``k``, and a mass of levels ``0..top``
+    past double range, in the kept blocks or in the tail, raises
+    SingularBlock too.
     """
     _check_generator(gen)
     if gen.bandwidth != 1:
@@ -142,6 +153,7 @@ def bright_taylor(
         raise IndexOutOfRange("K_star and tail_levels must be nonnegative")
     top = K_star + tail_levels
     r = np.zeros((gen.phase_count(top), gen.phase_count(top + 1)))  # R_{top+1}
+    h = np.zeros(r.shape[0])  # pi_top @ h is the mass above level top: none
     kept, failed, k = [], None, 1
     try:
         for k in range(top, 0, -1):
@@ -149,6 +161,9 @@ def bright_taylor(
             r = gen.block_array(k - 1, k) @ lu_inverse(core, f"R recursion at level {k}")
             if k <= K_star:
                 kept.append(r)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+                    h = r @ (1.0 + h)
     except SingularBlock as exc:  # raised too by the core that reads a non-finite R_{k+1}
         failed, k = exc, k + 1
     if not np.isfinite(r).all():  # that R_k, or R_1, which no core reads
@@ -157,9 +172,13 @@ def bright_taylor(
         raise failed
     pi0 = _null_left_vector(gen.block_array(0, 0) + r @ gen.block_array(1, 0))
     R = kept[::-1]
-    blocks = list(accumulate(R, np.matmul, initial=pi0))
-    total = sum(b.sum() for b in blocks)
-    return BrightTaylorResult(blocks=tuple(b / total for b in blocks), R=tuple(R))
+    with np.errstate(over="ignore", invalid="ignore"):  # a mass past double range raises below
+        blocks = list(accumulate(R, np.matmul, initial=pi0))
+        tail = blocks[-1] @ h
+        total = sum(b.sum() for b in blocks) + tail  # + 0.0 without a tail: the same bits
+    if not np.isfinite(total):  # nor then is the tail, a nonnegative part of it
+        raise SingularBlock(f"R recursion: the mass of levels 0..{top} is not finite")
+    return BrightTaylorResult(tuple(b / total for b in blocks), tuple(R), float(tail / total))
 
 
 def _null_left_vector(matrix: np.ndarray | scipy.sparse.sparray) -> np.ndarray:

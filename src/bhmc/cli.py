@@ -363,16 +363,17 @@ def _comparisons(cfg: RunConfig, approx: Approximation) -> dict[str, dict]:
     else:
         alpha = np.eye(len(approx.blocks[approx.n]))[pivot]
     for name in cfg.compare:
-        depth = approx.n
+        depth, overhang = approx.n, 0.0
         if name == "lbcl_direct":
             other = baseline.lbcl_direct(cfg.generator, depth, alpha)
         elif name == "brute_force":
             sub = principal_submatrix(cfg.generator, depth)
             other = baseline.brute_force_stationary(lbcl_augment(sub, alpha))
-        else:  # bright_taylor
+        else:  # bright_taylor over levels 0..3n: the levels above n count by their mass
             depth = 3 * approx.n
-            other = baseline.bright_taylor(cfg.generator, depth).flatten()
-        results[name] = {"depth": depth, "tv_distance": float(tv_distance(flat, other))}
+            bt = baseline.bright_taylor(cfg.generator, approx.n, depth - approx.n)
+            other, overhang = bt.flatten(), bt.tail_mass
+        results[name] = {"depth": depth, "tv_distance": float(tv_distance(flat, other) + overhang)}
     return results
 
 

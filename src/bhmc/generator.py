@@ -169,9 +169,18 @@ class BlockGenerator:
 
 
 def _check_generator(gen) -> None:
-    """Refuse a ``gen`` that is no BlockGenerator with a ConfigError naming its type."""
+    """Refuse a ``gen`` that is no BlockGenerator with a ConfigError naming its type.
+
+    Its ``phase_count(0)`` must be an integer too, else ConfigError naming
+    ``phase_count``: a float or a text count would otherwise fail deep in a
+    solve as a bare TypeError.  Only level 0 is read, once per call; the
+    per-level readers test no type, since that would add to every level.
+    """
     if not isinstance(gen, BlockGenerator):
         raise ConfigError(f"gen must be a BlockGenerator, got {type(gen).__name__}")
+    m = gen.phase_count(0)
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+        raise ConfigError(f"phase_count must return an integer, got {m!r} at level 0")
 
 
 @dataclass(frozen=True)

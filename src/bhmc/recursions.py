@@ -26,6 +26,7 @@ infinite band keeps no factors; its ``W`` grows by one member per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, islice, pairwise
 from typing import Iterator
 
@@ -288,24 +289,10 @@ def _chain(node: tuple | None) -> Iterator[np.ndarray]:
         yield factor
 
 
-def _walk(state: RecursionState, gen: BlockGenerator, x: np.ndarray | None, stop: int = 0) -> tuple:
-    """Rows ``x @ sojourn_matrix(state, gen, k)``, ``k = stop..n``; ``x = None`` gives the matrices.
-
-    The window's rows are ``x @ W`` split by level, or with ``x = None``
-    the column slices of ``W`` itself: no identity product is formed, so a
-    window member keeps the bits, and the memory, of ``W``.  Below the
-    window one backward sweep continues from the lowest of them,
-    ``x_{k-1} = x_k @ T_k``, down to level ``stop``, and every row on the
-    way is kept.
-    """
-    lo = _lowest_reaching(gen, state.n + 1)
-    row = state.W if x is None else x @ state.W
-    widths = map(gen.phase_count, range(lo, state.n + 1))
-    rows = [row[..., a:b] for a, b in pairwise(accumulate(widths, initial=0))]
+def _below_window(state: RecursionState, lo: int, k: int) -> Iterator[np.ndarray]:
+    """The step factors ``T_lo, ..., T_{k+1}`` that carry window level ``lo`` down to ``k``."""
     # the chain starts at T_n; the factors of the window levels are skipped
-    factors = islice(_chain(state.factors), state.n - lo, state.n - stop)
-    below = list(accumulate(factors, np.matmul, initial=rows[0]))[1:]
-    return (*below[::-1], *rows[max(stop - lo, 0) :])
+    return islice(_chain(state.factors), state.n - lo, state.n - k)
 
 
 def sojourn_matrix(state: RecursionState, gen: BlockGenerator, k: int) -> np.ndarray:
@@ -313,17 +300,22 @@ def sojourn_matrix(state: RecursionState, gen: BlockGenerator, k: int) -> np.nda
 
     Entry ``(i, j)`` is the expected total time spent in ``(k, j)`` before
     the chain first visits any level above ``n``, starting from ``(n, i)``.
-    A window level's matrix is a column slice of ``W``, sharing its memory;
-    a lower level's is the window's lowest member multiplied down through
-    the step factors, the walk ``sojourn_rows`` takes with a seed.  The
-    walk builds every member from ``k`` up to ``n`` and returns this one.
-    A ``k`` that is no integer raises ConfigError, one outside ``0..n``
+    Only member ``k`` is built.  A window level's matrix is a column slice
+    of ``W``, sharing its memory: no identity product is formed, so it
+    keeps the bits of ``W``.  A lower level's is one running product, the
+    window's lowest member multiplied down through the step factors, in
+    the order the walk of ``sojourn_rows`` takes with a seed.  A ``k``
+    that is no integer raises ConfigError, one outside ``0..n``
     IndexOutOfRange.
     """
     k = _as_number(k, "k", int)
     if not 0 <= k <= state.n:
         raise IndexOutOfRange(f"level {k} outside 0..{state.n}")
-    return _walk(state, gen, None, k)[0]
+    lo = _lowest_reaching(gen, state.n + 1)
+    if k >= lo:
+        start = sum(map(gen.phase_count, range(lo, k)))
+        return state.W[:, start : start + gen.phase_count(k)]
+    return reduce(np.matmul, _below_window(state, lo, k), state.W[:, : gen.phase_count(lo)])
 
 
 def sojourn_rows(
@@ -341,4 +333,9 @@ def sojourn_rows(
     seed = _as_floats(seed, PhaseMismatch, "seed")
     if seed.shape != (m,):
         raise PhaseMismatch(f"seed has shape {seed.shape}, but level {state.n} has {m} phases")
-    return _walk(state, gen, seed)
+    lo = _lowest_reaching(gen, state.n + 1)
+    row = seed @ state.W
+    widths = map(gen.phase_count, range(lo, state.n + 1))
+    rows = [row[a:b] for a, b in pairwise(accumulate(widths, initial=0))]
+    below = list(accumulate(_below_window(state, lo, 0), np.matmul, initial=rows[0]))[1:]
+    return (*below[::-1], *rows)

@@ -23,7 +23,9 @@ kernel.  ``heavy_tail_pi`` and ``lattice_product_pi`` are exact laws:
 the heavy tail's level-crossing recursion and the default-wall lattice's
 product form, and ``tandem_pi`` is Jackson's product law of two queues in
 tandem.  ``advance_health_reductions`` is ``advance``'s health test
-as numpy's min and max reductions took it.
+as numpy's min and max reductions took it.  ``bright_taylor_kept`` reads
+the blocks and tail mass of ``bright_taylor`` with a tail from a run that
+keeps every level's blocks.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from bhmc import (
     IndexOutOfRange,
     PrincipalSubmatrix,
     advance,
+    bright_taylor,
     brute_force_stationary,
     init_state,
     principal_submatrix,
@@ -561,3 +564,15 @@ def heavy_tail_column_sliced(mu: float, tail_c: float = 1.0):
         return col[:, None]
 
     return column_blocks
+
+
+def bright_taylor_kept(gen, K_star: int, tail_levels: int) -> tuple[tuple, float]:
+    """The blocks of levels ``0..K_star`` and the mass above them, every level kept.
+
+    ``bright_taylor(gen, K_star + tail_levels)`` starts its recursion at
+    the same level as ``bright_taylor(gen, K_star, tail_levels)`` and
+    normalizes over the same levels, but keeps the tail's blocks; here they
+    are summed block by block.
+    """
+    full = bright_taylor(gen, K_star + tail_levels)
+    return full.blocks[: K_star + 1], float(sum(b.sum() for b in full.blocks[K_star + 1 :]))

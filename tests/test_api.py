@@ -244,6 +244,15 @@ MM1 = make_mm1(1.0, 2.0)
         ),
         (lambda: sojourn_matrix(init_state(MM1), MM1, "0"), "^k must be an integer, got '0'$"),
         (lambda: sojourn_matrix(init_state(MM1), MM1, 0.5), "^k must be an integer, got 0.5$"),
+        # a phase count is read at level 0 once, by every entry point's generator test
+        (
+            lambda: solve_mip(replace(MM1, phase_count=lambda k: 1.0)),
+            "^phase_count must return an integer, got 1.0 at level 0$",
+        ),
+        (
+            lambda: solve_mip(replace(MM1, phase_count=lambda k: "1")),
+            "^phase_count must return an integer, got '1' at level 0$",
+        ),
     ],
     ids=[
         "schedule_levels_int",
@@ -280,6 +289,8 @@ MM1 = make_mm1(1.0, 2.0)
         "solve_direction_list",
         "sojourn_matrix_k_str",
         "sojourn_matrix_k_fractional",
+        "solve_mip_phase_count_float",
+        "solve_mip_phase_count_str",
     ],
 )
 def test_malformed_option_is_config_error_naming_field(call, field):

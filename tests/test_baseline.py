@@ -1,5 +1,6 @@
 """Reference solvers: direct solve, R-matrix recursion, sparse null vector."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from bhmc import (
     lbcl_augment,
     lbcl_direct,
     make_heavy_tail_mg1,
+    make_lattice_rw_2d,
     make_mm1,
     principal_submatrix,
     sojourn_matrix,
@@ -27,6 +29,7 @@ from bhmc import (
     tv_distance,
 )
 from conftest import (
+    LATTICE_RATES,
     drive_to,
     random_banded,
     two_phase_ldqbd,
@@ -224,6 +227,55 @@ def test_bright_taylor_burn_in_sharpens_tail(mm1):
     # with burn-in, R_20 is already converged; without, it is zero-initialized
     assert abs(burned.R[-1].item() - 0.5) < 1e-10
     assert abs(plain.R[-1].item() - 0.5) > 1e-3
+
+
+def test_bright_taylor_without_a_tail_has_no_tail_mass(mm1):
+    result = bright_taylor(mm1, K_star=20)
+    assert result.tail_mass == 0.0
+    assert len(result.blocks) == 21 and len(result.R) == 20
+
+
+@pytest.mark.parametrize(
+    "make, K_star, tail_levels",
+    [(lambda: make_lattice_rw_2d(**LATTICE_RATES), 20, 40), (lambda: make_mm1(0.95, 1.0), 100, 200)],
+    ids=["lattice", "mm1"],
+)
+def test_bright_taylor_tail_mass_is_the_mass_of_the_levels_it_keeps_no_blocks_for(
+    make, K_star, tail_levels
+):
+    gen = make()
+    got = bright_taylor(gen, K_star, tail_levels)
+    blocks, tail = oracles.bright_taylor_kept(gen, K_star, tail_levels)
+    assert len(got.blocks) == K_star + 1 and len(got.R) == K_star
+    assert abs(got.tail_mass - tail) <= 1e-14 * tail
+    assert max(np.abs(a - b).max() for a, b in zip(got.blocks, blocks, strict=True)) <= 1e-14
+    assert abs(sum(b.sum() for b in got.blocks) + got.tail_mass - 1.0) <= 1e-14
+
+
+def test_bright_taylor_tail_levels_keep_no_matrix():
+    # keeping R_3..R_152 of the lattice (k x (k+1) phases) would take 9.8 MB
+    lattice, K_star, top = make_lattice_rw_2d(**LATTICE_RATES), 2, 152
+    kept = sum(8 * k * (k + 1) for k in range(K_star + 1, top + 1))
+    tracemalloc.start()
+    try:
+        bright_taylor(lattice, K_star, top - K_star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the recursion's working set at the top level: a few 152 x 153 matrices
+    assert peak < 0.2 * kept, (peak, kept)
+
+
+@pytest.mark.parametrize("K_star, tail_levels", [(0, 3), (3, 0)], ids=["tail", "blocks"])
+def test_bright_taylor_refuses_a_mass_past_double_range(K_star, tail_levels):
+    # R_k = 1e200 at every level (no way down), so the mass of level 2 is 1e400
+    def block(k, l):
+        return np.array([[1e200 if l == k + 1 else -1.0 if l == k else 0.0]])
+
+    gen = BlockGenerator(lambda k: 1, block, 1)
+    assert bright_taylor(gen, 0, 1).tail_mass == 1.0  # 1e200 / (1 + 1e200) in doubles
+    with pytest.raises(SingularBlock, match=r"^R recursion: the mass of levels 0\.\.3 is not finite$"):
+        bright_taylor(gen, K_star, tail_levels)
 
 
 def test_bright_taylor_refuses_infinite_band():

@@ -15,6 +15,7 @@ from bhmc import (
     NonpositiveWeight,
     PhaseMismatch,
     SolverOptions,
+    bright_taylor,
     make_mm1,
     solve,
     tv_distance,
@@ -65,6 +66,29 @@ def test_run_mm1_outputs(tmp_path, capsys):
     assert "wall_time_s" in res
     out = capsys.readouterr().out
     assert "converged" in out
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        "name: mm1\n  params: {lam: 0.95, mu: 1.0}",
+        "name: lattice_rw_2d\n  params: {east: 1.0, west: 1.5, north: 1.0, south: 1.5}",
+    ],
+    ids=["mm1", "lattice"],
+)
+def test_run_bright_taylor_distance_is_taken_over_levels_0_to_3n(tmp_path, model):
+    cfg, report = tmp_path / "run.yaml", tmp_path / "report.yaml"
+    cfg.write_text(
+        f"model:\n  {model}\nsolver:\n  epsilon: 1.0e-10\ncompare: [bright_taylor]\n"
+        f"output:\n  report: {report}\n"
+    )
+    assert main(["run", str(cfg)]) == 0
+    got = yaml.safe_load(report.read_text())["result"]["comparisons"]["bright_taylor"]
+    loaded = load_config(cfg)
+    approx = solve(loaded.generator, loaded.options, loaded.variant, loaded.cert, loaded.direction)
+    every_level = bright_taylor(loaded.generator, 3 * approx.n)  # keeps the blocks above n
+    assert got["depth"] == 3 * approx.n
+    assert abs(got["tv_distance"] - tv_distance(approx.flatten(), every_level.flatten())) <= 1e-14
 
 
 def test_run_deterministic_distribution(tmp_path):

@@ -1,5 +1,6 @@
 """First-exit recursion: frozen hand values, cross-formulas, invariants."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from bhmc import (
     bright_taylor,
     init_state,
     lbcl_direct,
+    make_heavy_tail_mg1,
     make_mm1,
     principal_submatrix,
     sojourn_matrix,
@@ -616,6 +618,26 @@ def test_window_member_is_w_itself_and_lower_members_walk_down():
         got = sojourn_matrix(state, gen, k)
         assert not np.shares_memory(got, state.W), k
         assert np.abs(got - family[k]).max() <= 1e-13 * max(1.0, np.abs(family[k]).max()), k
+
+
+def test_sojourn_matrix_builds_only_member_k(lattice):
+    """A window member reads the phase counts up to its level; a lower one holds one product."""
+    heavy = make_heavy_tail_mg1(3.0, 1.0)
+    state = drive_to(heavy, 500)
+    reads = []
+    counted = replace(heavy, phase_count=lambda k: reads.append(k) or heavy.phase_count(k))
+    assert np.shares_memory(sojourn_matrix(state, counted, 0), state.W)
+    assert len(reads) < 10, len(reads)
+    # level 60 of the lattice: the walk down 60 step factors holds one 61 x (k+1)
+    # product at a time, not the 0.9 MB of every member from 0 to 60
+    state = drive_to(lattice, 60)
+    tracemalloc.start()
+    try:
+        sojourn_matrix(state, lattice, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2e6, peak
 
 
 def test_recursion_error_against_mp_reference(catalog):

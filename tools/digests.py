@@ -3,10 +3,13 @@
     python3 tools/digests.py [SEED ...]
 
 For each workload of ``bench/workloads.py``, at seeds 0 and 7 unless
-others are given, prints one line per operation: ``workload seed case
-digest``.  A solve's digest covers its stop level, its blocks and its whole
-pivot trace; a ``bhmc run`` operation's covers the distribution CSV and the
-YAML report, with its ``wall_time_s`` line left out and the scratch
+others are given, prints one line per operation with two digests, so that
+a change which moves one part of an output can show the other part
+unchanged.  A solve prints ``workload seed case answer=… trace=…``: the
+answer digest covers its stop level, residual, convergence flag and
+blocks, the trace digest its whole pivot trace.  A ``bhmc run`` operation
+prints ``workload seed case csv=… report=…``: the distribution CSV, and
+the YAML report with its ``wall_time_s`` line left out and the temporary
 directory the files are written to named ``WORKDIR``.  The sources are read
 from the ``src`` and ``bench`` directories beside this script's directory,
 with OpenBLAS pinned to one thread as the benchmark pins it, so running the
@@ -32,19 +35,20 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 
+def _sha(*parts: bytes) -> str:
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
 def solve_digest(approx) -> str:
-    h = hashlib.sha256(repr((approx.n, approx.residual, approx.converged)).encode())
-    for b in approx.blocks:
-        h.update(np.ascontiguousarray(b, dtype=float).tobytes())
-    h.update(repr(approx.pivot_trace).encode())
-    return h.hexdigest()
+    head = repr((approx.n, approx.residual, approx.converged)).encode()
+    blocks = (np.ascontiguousarray(b, dtype=float).tobytes() for b in approx.blocks)
+    return f"answer={_sha(head, *blocks)} trace={_sha(repr(approx.pivot_trace).encode())}"
 
 
 def cli_digest(op, workdir: str) -> str:
     report = op.report.read_text().replace(workdir, "WORKDIR").splitlines(keepends=True)
-    h = hashlib.sha256(op.distribution.read_bytes())
-    h.update("".join(line for line in report if "wall_time_s" not in line).encode())
-    return h.hexdigest()
+    kept = "".join(line for line in report if "wall_time_s" not in line)
+    return f"csv={_sha(op.distribution.read_bytes())} report={_sha(kept.encode())}"
 
 
 def main(seeds: list[int]) -> None:

@@ -108,7 +108,8 @@ def _inline_generator(node: Any) -> BlockGenerator:
     """Generator from explicit per-level block tables plus a repeating tail.
 
     ``levels[k]`` maps column offsets (as strings or ints, e.g. ``"-1"``,
-    ``"0"``, ``"1"``) to blocks.  Levels beyond the explicit list reuse the
+    ``"0"``, ``"1"``) to blocks; ``levels[0]`` has no ``-1``, as no level
+    lies below it.  Levels beyond the explicit list reuse the
     ``tail`` table (default: the last explicit level's table), which forces
     a constant phase count in the tail.
     """
@@ -148,6 +149,10 @@ def _inline_generator(node: Any) -> BlockGenerator:
         return out
 
     tables = [parse_table(t, f"model.inline.levels[{k}]") for k, t in enumerate(raw_levels)]
+    if -1 in tables[0]:
+        raise ConfigError(
+            "model.inline.levels[0]: offset -1 has no level below; give the tail its own table"
+        )
     tail = parse_table(node["tail"], "model.inline.tail") if "tail" in node else tables[-1]
     counts = [t[0].shape[0] for t in tables]
     tail_m = tail[0].shape[0]

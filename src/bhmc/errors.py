@@ -9,10 +9,6 @@ class InvalidBlock(BhmcError):
     """A generator block violates Q-matrix sign, shape, or finiteness rules."""
 
 
-class MissingTailInfo(BhmcError):
-    """Row sums cannot be checked: no bandwidth and no ``tail_column`` callback."""
-
-
 class BadDistribution(BhmcError):
     """A probability vector is mis-sized, has a negative entry, or does not sum to one.
 

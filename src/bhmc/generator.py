@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from .errors import BadDistribution, ConfigError, IndexOutOfRange, InvalidBlock, MissingTailInfo
+from .errors import BadDistribution, ConfigError, IndexOutOfRange, InvalidBlock
 
 if TYPE_CHECKING:  # scipy.sparse is imported where it is used, to keep import light
     import scipy.sparse
@@ -91,11 +91,12 @@ class BlockGenerator:
         integers by (``2.0`` is 2; ``True``, ``1.5`` and ``"2"`` are
         refused), else ConfigError at construction.  ``None`` means the
         upper band is genuinely infinite.
-    tail_column : callable, optional
+    tail_column : callable
         Maps ``(L, lo, hi)``, ``hi <= L``, to the exact tail row sums
         ``sum_{m > L} block(l, m) @ e`` for ``l = lo..hi``, stacked into a
-        vector of length ``M_lo + ... + M_hi``.  Required for
-        conservativity checks when ``bandwidth`` is absent.
+        vector of length ``M_lo + ... + M_hi``.  A generator without a
+        band must give it, else ConfigError at construction; with a band
+        it may be left out.
     column_blocks : callable, optional
         Maps ``(j, lo, hi)`` to the blocks ``block(l, j)`` for
         ``l = lo..hi`` stacked top to bottom, an array of shape
@@ -112,6 +113,8 @@ class BlockGenerator:
     walk, the one :func:`principal_submatrix` assembles, checks signs and
     finiteness; the validator, the baselines, the load of inline tables and
     the solver's check after a failure all read the blocks through it.
+    A callback that is not callable is a ConfigError naming its field, at
+    construction.
     """
 
     phase_count: Callable[[int], int]
@@ -121,6 +124,12 @@ class BlockGenerator:
     column_blocks: Callable[[int, int, int], np.ndarray] | None = None
 
     def __post_init__(self):
+        for name in ("phase_count", "block", "tail_column", "column_blocks"):
+            value = getattr(self, name)
+            if not callable(value) and (value is not None or name in ("phase_count", "block")):
+                raise ConfigError(f"{name} must be callable, got {type(value).__name__}")
+        if self.bandwidth is None and self.tail_column is None:
+            raise ConfigError("an infinite band (bandwidth None) needs tail_column")
         if self.bandwidth is not None:
             object.__setattr__(self, "bandwidth", _as_number(self.bandwidth, "bandwidth", int))
             if self.bandwidth < 1:
@@ -255,8 +264,6 @@ def validate_proper_q(
 
     Raises
     ------
-    MissingTailInfo
-        If the generator has neither ``bandwidth`` nor ``tail_column``.
     InvalidBlock
         On a negative off-diagonal entry, a positive diagonal entry, a
         non-finite block entry, or a misshapen or non-numeric block or tail
@@ -268,10 +275,6 @@ def validate_proper_q(
         raise IndexOutOfRange(f"levels must be nonnegative, got {levels}")
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"tol must be finite and nonnegative, got {tol}")
-    if gen.bandwidth is None and gen.tail_column is None:
-        raise MissingTailInfo(
-            "cannot check row sums: generator has no bandwidth and no tail_column"
-        )
     offsets = _level_offsets(gen, levels + (gen.bandwidth or 0))
     rows = np.zeros(offsets[-1])
     for r, _, v in _checked_columns(gen, offsets):

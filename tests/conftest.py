@@ -107,13 +107,28 @@ def _rate_table(seed: int, shape):
     return rates
 
 
+def _geometric_tail(rates):
+    """``tail_column`` of a chain whose row rates ``j`` levels up are ``a_l * 0.5**j``.
+
+    Here ``a_l = rates(l, l+1) @ e``; beyond level ``L`` the rates sum to
+    ``a_l * 0.5**(L - l)``.
+    """
+
+    def tail_column(L, lo, hi):
+        return np.concatenate(
+            [rates(l, l + 1).sum(axis=1) * 0.5 ** (L - l) for l in range(lo, hi + 1)]
+        )
+
+    return tail_column
+
+
 def random_banded(bandwidth: int | None, phases: int, seed: int) -> BlockGenerator:
     """Level-dependent chain with random rates up to ``bandwidth`` levels up.
 
     With ``bandwidth=None`` the chain jumps ``j >= 1`` levels up at rates
     ``rates(k, k+1) * 0.5**j``, which sum to ``rates(k, k+1)``, so the
-    diagonal has a closed form.  Downward rates outweigh the upward drift,
-    so the chain is ergodic.
+    diagonal and the tail row sums have a closed form.  Downward rates
+    outweigh the upward drift, so the chain is ergodic.
     """
     drift = 2 if bandwidth is None else bandwidth  # sum_j j * (rate of jump j)
     rates = _rate_table(seed, lambda k, l: (phases, phases))
@@ -140,7 +155,8 @@ def random_banded(bandwidth: int | None, phases: int, seed: int) -> BlockGenerat
         out = local.sum(axis=1) + sum(b.sum(axis=1) for b in downs + ups)
         return local - np.diag(out)
 
-    return BlockGenerator(lambda k: phases, block, bandwidth=bandwidth)
+    tail = _geometric_tail(rates) if bandwidth is None else None
+    return BlockGenerator(lambda k: phases, block, bandwidth=bandwidth, tail_column=tail)
 
 
 def random_varying(seed: int, bandwidth: int | None = None) -> BlockGenerator:
@@ -150,8 +166,9 @@ def random_varying(seed: int, bandwidth: int | None = None) -> BlockGenerator:
     (every ``j >= 1`` with ``bandwidth=None``), at total rate
     ``a_k[i] * 0.5**j``, spread over the target phases by random weights,
     so the upward rates sum to ``a_k[i] * (1 - 0.5**bandwidth)`` (to
-    ``a_k[i]`` without a band) and the diagonal has a closed form.  As in
-    ``random_banded``, the downward rates scale with the upward drift.
+    ``a_k[i]`` without a band) and the diagonal has a closed form, as have
+    the tail row sums without a band.  As in ``random_banded``, the
+    downward rates scale with the upward drift.
     """
     kept = 1.0 if bandwidth is None else 1.0 - 0.5**bandwidth
     # sum_j j * 0.5**j over the jumps the band allows
@@ -180,7 +197,8 @@ def random_varying(seed: int, bandwidth: int | None = None) -> BlockGenerator:
             out += block(k, k - 1).sum(axis=1)
         return local - np.diag(out)
 
-    return BlockGenerator(phases, block, bandwidth=bandwidth)
+    tail = _geometric_tail(rates) if bandwidth is None else None
+    return BlockGenerator(phases, block, bandwidth=bandwidth, tail_column=tail)
 
 
 def drive_to(gen: BlockGenerator, n: int, k_set=frozenset({0})):

@@ -85,6 +85,22 @@ def test_star_import():
     assert imported == ["*"] * len(LIBRARY)
 
 
+def test_every_error_class_is_raised_by_name():
+    # a class whose last raise site is deleted would linger as public surface
+    src = Path(bhmc.__file__).parent
+    errors = ast.parse((src / "errors.py").read_text())
+    declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = {
+        node.exc.func.id
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+    }
+    assert sorted(declared - raised - {"BhmcError"}) == []
+
+
 def test_import_leaves_sparse_solvers_unloaded():
     # the baselines import scipy.sparse.linalg on first use; loading it at
     # import time would add about 40 ms to every process start
@@ -253,6 +269,11 @@ MM1 = make_mm1(1.0, 2.0)
             lambda: solve_mip(replace(MM1, phase_count=lambda k: "1")),
             "^phase_count must return an integer, got '1' at level 0$",
         ),
+        # a callback that is not callable is refused at construction, naming its field
+        (lambda: solve_mip(BlockGenerator(1, 2, 1)), "^phase_count must be callable, got int$"),
+        (lambda: BlockGenerator(MM1.phase_count, 2, 1), "^block must be callable, got int$"),
+        (lambda: replace(MM1, tail_column=3), "^tail_column must be callable, got int$"),
+        (lambda: replace(MM1, column_blocks=3), "^column_blocks must be callable, got int$"),
     ],
     ids=[
         "schedule_levels_int",
@@ -291,6 +312,10 @@ MM1 = make_mm1(1.0, 2.0)
         "sojourn_matrix_k_fractional",
         "solve_mip_phase_count_float",
         "solve_mip_phase_count_str",
+        "generator_phase_count_int",
+        "generator_block_int",
+        "generator_tail_column_int",
+        "generator_column_blocks_int",
     ],
 )
 def test_malformed_option_is_config_error_naming_field(call, field):

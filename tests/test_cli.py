@@ -548,6 +548,11 @@ MM1_MODEL = "model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\n"
             "model.inline.levels[0]: offset 2 outside -1..1",
         ),
         (
+            "model: {inline: {bandwidth: 1, levels: [{'-1': [[5.0]], '0': [[-1.0]], '1': [[1.0]]},"
+            " {'-1': [[2.0]], '0': [[-3.0]], '1': [[1.0]]}]}}",
+            "model.inline.levels[0]: offset -1 has no level below; give the tail its own table",
+        ),
+        (
             "model: {inline: {bandwidth: 1, levels: [{'1': [[1.0]]}]}}",
             "model.inline.levels[0] must include the diagonal block '0'",
         ),
@@ -581,6 +586,7 @@ MM1_MODEL = "model: {name: mm1, params: {lam: 1.0, mu: 2.0}}\n"
         "inline_no_bandwidth",
         "inline_no_levels",
         "inline_offset_outside_band",
+        "inline_down_block_at_level_0",
         "inline_no_diagonal",
         "inline_tail_phases",
         "drift_v_neither_form",

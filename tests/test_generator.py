@@ -14,7 +14,6 @@ from bhmc import (
     ConfigError,
     IndexOutOfRange,
     InvalidBlock,
-    MissingTailInfo,
     lbcl_augment,
     Violation,
     make_heavy_tail_mg1,
@@ -25,7 +24,7 @@ from bhmc import (
     validate_proper_q,
 )
 from bhmc.generator import _BATCH
-from conftest import LATTICE_RATES, random_banded, two_phase_ldqbd
+from conftest import LATTICE_RATES, random_banded, random_varying, two_phase_ldqbd
 from oracles import principal_submatrix_rows
 
 
@@ -175,11 +174,13 @@ def test_validate_refuses_out_of_range_arguments(mm1):
     assert validate_proper_q(mm1, 0, 0.0).ok
 
 
-def test_validate_requires_tail_info():
-    base = make_heavy_tail_mg1(3.0, 1.0)
-    gen = BlockGenerator(base.phase_count, base.block)  # no band, no tail
-    with pytest.raises(MissingTailInfo):
-        validate_proper_q(gen, 3)
+def test_infinite_band_without_tail_is_config_error():
+    h = make_heavy_tail_mg1(3, 1)
+    message = r"^an infinite band \(bandwidth None\) needs tail_column$"
+    with pytest.raises(ConfigError, match=message):
+        BlockGenerator(h.phase_count, h.block)
+    with pytest.raises(ConfigError, match=message):
+        replace(h, tail_column=None)
 
 
 def test_validate_reports_conservativity_violation():
@@ -378,13 +379,9 @@ def test_check_blocks_row_sums_match_submatrix(case):
     Each diagonal block is doubled, so every row leaks and is reported.
     """
     base, n = ROW_SUM_CASES[case](), 12
-    tail_column = base.tail_column
-    if base.bandwidth is None and tail_column is None:  # any tail will do: both sides add it
-        tail_column = lambda L, lo, hi: np.zeros(sum(map(base.phase_count, range(lo, hi + 1))))
     gen = replace(
         base,
         block=lambda k, l: 2.0 * base.block(k, l) if k == l else base.block(k, l),
-        tail_column=tail_column,
         column_blocks=None,
     )
     q = principal_submatrix_rows(gen, n + (gen.bandwidth or 0)).data.toarray()
@@ -398,6 +395,31 @@ def test_check_blocks_row_sums_match_submatrix(case):
     sums = np.array([v.value for v in report.violations])
     assert [offsets[v.level] + v.phase for v in report.violations] == list(range(offsets[-1]))
     assert np.all(np.abs(sums - want) <= 1e-15 * scale)
+
+
+RANDOM_TAILS = {
+    "random_band_inf_2": lambda seed: random_banded(None, 2, seed),
+    "random_band_inf_3": lambda seed: random_banded(None, 3, seed),
+    "random_varying_inf": random_varying,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", sorted(RANDOM_TAILS))
+def test_random_tail_column_is_the_row_sum_beyond(case, seed):
+    """The closed-form tails of the random infinite bands against 80 levels of explicit row sums.
+
+    The up rates halve with each level jumped, so what lies beyond 80
+    levels is below 2**-80 of the sum.
+    """
+    gen = RANDOM_TAILS[case](seed)
+    for L in (0, 3, 10, 25):
+        want = np.concatenate([
+            sum(gen.block(l, m) @ np.ones(gen.phase_count(m)) for m in range(L + 1, L + 81))
+            for l in range(L + 1)
+        ])
+        np.testing.assert_allclose(gen.tail_column(L, 0, L), want, rtol=1e-15, atol=0.0)
+    assert validate_proper_q(gen, 30).ok
 
 
 def test_columns_are_checked_across_batches():

@@ -6,8 +6,12 @@ augmented truncation, the classical backward R-matrix recursion for
 block-tridiagonal chains, and a left-null-vector solve of a finite
 generator.  The two linear solves factor a ``scipy.sparse`` matrix with
 sparse LU (``splu``).  The left null vector is held to the recursion's
-relative pivot guard; the augmented truncation's answer is checked
-instead (see ``lbcl_direct``).
+relative pivot guard, its normalization column scaled to the matrix so
+that the guard does not depend on the units of the rates; the augmented
+truncation's answer is checked instead (see ``lbcl_direct``).  The R
+recursion tests each ``R_k`` as it forms it, under one ``np.errstate``
+with its mass, so a value past double range is named by the level or the
+mass it reached, with no numpy warning before the error.
 """
 
 from __future__ import annotations
@@ -138,11 +142,12 @@ def bright_taylor(
     to the untruncated normalization; ``tail_mass`` is the tail's share.
     With ``tail_levels = 0`` the tail is empty and the blocks are
     normalized over ``0..K_star``.  ``K_star`` and ``tail_levels`` must be
-    integers (else ConfigError) and nonnegative (else IndexOutOfRange).  A
-    non-finite ``R_k``, from an inverse past double range, raises
-    SingularBlock naming level ``k``, and a mass of levels ``0..top``
-    past double range, in the kept blocks or in the tail, raises
-    SingularBlock too.
+    integers (else ConfigError) and nonnegative (else IndexOutOfRange).
+    Each ``R_k`` is tested as it is formed: a non-finite one, from an
+    inverse or a product past double range, raises SingularBlock naming
+    level ``k``, before the core below reads it.  A mass of levels
+    ``0..top`` past double range, in the kept blocks or in the tail,
+    raises SingularBlock too.
     """
     _check_generator(gen)
     if gen.bandwidth != 1:
@@ -154,25 +159,19 @@ def bright_taylor(
     top = K_star + tail_levels
     r = np.zeros((gen.phase_count(top), gen.phase_count(top + 1)))  # R_{top+1}
     h = np.zeros(r.shape[0])  # pi_top @ h is the mass above level top: none
-    kept, failed, k = [], None, 1
-    try:
+    kept = []
+    with np.errstate(over="ignore", invalid="ignore"):  # R_k and the mass are tested instead
         for k in range(top, 0, -1):
             core = -gen.block_array(k, k) - r @ gen.block_array(k + 1, k)
             r = gen.block_array(k - 1, k) @ lu_inverse(core, f"R recursion at level {k}")
+            if not np.isfinite(r).all():
+                raise SingularBlock(f"R recursion at level {k}: R_{k} is not finite")
             if k <= K_star:
                 kept.append(r)
             else:
-                with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-                    h = r @ (1.0 + h)
-    except SingularBlock as exc:  # raised too by the core that reads a non-finite R_{k+1}
-        failed, k = exc, k + 1
-    if not np.isfinite(r).all():  # that R_k, or R_1, which no core reads
-        raise SingularBlock(f"R recursion at level {k}: R_{k} is not finite") from failed
-    if failed is not None:
-        raise failed
-    pi0 = _null_left_vector(gen.block_array(0, 0) + r @ gen.block_array(1, 0))
-    R = kept[::-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # a mass past double range raises below
+                h = r @ (1.0 + h)
+        pi0 = _null_left_vector(gen.block_array(0, 0) + r @ gen.block_array(1, 0))
+        R = kept[::-1]
         blocks = list(accumulate(R, np.matmul, initial=pi0))
         tail = blocks[-1] @ h
         total = sum(b.sum() for b in blocks) + tail  # + 0.0 without a tail: the same bits
@@ -182,15 +181,24 @@ def bright_taylor(
 
 
 def _null_left_vector(matrix: np.ndarray | scipy.sparse.sparray) -> np.ndarray:
-    """Solve ``x @ A = 0`` with the last balance equation swapped for ``x e = 1``."""
+    """Solve ``x @ A = 0`` with the last balance equation swapped for ``x e = 1``.
+
+    The normalization is written ``x @ (s e) = s``, where ``s`` is the
+    largest power of two not above the largest row norm of ``A`` (one half
+    on a zero ``A``).  So the column it fills is on the scale of the
+    others, and the pivot guard reads alike on a chain in any units of its
+    rates; a power of two scales without rounding, so it moves no bit of
+    the answer.
+    """
     import scipy.sparse
 
     a = scipy.sparse.csc_array(matrix, dtype=float)
     m = a.shape[0]
-    ones = scipy.sparse.csc_array(np.ones((m, 1)))
-    a = scipy.sparse.hstack([a[:, : m - 1], ones], format="csc")
+    s = 2.0 ** (np.frexp(abs(a).sum(axis=1).max())[1] - 1)
+    column = scipy.sparse.csc_array(np.full((m, 1), s))
+    a = scipy.sparse.hstack([a[:, : m - 1], column], format="csc")
     rhs = np.zeros(m)
-    rhs[-1] = 1.0
+    rhs[-1] = s
     # a is factored as assembled, in CSC, and solved transposed: x @ a = rhs
     lu, scale = _splu(a, "left null vector")
     if np.abs(lu.U.diagonal()).min() < PIVOT_RTOL * scale:
@@ -205,7 +213,9 @@ def brute_force_stationary(
 
     Accepts a dense array or any ``scipy.sparse`` matrix; both take the same
     path through CSC form.  Replaces the last column (a deterministic
-    choice, for reproducibility) with the normalization equation.  The input
+    choice, for reproducibility) with the normalization equation, scaled
+    to the largest row norm by a power of two (see ``_null_left_vector``),
+    so a chain solves alike in any units of its rates.  The input
     must have zero row sums and be irreducible; a singular reduced system
     signals reducibility.  An input that is not a nonempty square numeric
     matrix raises InvalidBlock.

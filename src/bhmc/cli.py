@@ -306,13 +306,9 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace | None) -> RunConfig:
-    """``cfg`` with the flags in ``args`` read by ``_options``, as the keys they override."""
-    node = {k: getattr(args, k, None) for k in ("epsilon", "k_set", "max_level", "schedule")}
-    if node["k_set"] is not None:
-        node["k_set"] = node["k_set"].split(",")
-    if node["schedule"] is not None:
-        node["schedule"] = _parse_schedule_flag(node["schedule"])
-    node = {k: v for k, v in node.items() if v is not None}
+    """``cfg`` with the flags set in ``args``, parsed as the keys they override, read by ``_options``."""
+    keys = ("epsilon", "k_set", "max_level", "schedule")
+    node = {k: v for k in keys if (v := getattr(args, k, None)) is not None}
     cfg.options = _options(cfg.options, node, lambda k: "--" + k.split("[")[0].replace("_", "-"))
     return cfg
 
@@ -475,11 +471,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("config", help="path to YAML run configuration")
         p.add_argument("--epsilon", default=None, help="override stopping tolerance")
-        p.add_argument("--k-set", default=None, help="override index set, e.g. '0' or '0,1,2'")
+        p.add_argument("--k-set", type=lambda s: s.split(","), help="override index set, e.g. '0,1,2'")
         p.add_argument("--max-level", default=None, help="override level cap")
         p.add_argument(
             "--schedule",
-            default=None,
+            type=_parse_schedule_flag,
             help="override checkpoint schedule: every | arithmetic:S | geometric:F | explicit:N1,N2,...",
         )
 

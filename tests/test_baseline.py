@@ -301,6 +301,30 @@ def test_bright_taylor_reraises_a_failed_core_whose_r_is_finite():
         bright_taylor(dead, 5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_bright_taylor_names_an_overflowing_r_product_without_a_warning():
+    # the level-3 core is 1e-10, so R_3 = 1e300 * 1e10 overflows in the product
+    def block(k, l):
+        return np.array([[1e300 if l == k + 1 else -1e-10 if l == k else 0.0]])
+
+    with pytest.raises(SingularBlock, match=r"^R recursion at level 3: R_3 is not finite$"):
+        bright_taylor(BlockGenerator(lambda k: 1, block, 1), 3)
+
+
+@pytest.mark.parametrize("scale", [1e13, 1e14, 1e-14])
+def test_null_vector_normalization_follows_the_units_of_the_rates(scale):
+    # the normalization column scales with the rates, so the pivot guard reads alike in any units
+    n, alpha = 10, np.array([1.0])
+    gen = make_mm1(scale, 1.5 * scale)
+    direct = lbcl_direct(gen, n, alpha)
+    pi = brute_force_stationary(lbcl_augment(principal_submatrix(gen, n), alpha))
+    assert np.abs(pi - direct).max() <= 1e-15
+    two_phase = two_phase_ldqbd()
+    scaled = replace(two_phase, block=lambda k, l: scale * two_phase.block(k, l))
+    got, want = bright_taylor(scaled, 20, 20), bright_taylor(two_phase, 20, 20)
+    assert np.abs(got.flatten() - want.flatten()).max() <= 1e-15
+
+
 def test_bright_taylor_matches_mip_on_two_phase():
     gen = two_phase_ldqbd()
     approx = solve_mip(gen, SolverOptions(epsilon=1e-9))

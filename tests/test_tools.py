@@ -43,6 +43,22 @@ def test_codelines_counts_code_but_no_docstring_comment_or_blank(tmp_path):
     assert out.stdout.splitlines()[-1].split()[1] == "total"
 
 
+def test_codelines_defs_sizes_each_top_level_definition(tmp_path):
+    path = tmp_path / "sample.py"
+    decorated = "@staticmethod\ndef g():\n    pass\n\n\nimport os"
+    path.write_text(SOURCE.replace("import os", decorated))
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "codelines.py"), "--defs", str(path)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # the decorator line belongs to g; the import line to no definition
+    assert [line.split() for line in out.stdout.splitlines()] == [
+        ["3", "sample.py:g"], ["5", "sample.py:A"], ["9", "sample.py"], ["9", "total"]
+    ]
+
+
 def test_solve_digest_hashes_the_answer_apart_from_the_trace(monkeypatch):
     monkeypatch.setattr(sys, "path", sys.path[:])  # the script puts src and bench first
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

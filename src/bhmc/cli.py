@@ -180,18 +180,18 @@ def _build_generator(node: Any) -> BlockGenerator:
 def _build_schedule(node: Any, name: Callable[[str], str]) -> CheckpointSchedule:
     node = _mapping(node, name("schedule"), {"kind", "stride", "factor", "levels"})
     kind = node.get("kind", "every")
-    if isinstance(kind, str) and kind in CheckpointSchedule.ARGS:  # it names others
-        unread = sorted(node.keys() - {"kind", CheckpointSchedule.ARGS[kind]})
-        if unread:
-            key = name("schedule." + unread[0])
-            raise ConfigError(f"{key} is not read by schedule kind {kind}")
     kwargs: dict[str, Any] = {"kind": kind}
-    if "stride" in node:
-        kwargs["stride"] = _number(node["stride"], name("schedule.stride"), int)
-    if "factor" in node:
-        kwargs["factor"] = _number(node["factor"], name("schedule.factor"))
-    if "levels" in node:
-        kwargs["levels"] = tuple(_int_list(node["levels"], name, "schedule.levels"))
+    # an unknown kind reads nothing: CheckpointSchedule refuses it by name
+    if isinstance(kind, str) and kind in CheckpointSchedule.ARGS:
+        key = CheckpointSchedule.ARGS[kind]  # the one key besides kind that the kind reads
+        unread = sorted(node.keys() - {"kind", key})
+        if unread:
+            bad = name("schedule." + unread[0])
+            raise ConfigError(f"{bad} is not read by schedule kind {kind}")
+        if key in node:  # key is None on every, which reads no key
+            where = "schedule." + key
+            kwargs[key] = (tuple(_int_list(node[key], name, where)) if key == "levels"
+                           else _number(node[key], name(where), int if key == "stride" else float))
     return CheckpointSchedule(**kwargs)
 
 
@@ -340,16 +340,14 @@ def _write_distribution(path: str, approx: Approximation) -> None:
 
 
 def _trace_payload(approx: Approximation) -> list[dict]:
+    """Each record's own fields, plain ints and floats from the drivers; pivots 1-indexed."""
     out = []
     for rec in approx.pivot_trace:
-        entry = {
-            "level": rec.level,
-            "pivot": None if rec.pivot is None else rec.pivot + 1,
-            "ratio": None if rec.ratio is None else float(rec.ratio),
-            "residual": float(rec.residual),
-        }
-        if rec.step_distance is not None:
-            entry["step_distance"] = float(rec.step_distance)
+        entry = dict(vars(rec))
+        if rec.pivot is not None:
+            entry["pivot"] += 1
+        if rec.step_distance is None:
+            del entry["step_distance"]
         out.append(entry)
     return out
 

@@ -42,7 +42,7 @@ def build_model(model_id: str, params: Mapping[str, float]) -> BlockGenerator:
         raise ConfigError(f"unknown model {model_id!r}; expected one of {MODEL_IDS}")
     try:
         return _MAKERS[model_id](**dict(params))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # a wrong name, or params that are no mapping
         raise ConfigError(f"bad parameters for {model_id}: {exc}") from exc
 
 

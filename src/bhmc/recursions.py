@@ -289,10 +289,10 @@ def _chain(node: tuple | None) -> Iterator[np.ndarray]:
         yield factor
 
 
-def _below_window(state: RecursionState, lo: int, k: int) -> Iterator[np.ndarray]:
-    """The step factors ``T_lo, ..., T_{k+1}`` that carry window level ``lo`` down to ``k``."""
-    # the chain starts at T_n; the factors of the window levels are skipped
-    return islice(_chain(state.factors), state.n - lo, state.n - k)
+def _step_factors(state: RecursionState, top: int, k: int) -> Iterator[np.ndarray]:
+    """The step factors ``T_top, ..., T_{k+1}``, which carry level ``top`` down to ``k``."""
+    # the one reader of factors: the chain starts at T_n, so those above T_top are skipped
+    return islice(_chain(state.factors), state.n - top, state.n - k)
 
 
 def sojourn_matrix(state: RecursionState, gen: BlockGenerator, k: int) -> np.ndarray:
@@ -315,7 +315,7 @@ def sojourn_matrix(state: RecursionState, gen: BlockGenerator, k: int) -> np.nda
     if k >= lo:
         start = sum(map(gen.phase_count, range(lo, k)))
         return state.W[:, start : start + gen.phase_count(k)]
-    return reduce(np.matmul, _below_window(state, lo, k), state.W[:, : gen.phase_count(lo)])
+    return reduce(np.matmul, _step_factors(state, lo, k), state.W[:, : gen.phase_count(lo)])
 
 
 def sojourn_rows(
@@ -337,5 +337,5 @@ def sojourn_rows(
     row = seed @ state.W
     widths = map(gen.phase_count, range(lo, state.n + 1))
     rows = [row[a:b] for a, b in pairwise(accumulate(widths, initial=0))]
-    below = list(accumulate(_below_window(state, lo, 0), np.matmul, initial=rows[0]))[1:]
+    below = list(accumulate(_step_factors(state, lo, 0), np.matmul, initial=rows[0]))[1:]
     return (*below[::-1], *rows)

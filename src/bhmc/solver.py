@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count, islice
+from functools import reduce
+from itertools import count
 from typing import Callable, Iterator
 
 import numpy as np
@@ -50,8 +51,8 @@ from .lfp import (
 )
 from .recursions import (
     RecursionState,
-    _chain,
     _normalize_k_set,
+    _step_factors,
     advance,
     init_state,
     sojourn_rows,
@@ -120,10 +121,8 @@ class CheckpointSchedule:
             object.__setattr__(self, "levels", lv)
 
     def iterate(self, start: int) -> Iterator[int]:
-        if self.kind == "every":
-            return iter(count(start))
-        if self.kind == "arithmetic":
-            return iter(count(start, self.stride))
+        if self.kind in ("every", "arithmetic"):  # every is stride 1
+            return count(start, self.stride if self.kind == "arithmetic" else 1)
         if self.kind == "geometric":
 
             def geo() -> Iterator[int]:
@@ -306,9 +305,7 @@ def _step_distance(
     takes one backward sweep of ``prev``.
     """
     p = prev.n
-    c = s @ state.U_star
-    for factor in islice(_chain(state.factors), state.n - p - 1):
-        c = c @ factor
+    c = reduce(np.matmul, _step_factors(state, state.n, p + 1), s @ state.U_star)
     c = c @ gen.block_array(p + 1, p)
     d = a - c
     tail = 1.0 - float(c @ prev.u_star)

@@ -367,6 +367,10 @@ def test_build_model_dispatch():
         build_model("nope", {})
     with pytest.raises(ConfigError):
         build_model("mm1", {"lam": 1.0, "mu": 2.0, "extra": 1.0})
+    # a params that is no mapping: dict() raises TypeError or ValueError
+    for params in (5, "lam", ["lam"]):
+        with pytest.raises(ConfigError, match="bad parameters for mm1"):
+            build_model("mm1", params)
 
 
 @given(

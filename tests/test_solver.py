@@ -578,6 +578,7 @@ def test_solve_mip_drift_matches_oracles_on_random_chains(bandwidth, phases, see
 READ_MODELS = {
     "mm1": lambda: make_mm1(1.0, 2.0),
     "two_phase_ldqbd": two_phase_ldqbd,
+    "two_phase_product_qbd": two_phase_product_qbd,
     "random_banded(2, 2)": lambda: random_banded(2, 2, 3),
     "heavy_tail": lambda: make_heavy_tail_mg1(3.0, 1.0),
 }
@@ -644,6 +645,15 @@ def _same_approximation(a, b) -> bool:
     )
 
 
+def _plain_trace(approx) -> bool:
+    """Every record field is exactly ``int``, ``float`` or ``None``, as the report writes them.
+
+    A numpy scalar, a subclass of ``float`` or not, makes the YAML dumpers raise.
+    """
+    fields = [v for r in approx.pivot_trace for v in vars(r).values()]
+    return all(type(v) in (int, float, type(None)) for v in fields)
+
+
 @pytest.mark.parametrize("model", sorted(READ_MODELS))
 def test_read_only_blocks_give_identical_results(model):
     """Nothing writes into a block the provider hands out, so sharing one is safe."""
@@ -652,7 +662,9 @@ def test_read_only_blocks_give_identical_results(model):
     # the capped run stops unconverged, which re-checks every block read
     for opts in (SolverOptions(epsilon=1e-6), SolverOptions(epsilon=1e-12, max_level=6)):
         for name, run in _drivers(gen, opts).items():
-            assert _same_approximation(run(gen), run(frozen)), name
+            approx = run(gen)
+            assert _same_approximation(approx, run(frozen)), name
+            assert _plain_trace(approx), name
     assert validate_proper_q(frozen, 12) == validate_proper_q(gen, 12)
     sub, ro = principal_submatrix(gen, 12), principal_submatrix(frozen, 12)
     assert sub.data.toarray().tobytes() == ro.data.toarray().tobytes()

@@ -59,13 +59,37 @@ def test_codelines_defs_sizes_each_top_level_definition(tmp_path):
     ]
 
 
+def _load(name: str):
+    """The script ``tools/NAME.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_codelines_compare_counts_both_sources_and_a_missing_one_as_zero():
+    codelines = _load("codelines")
+    # f gains a line, and g is new: A goes 5 -> 6, the file 6 -> 9
+    changed = SOURCE.replace("return os.sep", "sep = os.sep\n        return sep")
+    changed += "\n\ndef g():\n    pass\n"
+    assert codelines.compare(SOURCE, changed, "sample.py", defs=True) == [
+        (5, 6, "sample.py:A"), (0, 2, "sample.py:g"), (6, 9, "sample.py")
+    ]
+    # a definition only the old source has comes after the new source's
+    assert codelines.compare(changed, SOURCE, "sample.py", defs=True) == [
+        (6, 5, "sample.py:A"), (2, 0, "sample.py:g"), (9, 6, "sample.py")
+    ]
+    assert codelines.compare("", SOURCE, "sample.py") == [(0, 6, "sample.py")]
+    assert codelines.compare(SOURCE, "", "sample.py", defs=True) == [
+        (5, 0, "sample.py:A"), (6, 0, "sample.py")
+    ]
+
+
 def test_solve_digest_hashes_the_answer_apart_from_the_trace(monkeypatch):
     monkeypatch.setattr(sys, "path", sys.path[:])  # the script puts src and bench first
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(name, "1")
-    spec = importlib.util.spec_from_file_location("digests", TOOLS / "digests.py")
-    digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digests)
+    digests = _load("digests")
 
     def fields(approx):
         return dict(field.split("=") for field in digests.solve_digest(approx).split())
